@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from faultdir.sim import BucketIndex
+
 
 def _num(x):
     if x is None:
@@ -31,30 +33,37 @@ class LedgerView:
     """Prefix sums over serialized cost ledger rows."""
 
     def __init__(self, rows: list[dict]):
-        self.rows = [(r["bucket"], r["messages"], _num(r["cost"]))
-                     for r in rows]
+        self.rows: dict[str, tuple[int, Fraction]] = {}
+        self._index = BucketIndex()
+        for r in rows:
+            bucket, m, c = r["bucket"], r["messages"], _num(r["cost"])
+            if bucket in self.rows:
+                m0, c0 = self.rows[bucket]
+                m, c = m0 + m, c0 + c
+            else:
+                self._index.add(bucket)
+            self.rows[bucket] = (m, c)
 
     def total(self, prefix: str) -> tuple[int, Fraction]:
         msgs, cost = 0, Fraction(0)
-        probe = prefix + ":"
-        for bucket, m, c in self.rows:
-            if bucket == prefix or bucket.startswith(probe):
-                msgs += m
-                cost += c
+        for bucket in self._index.matching(prefix):
+            m, c = self.rows[bucket]
+            msgs += m
+            cost += c
         return msgs, cost
 
     def level_costs(self, op_id: str, tag: str) -> dict[int, Fraction]:
         """level -> summed cost of the op:<id>:L<k>:<tag> buckets."""
         out: dict[int, Fraction] = {}
         head = f"op:{op_id}:L"
-        for bucket, _m, c in self.rows:
+        for bucket in self._index.matching(f"op:{op_id}"):
             if not bucket.startswith(head):
                 continue
             lvl_s, _, kind = bucket[len(head):].partition(":")
             if kind != tag:
                 continue
             lvl = int(lvl_s)
-            out[lvl] = out.get(lvl, Fraction(0)) + c
+            out[lvl] = out.get(lvl, Fraction(0)) + self.rows[bucket][1]
         return out
 
 
@@ -250,7 +259,7 @@ def _check_partition(rx: _Rec, rep: BoundReport) -> None:
     ok = pre["ok"] and post["ok"]
     detail = "cover radius, stretch and overlap hold before and after repairs"
     if not ok:
-        detail = f"pre={pre.get('findings')} post={post.get('findings')}"
+        detail = f"pre={pre.get('problems')} post={post.get('problems')}"
     rep.add("post-partition", ok, "ok" if ok else "violated", "ok", detail)
 
 

@@ -24,7 +24,8 @@ from faultdir.scenario import Runtime, build_graph
 
 def _graph_spec(text: str) -> dict:
     """Parse compact graph descriptions: ring:12, grid:4x5, path:9,
-    random:16:0.3"""
+    random:16:0.3 or random:16:0.3:seed (seed 0 when not given; it is
+    written into the spec so scenario files name their graph fully)"""
     parts = text.split(":")
     kind = parts[0]
     if kind == "ring":
@@ -35,10 +36,8 @@ def _graph_spec(text: str) -> dict:
         rows, cols = parts[1].split("x")
         return {"kind": "grid", "rows": int(rows), "cols": int(cols)}
     if kind == "random":
-        spec = {"kind": "random", "n": int(parts[1]), "p": float(parts[2])}
-        if len(parts) > 3:
-            spec["seed"] = int(parts[3])
-        return spec
+        return {"kind": "random", "n": int(parts[1]), "p": float(parts[2]),
+                "seed": int(parts[3]) if len(parts) > 3 else 0}
     raise argparse.ArgumentTypeError(f"bad graph spec {text!r}")
 
 
@@ -61,8 +60,7 @@ def cmd_run(args) -> int:
     with open(args.scenario) as fh:
         sc = json.load(fh)
     rt = Runtime(sc)
-    rt.run()
-    record = rt.record()
+    record = rt.run()
     _write_artifacts(rt, record, args.out_dir)
     done = sum(1 for o in record["ops"] if o["phase"] == "done")
     print(f"{sc.get('name', args.scenario)}: {done}/{len(record['ops'])} ops "

@@ -199,8 +199,7 @@ class FailureEngine:
         dist_a, _ = self.g.sssp(a)
         d_alive = dist_a[b]
         rec["d_alive"] = str(d_alive)
-        had_traffic = bool(lost) or any(
-            key[0] == e for key in self.sim.sent_log)
+        had_traffic = bool(lost) or e in self.sim.used_edges
         if had_traffic:
             self.sim.call_later(d_alive, "resend_exchange",
                                 {"edge": e, "fid": fid, "lost": lost,

@@ -302,7 +302,8 @@ class Directory:
         u = op.issuer
         i = op.level
         r = self.hier.radius(i)
-        sigma = self.hier.sigma
+        # farthest a cluster's current leader can sit from u
+        reach = r + 2 * self.hier.sigma * r
         tree = self.sim.trees[u]
         contacted = op.contacted.setdefault(i, set())
         stale_of = op.stale_of.setdefault(i, {})
@@ -318,7 +319,7 @@ class Directory:
         for led in sorted(groups):
             if led in contacted:
                 continue
-            if tree.dist[led] > r + 2 * sigma * r:
+            if tree.dist[led] > reach:
                 # too far to be this cluster's current leader; wait for news
                 waits.update(groups[led])
                 continue

@@ -7,9 +7,10 @@ Two transport classes:
 
 * routed: hop-by-hop along the sender's current shortest path tree, one
   event per edge traversal, FIFO per edge direction. Messages in flight
-  on an edge when it dies are lost; the endpoints later compare their
-  per-edge send/receive logs and the sender-side endpoint resends over a
-  fresh route (duplicate delivery is suppressed by message id).
+  on an edge when it dies are lost; if the edge ever carried traffic,
+  the endpoints run a resend exchange and the sender-side endpoint
+  resends the lost messages over a fresh route (duplicate delivery is
+  suppressed by message id).
 * bulk: direct delivery after an explicit cost/latency, used for fanouts
   whose delivery is guaranteed by the resend machinery anyway
   (broadcasts, belief refreshes, tree-delta notices). The full cost and
@@ -32,6 +33,36 @@ def _q(x) -> str:
     return str(Fraction(x))
 
 
+def _head(name: str) -> str:
+    """The first two ':'-separated segments of a bucket name or prefix."""
+    return ":".join(name.split(":", 2)[:2])
+
+
+class BucketIndex:
+    """Bucket names filed under their one- and two-segment heads ('op',
+    'op:look3', 'repair:recluster', 'setup').
+
+    Every bucket under a prefix shares the prefix's head, so a prefix
+    lookup scans only that head's buckets, not the whole ledger.
+    """
+
+    def __init__(self):
+        self._by_head: dict[str, list[str]] = {}
+
+    def add(self, bucket: str) -> None:
+        first = bucket.partition(":")[0]
+        self._by_head.setdefault(first, []).append(bucket)
+        two = _head(bucket)
+        if two != first:
+            self._by_head.setdefault(two, []).append(bucket)
+
+    def matching(self, prefix: str) -> list[str]:
+        """Buckets equal to prefix or below it, in the order added."""
+        probe = prefix + ":"
+        return [b for b in self._by_head.get(_head(prefix), ())
+                if b == prefix or b.startswith(probe)]
+
+
 class CostLedger:
     """Message counts and traversal costs aggregated per bucket.
 
@@ -41,26 +72,26 @@ class CostLedger:
 
     def __init__(self):
         self.rows: dict[str, dict] = {}
+        self._index = BucketIndex()
 
     def charge(self, bucket: str, cost, size: str = "const", count: int = 1) -> None:
         assert size in SIZES, size
-        row = self.rows.setdefault(bucket, {"messages": 0, "cost": 0,
-                                            "const": 0, "logn": 0, "nlogn": 0})
+        row = self.rows.get(bucket)
+        if row is None:
+            row = self.rows[bucket] = {"messages": 0, "cost": 0,
+                                       "const": 0, "logn": 0, "nlogn": 0}
+            self._index.add(bucket)
         row["messages"] += count
         row["cost"] += cost
         row[size] += count
 
     def total(self, prefix: str) -> tuple[int, object]:
         msgs, cost = 0, 0
-        for bucket, row in self.rows.items():
-            if bucket == prefix or bucket.startswith(prefix + ":"):
-                msgs += row["messages"]
-                cost += row["cost"]
+        for bucket in self._index.matching(prefix):
+            row = self.rows[bucket]
+            msgs += row["messages"]
+            cost += row["cost"]
         return msgs, cost
-
-    def buckets(self, prefix: str) -> list[str]:
-        return sorted(b for b in self.rows
-                      if b == prefix or b.startswith(prefix + ":"))
 
     def as_rows(self) -> list[dict]:
         out = []
@@ -118,9 +149,9 @@ class Simulator:
         # installed by the runtime after preprocessing
         self.trees = {}
         self.known_dead: dict[int, set[EdgeId]] = {}
-        # per-edge, per-direction transcripts for the resend protocol
-        self.sent_log: dict[tuple[EdgeId, int], list[int]] = {}
-        self.recv_log: dict[tuple[EdgeId, int], list[int]] = {}
+        # edges that ever carried a routed hop; a failed edge among them
+        # triggers the resend exchange
+        self.used_edges: set[EdgeId] = set()
         self.in_flight: dict[EdgeId, list[Message]] = {}
         self._delivered: set[tuple[int, int]] = set()
         self.events: list[dict] = []
@@ -215,8 +246,7 @@ class Simulator:
             msg.blocked.add(e)
             self._forward(msg)
             return
-        direction = 0 if msg.at < nxt else 1
-        self.sent_log.setdefault((e, direction), []).append(msg.id)
+        self.used_edges.add(e)
         self.in_flight.setdefault(e, []).append(msg)
         self.schedule(self.g.weight(e), "hop", msg)
 
@@ -232,8 +262,8 @@ class Simulator:
     # -- failure hooks ---------------------------------------------------------
 
     def capture_in_flight(self, e: EdgeId) -> list[Message]:
-        """Mark every message currently crossing e as lost; they stay in
-        the sent log and the resend exchange recovers them."""
+        """Mark every message currently crossing e as lost; the resend
+        exchange recovers them."""
         e = edge_id(*e)
         lost = self.in_flight.pop(e, [])
         for m in lost:
@@ -276,8 +306,6 @@ class Simulator:
             return
         nxt = msg.route.pop(0)
         e = edge_id(msg.at, nxt)
-        direction = 0 if msg.at < nxt else 1
-        self.recv_log.setdefault((e, direction), []).append(msg.id)
         flights = self.in_flight.get(e)
         if flights and msg in flights:
             flights.remove(msg)

@@ -79,8 +79,12 @@ def _d_path_chain(rec):
     del rec["path"][2]
 
 
+PLANTED_PARTITION_PROBLEM = "level 0: cluster 99 diameter 50 > 4"
+
+
 def _d_partition(rec):
-    rec["partition_post"] = dict(rec["partition_post"], ok=False)
+    rec["partition_post"] = dict(rec["partition_post"], ok=False,
+                                 problems=[PLANTED_PARTITION_PROBLEM])
 
 
 def _d_findings(rec):
@@ -219,3 +223,6 @@ CONTROLS = [
     ("preprocess-volume", "fail", _d_preprocess_volume),
     ("preprocess-distance", "fail", _d_preprocess_dist),
 ]
+
+# formula id -> text the failing line's detail must contain
+CONTROL_DETAILS = {"post-partition": PLANTED_PARTITION_PROBLEM}

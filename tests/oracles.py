@@ -125,3 +125,29 @@ def brute_optimal_move_cost(pairs):
         dist = fw_all_pairs(g)
         total += dist[a][b]
     return total
+
+
+def brute_ledger_total(rows, prefix):
+    """(messages, cost) summed over every (bucket, messages, cost) row
+    whose bucket is `prefix` or lies below it (`prefix:`), by a full scan."""
+    msgs, cost = 0, Fraction(0)
+    for bucket, m, c in rows:
+        if bucket == prefix or bucket.startswith(prefix + ":"):
+            msgs += m
+            cost += c
+    return msgs, cost
+
+
+def brute_level_costs(rows, op_id, tag):
+    """level -> summed cost of the op:<id>:L<k>:<tag> rows, by a full scan."""
+    out = {}
+    head = f"op:{op_id}:L"
+    for bucket, _m, c in rows:
+        if not bucket.startswith(head):
+            continue
+        lvl_s, _, kind = bucket[len(head):].partition(":")
+        if kind != tag:
+            continue
+        lvl = int(lvl_s)
+        out[lvl] = out.get(lvl, Fraction(0)) + c
+    return out

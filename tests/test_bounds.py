@@ -9,7 +9,7 @@ from faultdir.bounds import LedgerView, check_bounds, optimal_move_cost
 from faultdir.graph import random_graph
 from faultdir.scenario import Runtime
 
-from controls import CONTROLS, base_record, doctored
+from controls import CONTROL_DETAILS, CONTROLS, base_record, doctored
 from oracles import brute_optimal_move_cost, fw_all_pairs
 
 
@@ -27,6 +27,9 @@ def test_each_checker_rejects_its_planted_violation(formula, base, doctor):
     assert not rep.ok
     bad = {l.formula for l in rep.failed()}
     assert formula in bad, f"expected {formula} to fail, got {bad}"
+    if formula in CONTROL_DETAILS:
+        line = next(l for l in rep.failed() if l.formula == formula)
+        assert CONTROL_DETAILS[formula] in line.detail, line.detail
 
 
 def test_every_emitted_formula_has_a_negative_control():

@@ -15,6 +15,22 @@ def test_graph_spec_parsing():
                                               "p": 0.3, "seed": 7}
 
 
+def test_readme_random_spec_without_seed(tmp_path, capsys):
+    # the exact spec the README documents; the seed defaults to 0
+    spec = _graph_spec("random:16:0.3")
+    assert spec == {"kind": "random", "n": 16, "p": 0.3, "seed": 0}
+    scen_path = tmp_path / "scenario.json"
+    assert main(["gen", "--graph", "random:16:0.3", "--mode", "strong",
+                 "--rho", "2", "--seed", "7", "--ops", "20", "--failures",
+                 "2", "--out", str(scen_path)]) == 0
+    sc = json.loads(scen_path.read_text())
+    assert sc["graph"] == spec
+    validate_scenario(sc)
+    capsys.readouterr()
+    assert main(["partition-stats", "--graph", "random:16:0.3"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 16
+
+
 def test_gen_scenarios_are_valid_and_seeded(tmp_path):
     for seed in range(6):
         sc = _gen_scenario({"kind": "random", "n": 14, "p": 0.3, "seed": 2},

@@ -1,0 +1,27 @@
+"""Golden artifacts: small generated scenarios must replay byte for byte.
+
+The pinned digests live in ``tests/golden/digests.json``; see
+``tests/golden/regen.py`` for when they may be regenerated.
+"""
+
+import pytest
+
+from golden.regen import SCENARIOS, artifact_digests, load_digests, scenario
+
+
+def test_every_scenario_is_pinned():
+    assert sorted(load_digests()) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_artifacts_match_pinned_digests(name, tmp_path):
+    assert artifact_digests(name, str(tmp_path)) == load_digests()[name]
+
+
+def test_scenarios_cover_their_shapes():
+    events = {name: scenario(name)["events"] for name in SCENARIOS}
+    assert any(e["do"] == "move" for e in events["grid-moves"])
+    assert any(e["do"] == "fail" for e in events["grid-fail"])
+    assert not any("fail_during" in e for e in events["grid-fail"])
+    assert any("fail_during" in e for e in events["grid-fail-during"])
+    assert scenario("weak-random")["mode"] == "weak"
