@@ -157,7 +157,6 @@ def cmd_gen(args) -> int:
 def cmd_partition_stats(args) -> int:
     g = build_graph(args.graph)
     hier = build_hierarchy(g, rho=args.rho, mode=args.mode, seed=args.seed)
-    hier.measure()
     chk = verify_partition(hier)
     out = {
         "n": len(g.nodes()), "mode": hier.mode, "rho": hier.rho,

@@ -373,6 +373,7 @@ class FailureEngine:
         for x in det_nodes:
             c.tree_parent.pop(x, None)
         c.members -= set(members2)
+        c.members_changed()
         self._prune_useless(c)
         rec = self.failures[fid]
         if not members2:

@@ -243,21 +243,6 @@ class ShortestPathTree:
         self.dist = dist
         self.parent = parent
 
-    @classmethod
-    def build(cls, g: Graph, root: int, blocked: set[EdgeId] | None = None) -> "ShortestPathTree":
-        """Fresh tree from root over alive edges minus `blocked`."""
-        if blocked:
-            adj = {
-                u: {v: w for v, w in nbrs.items() if edge_id(u, v) not in blocked}
-                for u, nbrs in g._adj.items()
-            }
-        else:
-            adj = g._adj
-        dist, parent = dijkstra(adj, root)
-        if len(dist) != g.n:
-            raise ValueError(f"root {root} cannot reach every node")
-        return cls(root, dist, parent)
-
     def copy(self) -> "ShortestPathTree":
         return ShortestPathTree(self.root, dict(self.dist), dict(self.parent))
 
@@ -372,7 +357,12 @@ class ShortestPathTree:
 
 
 def build_spt(g: Graph, root: int) -> ShortestPathTree:
-    return ShortestPathTree.build(g, root)
+    """Fresh tree from root over the alive graph: a private copy of the
+    cached `g.sssp(root)`, since the tree is repaired in place later."""
+    dist, parent = g.sssp(root)
+    if len(dist) != g.n:
+        raise ValueError(f"root {root} cannot reach every node")
+    return ShortestPathTree(root, dict(dist), dict(parent))
 
 
 def affected_spts(trees: dict[int, ShortestPathTree], e: EdgeId) -> dict[int, int]:

@@ -4,17 +4,20 @@ Each level i carries a partition of the nodes into clusters whose diameter
 is bounded by sigma * r_i, such that any r_i-neighborhood meets at most
 `overlap` clusters. Level -1 is the singleton partition, the top level is
 the whole node set led by a global root. Clustering uses random
-exponential shifts; the achieved sigma and overlap are measured after the
-build and those measured values parameterize every downstream bound check.
+exponential shifts and one multi-source Dijkstra, in both modes; the
+achieved sigma and overlap are measured once after the build and those
+measured values parameterize every downstream bound check.
 
-Clusters keep explicit spanning trees rooted at their leaders. In strong
-mode trees live inside the induced subgraph; in weak mode they are pruned
-shortest path trees over the whole graph and may pass through non-member
-nodes.
+Weak and strong mode share the partition and differ only in how leaders
+and trees are chosen. Clusters keep explicit spanning trees rooted at
+their leaders. In strong mode trees live inside the induced subgraph; in
+weak mode they are pruned shortest path trees over the whole graph and
+may pass through non-member nodes, and diameters are whole-graph ones.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -41,6 +44,8 @@ class Cluster:
         self.origin = origin
         self.parent_id = parent_id
         self.child_ids: list[int] = []
+        # (graph version, diameter); cleared whenever members change
+        self._diameter: tuple | None = None
 
     def tree_nodes(self) -> set[int]:
         return set(self.tree_parent)
@@ -86,39 +91,45 @@ class Cluster:
 
     def diameter(self, g: Graph, mode: str):
         """Largest member-to-member distance; induced distances in strong
-        mode, whole-graph distances in weak mode. 0 for singletons."""
-        if len(self.members) <= 1:
-            return 0
-        if mode == "strong":
-            best = 0
-            for u in self.members:
-                dist = _induced_sssp(g, u, self.members)
-                for m in self.members:
-                    if m not in dist:
-                        raise ValueError(f"cluster {self.id} induced subgraph disconnected")
-                    if dist[m] > best:
-                        best = dist[m]
-            return best
-        best = 0
-        for u in self.members:
-            dist, _ = g.sssp(u)
-            for m in self.members:
-                if dist[m] > best:
-                    best = dist[m]
-        return best
+        mode, whole-graph distances in weak mode. 0 for singletons.
+
+        Computed at most once per version of `g` (the hierarchy's graph,
+        in the hierarchy's mode); whoever changes `members` must call
+        `members_changed()`."""
+        if self._diameter is None or self._diameter[0] != g.version:
+            ecc = eccentricities(g, self.members, mode)
+            self._diameter = (g.version, max(ecc.values(), default=0))
+        return self._diameter[1]
+
+    def members_changed(self) -> None:
+        self._diameter = None
 
     def induced_connected(self, g: Graph) -> bool:
         if len(self.members) <= 1:
             return True
         start = next(iter(self.members))
-        dist = _induced_sssp(g, start, self.members)
+        dist, _ = dijkstra(_induced_adj(g, self.members), start)
         return all(m in dist for m in self.members)
 
 
-def _induced_sssp(g: Graph, source: int, allowed: set[int]) -> dict:
-    adj = {u: {v: w for v, w in g.neighbors(u).items() if v in allowed} for u in allowed}
-    dist, _ = dijkstra(adj, source)
-    return dist
+def _induced_adj(g: Graph, allowed: set[int]) -> dict:
+    return {u: {v: w for v, w in g.neighbors(u).items() if v in allowed} for u in allowed}
+
+
+def eccentricities(g: Graph, members: set[int], mode: str) -> dict:
+    """Member -> largest distance to another member: induced distances in
+    strong mode, whole-graph ones in weak mode (the same distances when
+    the members are every node, so those reuse the graph's cache)."""
+    if len(members) == 1:
+        return {u: 0 for u in members}
+    adj = _induced_adj(g, members) if mode == "strong" and len(members) < g.n else None
+    out = {}
+    for u in members:
+        dist = dijkstra(adj, u)[0] if adj is not None else g.sssp(u)[0]
+        if not members <= dist.keys():
+            raise ValueError(f"induced subgraph of {sorted(members)} is disconnected")
+        out[u] = max(dist[m] for m in members)
+    return out
 
 
 def _rational_exp_shift(rng: random.Random, rate: float, cap: float) -> Fraction:
@@ -134,15 +145,25 @@ def _rational_exp_shift(rng: random.Random, rate: float, cap: float) -> Fraction
             return Fraction(val).limit_denominator(1 << 30)
 
 
-def build_partition(g: Graph, r, mode: str, rng: random.Random,
-                    max_retries: int = 16) -> list[tuple[int, set[int]]]:
+def build_partition(g: Graph, r, mode: str, rng: random.Random) -> list[tuple[int, set[int]]]:
     """Partition the alive graph into clusters for radius parameter r.
 
-    Every node draws an exponential shift with rate ln(n)/r and joins the
-    center with the smallest shifted distance. Weak mode measures shifted
-    distances through the whole graph; strong mode grows clusters along
-    edges so each induced subgraph stays connected. Returns a list of
-    (center, member_set) pairs; leaders are chosen separately.
+    Every node c draws an exponential shift with rate ln(n)/r and starts
+    at start_c = max shift - shift_c; node v joins the center minimising
+    (start_c + d(c, v), c). Both modes use this partition; they differ
+    only in leaders and trees. Returns sorted (center, member_set) pairs;
+    leaders are chosen separately.
+
+    The argmin is one multi-source Dijkstra (`_grow_waves`), not a scan
+    over all (center, node) pairs (the random-shift clustering of Miller,
+    Peng and Xu). If c wins v with key K = start_c + d(c, v), it also
+    wins every node y on a shortest c-v path: a pair (start_c' + d(c', y),
+    c') below (start_c + d(c, y), c) would, adding d(y, v) to both keys,
+    give c' a pair below (K, c) at v. So v is reached from c through
+    nodes c already owns, and ordering the heap by (key, center id)
+    settles every node with exactly its lexicographic minimum. The same
+    argument makes every cluster connected in its induced subgraph, as
+    strong mode needs.
     """
     if mode not in ("weak", "strong"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -154,39 +175,20 @@ def build_partition(g: Graph, r, mode: str, rng: random.Random,
         # one cluster already satisfies the radius; skip the lottery
         return [(g.center(), set(nodes))]
     rate = math.log(n) / float(r)
-    for _ in range(max_retries):
-        shifts = {u: _rational_exp_shift(rng, rate, float(r)) for u in nodes}
-        top = max(shifts.values())
-        starts = {u: top - shifts[u] for u in nodes}
-        if mode == "weak":
-            assign = {}
-            for v in nodes:
-                best = None
-                for c in nodes:
-                    dist, _ = g.sssp(c)
-                    key = starts[c] + dist[v]
-                    if best is None or key < best[0] or (key == best[0] and c < best[1]):
-                        best = (key, c)
-                assign[v] = best[1]
-        else:
-            assign = _grow_strong(g, nodes, starts)
-        groups: dict[int, set[int]] = {}
-        for v, c in assign.items():
-            groups.setdefault(c, set()).add(v)
-        clusters = sorted(groups.items())
-        if mode == "strong":
-            ok = all(_strong_connected(g, members) for _, members in clusters)
-            if not ok:
-                continue
-        return clusters
-    raise ValueError(f"could not build a connected strong partition for r={r}")
+    shifts = {u: _rational_exp_shift(rng, rate, float(r)) for u in nodes}
+    top = max(shifts.values())
+    starts = {u: top - shifts[u] for u in nodes}
+    groups: dict[int, set[int]] = {}
+    for v, c in _grow_waves(g, nodes, starts).items():
+        groups.setdefault(c, set()).add(v)
+    return sorted(groups.items())
 
 
-def _grow_strong(g: Graph, nodes, starts) -> dict[int, int]:
-    # Multi-source Dijkstra where each wave only expands through nodes it
-    # already owns, so clusters are connected by construction.
-    import heapq
+def _grow_waves(g: Graph, nodes, starts) -> dict[int, int]:
+    """Node -> center of the lexicographically least (start_c + d(c, v), c).
 
+    Multi-source Dijkstra with heap keys (start_c + d, c, x) where each
+    wave only expands through nodes it already owns."""
     assign: dict[int, int] = {}
     heap = [(starts[c], c, c) for c in nodes]
     heapq.heapify(heap)
@@ -201,33 +203,10 @@ def _grow_strong(g: Graph, nodes, starts) -> dict[int, int]:
     return assign
 
 
-def _strong_connected(g: Graph, members: set[int]) -> bool:
-    start = next(iter(members))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in g.neighbors(x):
-            if y in members and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen == members
-
-
-def choose_leader(g: Graph, members: set[int], mode: str) -> int:
-    """Cluster center: member with minimum eccentricity, ties to smaller id."""
-    if len(members) == 1:
-        return next(iter(members))
-    best = None
-    for u in sorted(members):
-        if mode == "strong":
-            dist = _induced_sssp(g, u, members)
-        else:
-            dist, _ = g.sssp(u)
-        ecc = max(dist[m] for m in members)
-        if best is None or ecc < best[0]:
-            best = (ecc, u)
-    return best[1]
+def choose_leader(ecc: dict) -> int:
+    """Cluster center from `eccentricities`: the member with minimum
+    eccentricity, ties to the smaller id."""
+    return min(ecc, key=lambda u: (ecc[u], u))
 
 
 def cluster_tree(g: Graph, leader: int, members: set[int], mode: str) -> dict[int, int | None]:
@@ -238,8 +217,7 @@ def cluster_tree(g: Graph, leader: int, members: set[int], mode: str) -> dict[in
     member root paths (may keep non-member pass-through nodes).
     """
     if mode == "strong":
-        adj = {u: {v: w for v, w in g.neighbors(u).items() if v in members} for u in members}
-        dist, parent = dijkstra(adj, leader)
+        dist, parent = dijkstra(_induced_adj(g, members), leader)
         if len(dist) != len(members):
             raise ValueError("induced subgraph disconnected")
         return {u: parent[u] for u in members}
@@ -312,15 +290,13 @@ class Hierarchy:
     def root(self) -> int:
         return self.clusters_at(self.top)[0].leader
 
-    def clusters_intersecting(self, v: int, i: int) -> list[Cluster]:
-        """Ground-truth clusters at level i meeting N(v, r_i) on the alive
-        graph (the oracle the leader directory is measured against)."""
-        hood = self.g.neighborhood(v, self.radius(i))
-        out = []
-        for c in self.clusters_at(i):
-            if any(m in hood for m in c.members):
-                out.append(c)
-        return out
+    def overlap_at(self, v: int, i: int) -> int:
+        """How many level-i clusters meet N(v, r_i) on the alive graph.
+        Counts distinct owners of the neighborhood's nodes, so it relies
+        on `assign` matching the cluster members (a valid partition)."""
+        r = self.radius(i)
+        dist, _ = self.g.sssp(v)
+        return len({self.assign[(i, x)] for x, d in dist.items() if d <= r})
 
     def descendants(self, level: int, cid: int) -> list[int]:
         """cid plus every cluster split off from it, recursively."""
@@ -347,8 +323,7 @@ class Hierarchy:
                 if d > sigma * r:
                     sigma = Fraction(d, 1) / r if not isinstance(d, Fraction) else d / r
             for u in self.g.nodes():
-                k = len(self.clusters_intersecting(u, i))
-                overlap = max(overlap, k)
+                overlap = max(overlap, self.overlap_at(u, i))
         self.sigma = sigma
         self.overlap = overlap
 
@@ -406,9 +381,13 @@ def build_hierarchy(g: Graph, rho: int = 2, mode: str = "strong", seed: int = 0)
     for i in range(h):
         r = hier.radius(i)
         for _center, members in build_partition(g, r, mode, rng):
-            leader = choose_leader(g, members, mode)
-            tree = cluster_tree(g, leader, members, mode)
-            hier.add_cluster(Cluster(hier.new_cid(), i, members, leader, tree))
+            ecc = eccentricities(g, members, mode)
+            leader = choose_leader(ecc)
+            c = Cluster(hier.new_cid(), i, members, leader,
+                        cluster_tree(g, leader, members, mode))
+            # the eccentricities that chose the leader also give the diameter
+            c._diameter = (g.version, max(ecc.values()))
+            hier.add_cluster(c)
     root = g.center()
     root_tree = {u: p for u, p in g.sssp(root)[1].items()}
     hier.add_cluster(Cluster(hier.new_cid(), h, set(g.nodes()), root, root_tree))
@@ -455,10 +434,7 @@ def verify_partition(hier: Hierarchy, sigma=None, post_failure: bool = False) ->
             _check_tree(hier, c, problem)
         if seen != nodes:
             problem(f"level {i}: clusters do not cover all nodes")
-        max_k = 0
-        for u in g.nodes():
-            k = len(hier.clusters_intersecting(u, i))
-            max_k = max(max_k, k)
+        max_k = max(hier.overlap_at(u, i) for u in g.nodes())
         limit = hier.overlap if not post_failure else None
         if limit is not None and max_k > limit:
             problem(f"level {i}: neighborhood meets {max_k} clusters > {limit}")
@@ -542,21 +518,27 @@ class LeaderDirectory:
         return out
 
 
-def preprocess_leaders(hier: Hierarchy) -> tuple[LeaderDirectory, list[tuple[int, int, int]]]:
+def preprocess_leaders(hier: Hierarchy) -> tuple[LeaderDirectory, tuple[int, object]]:
     """Seed exact beliefs: u learns, for every level i, the leader of every
-    node within r_i. Returns the directory plus the (u, x, cost) exchange
-    list so the runtime can charge the setup ledger."""
+    node within r_i. Returns the directory plus the number and summed
+    distance of the (u, x != u, level) exchanges, which the runtime
+    charges to the setup ledger."""
     ldir = LeaderDirectory()
-    exchanges = []
+    messages, cost = 0, 0
     g = hier.g
-    for u in g.nodes():
+    nodes = g.nodes()
+    levels = [(i, hier.radius(i), {x: hier.leader(i, x) for x in nodes})
+              for i in range(0, hier.top + 1)]
+    for u in nodes:
         dist, _ = g.sssp(u)
-        for i in range(0, hier.top + 1):
-            r = hier.radius(i)
-            for x, d in sorted(dist.items()):
+        by_id = sorted(dist.items())
+        beliefs = ldir.believed.setdefault(u, {})
+        for i, r, leader in levels:
+            for x, d in by_id:
                 if d > r:
                     continue
-                ldir.set_belief(u, x, i, hier.leader(i, x))
+                beliefs.setdefault(x, {})[i] = leader[x]
                 if x != u:
-                    exchanges.append((u, x, d))
-    return ldir, exchanges
+                    messages += 1
+                    cost += d
+    return ldir, (messages, cost)

@@ -12,8 +12,6 @@ in the run record.
 
 from __future__ import annotations
 
-import json
-import random
 from fractions import Fraction
 
 from faultdir.failure import FailureEngine
@@ -112,7 +110,6 @@ class Runtime:
         self.hier = build_hierarchy(self.g, rho=int(sc.get("rho", 2)),
                                     mode=sc.get("mode", "strong"),
                                     seed=int(sc.get("seed", 0)))
-        self.hier.measure()
         self.pre_check = verify_partition(self.hier)
         if not self.pre_check["ok"]:
             raise RuntimeError(f"partition invalid at build: {self.pre_check}")
@@ -120,9 +117,9 @@ class Runtime:
         for x in sorted(self.g.nodes()):
             self.sim.trees[x] = build_spt(self.g, x)
             self.sim.known_dead[x] = set()
-        self.ldir, exchanges = preprocess_leaders(self.hier)
-        for _u, _x, cost in exchanges:
-            self.sim.charge_only("setup", cost, size="logn")
+        self.ldir, (messages, cost) = preprocess_leaders(self.hier)
+        if messages:
+            self.sim.charge_only("setup", cost, size="logn", count=messages)
         self.dir = Directory(self.sim, self.hier, self.ldir)
         self.engine = FailureEngine(self.dir)
         self.engine.setup_index()
@@ -299,97 +296,3 @@ class Runtime:
 
 def run_scenario(sc: dict) -> dict:
     return Runtime(sc).run()
-
-
-# -- canned scenario generators --------------------------------------------------
-
-
-def gen_scenario(name: str, seed: int = 0) -> dict:
-    """Deterministic example workloads used by the test suite and the CLI."""
-    rng = random.Random((hash(name) & 0xFFFF) * 100003 + seed)
-    if name == "ring-basic":
-        n = 12
-        nodes = list(range(n))
-        events = [{"do": "publish", "node": 3}]
-        for _ in range(6):
-            events.append({"do": "lookup", "node": rng.choice(nodes)})
-        cur = 3
-        for _ in range(4):
-            nxt = rng.choice([x for x in nodes if x != cur])
-            events.append({"do": "move", "node": nxt})
-            cur = nxt
-        return {"name": name, "graph": {"kind": "ring", "n": n},
-                "mode": "strong", "rho": 2, "seed": seed, "events": events}
-    if name == "grid-failures":
-        rows, cols = 4, 4
-        nodes = list(range(rows * cols))
-        events = [{"do": "publish", "node": 5}]
-        events += [{"do": "lookup", "node": rng.choice(nodes)} for _ in range(3)]
-        events.append({"do": "fail", "edge": [5, 6]})
-        events += [{"do": "lookup", "node": rng.choice(nodes)} for _ in range(3)]
-        events.append({"do": "fail", "edge": [9, 13]})
-        cur = None
-        for _ in range(3):
-            cands = [x for x in nodes if x != cur]
-            cur = rng.choice(cands)
-            events.append({"do": "move", "node": cur})
-            events.append({"do": "lookup", "node": rng.choice(nodes)})
-        return {"name": name, "graph": {"kind": "grid", "rows": rows,
-                                        "cols": cols},
-                "mode": "strong", "rho": 2, "seed": seed, "events": events}
-    if name == "move-sequence":
-        n = 16
-        nodes = list(range(n))
-        cur = 0
-        events = [{"do": "publish", "node": cur}]
-        for _ in range(10):
-            nxt = rng.choice([x for x in nodes if x != cur])
-            events.append({"do": "move", "node": nxt})
-            cur = nxt
-        return {"name": name, "graph": {"kind": "ring", "n": n,
-                                        "weights": [1 + (i % 3) for i in range(n)]},
-                "mode": "strong", "rho": 2, "seed": seed, "events": events}
-    if name == "random-weak":
-        g_seed = seed + 11
-        n = 14
-        events = [{"do": "publish", "node": 2}]
-        nodes = list(range(n))
-        for _ in range(4):
-            events.append({"do": "lookup", "node": rng.choice(nodes)})
-        cur = 2
-        for _ in range(3):
-            nxt = rng.choice([x for x in nodes if x != cur])
-            events.append({"do": "move", "node": nxt})
-            cur = nxt
-        return {"name": name, "graph": {"kind": "random", "n": n, "p": 0.25,
-                                        "seed": g_seed},
-                "mode": "weak", "rho": 2, "seed": seed, "events": events}
-    if name == "transient-lookup":
-        rows, cols = 4, 4
-        events = [{"do": "publish", "node": 15},
-                  {"do": "lookup", "node": 0, "fail_during": [10, 11],
-                   "fail_delay": 1},
-                  {"do": "lookup", "node": 0},
-                  {"do": "move", "node": 6, "fail_during": [1, 2],
-                   "fail_delay": 1},
-                  {"do": "lookup", "node": 12}]
-        return {"name": name, "graph": {"kind": "grid", "rows": rows,
-                                        "cols": cols},
-                "mode": "strong", "rho": 2, "seed": seed, "events": events}
-    raise ValueError(f"unknown scenario name {name!r}")
-
-
-def scenario_names() -> list[str]:
-    return ["ring-basic", "grid-failures", "move-sequence", "random-weak",
-            "transient-lookup"]
-
-
-def load_scenario(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def dump_record(rec: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(rec, fh, indent=1, sort_keys=True)
-        fh.write("\n")

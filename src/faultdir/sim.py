@@ -104,12 +104,10 @@ class CostLedger:
 
 
 class Message:
-    _next_id = 0
-
     def __init__(self, kind: str, src: int, dst: int, payload: dict,
                  size: str = "const", bucket: str = "misc"):
-        self.id = Message._next_id
-        Message._next_id += 1
+        # numbered by the simulator when it first takes the message
+        self.id: int | None = None
         self.kind = kind
         self.src = src
         self.dst = dst
@@ -149,6 +147,7 @@ class Simulator:
         # installed by the runtime after preprocessing
         self.trees = {}
         self.known_dead: dict[int, set[EdgeId]] = {}
+        self._next_msg_id = 0
         # edges that ever carried a routed hop; a failed edge among them
         # triggers the resend exchange
         self.used_edges: set[EdgeId] = set()
@@ -182,8 +181,16 @@ class Simulator:
 
     # -- transport -----------------------------------------------------------
 
+    def _admit(self, msg: Message) -> None:
+        """Number a message the first time it enters this simulator; ids
+        order messages by send and key duplicate suppression."""
+        if msg.id is None:
+            msg.id = self._next_msg_id
+            self._next_msg_id += 1
+
     def send(self, msg: Message) -> None:
         """Routed transport along the sender's current tree."""
+        self._admit(msg)
         if msg.src == msg.dst:
             msg.at = msg.dst
             self.schedule(0, "deliver", msg)
@@ -195,6 +202,7 @@ class Simulator:
         """Routed transport along an explicit node path (e.g. a cluster
         spanning tree path). Falls back to tree routing on breakage."""
         assert path[0] == msg.src and path[-1] == msg.dst
+        self._admit(msg)
         if msg.src == msg.dst:
             msg.at = msg.dst
             self.schedule(0, "deliver", msg)
@@ -252,6 +260,7 @@ class Simulator:
 
     def bulk(self, msg: Message, cost, delay=None, count: int = 1) -> None:
         """Direct delivery with explicit cost; latency defaults to cost."""
+        self._admit(msg)
         self.ledger.charge(msg.bucket, cost, msg.size, count=count)
         msg.traveled = cost
         self.schedule(cost if delay is None else delay, "deliver", msg)
@@ -278,6 +287,7 @@ class Simulator:
         clone.blocked = set(msg.blocked)
         clone.blocked.add(edge_id(*dead))
         clone.at = frm
+        self._admit(clone)
         self._forward(clone)
         return clone
 

@@ -42,6 +42,9 @@ SCENARIOS = {
                                     "seed": 2},
                         mode="weak", rho=2, seed=4, ops=8, failures=1,
                         horizon=2000),
+    "weak-grid": dict(graph_spec={"kind": "grid", "rows": 6, "cols": 6},
+                      mode="weak", rho=2, seed=6, ops=10, failures=2,
+                      horizon=2000),
     "weighted-ring": dict(graph_spec={"kind": "ring", "n": 12,
                                       "weights": [1, 2, 3, 1, 2, 3,
                                                   1, 2, 3, 1, 2, 3]},

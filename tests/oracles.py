@@ -6,7 +6,10 @@ library's Dijkstra-based machinery, so the two routes to every number are
 independent.
 """
 
+import math
 from fractions import Fraction
+
+from faultdir.partition import _rational_exp_shift
 
 INF = None
 
@@ -115,6 +118,44 @@ def brute_intersection_count(g, hier, u, level):
         if any(m in hood for m in c.members):
             count += 1
     return count
+
+
+def clusters_intersecting(hier, v, i):
+    """Clusters at level i whose members meet N(v, r_i) on the alive
+    graph, by scanning every cluster's members."""
+    hood = hier.g.neighborhood(v, hier.radius(i))
+    return [c for c in hier.clusters_at(i) if any(m in hood for m in c.members)]
+
+
+def brute_weak_assign(g, starts):
+    """v -> the center c minimising (starts[c] + d(c, v), c), by scanning
+    every (center, node) pair over Floyd-Warshall distances."""
+    dist = fw_all_pairs(g)
+    nodes = g.nodes()
+    assign = {}
+    for v in nodes:
+        best = None
+        for c in nodes:
+            key = starts[c] + dist[c][v]
+            if best is None or key < best[0] or (key == best[0] and c < best[1]):
+                best = (key, c)
+        assign[v] = best[1]
+    return assign
+
+
+def brute_weak_partition(g, r, rng):
+    """The random-shift partition for radius r < diameter on n > 1 nodes:
+    shifts drawn from `rng` exactly as `build_partition` draws them, then
+    the pairwise argmin. Sorted (center, members) pairs."""
+    nodes = g.nodes()
+    rate = math.log(len(nodes)) / float(r)
+    shifts = {u: _rational_exp_shift(rng, rate, float(r)) for u in nodes}
+    top = max(shifts.values())
+    starts = {u: top - shifts[u] for u in nodes}
+    groups = {}
+    for v, c in brute_weak_assign(g, starts).items():
+        groups.setdefault(c, set()).add(v)
+    return sorted(groups.items())
 
 
 def brute_optimal_move_cost(pairs):

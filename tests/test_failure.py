@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import pytest
+
 from faultdir.graph import build_spt, edge_id
 from faultdir.partition import verify_partition
 from faultdir.scenario import Runtime, build_graph
 
-from oracles import check_spt, fw_all_pairs
+from oracles import brute_cluster_diameter, check_spt, fw_all_pairs
 
 RING12 = {"kind": "ring", "n": 12}
 
@@ -307,3 +309,26 @@ def test_failure_during_walk_completes_and_linearizes():
     iv = ivs[look.version]
     assert iv["t_from"] <= look.read_t
     assert iv.get("t_to") is None or look.read_t <= iv["t_to"]
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_cached_diameters_follow_splits_and_the_current_graph(mode):
+    graph = {"kind": "random", "n": 14, "p": 0.3, "seed": 3}
+    rt = fresh(graph, mode=mode, events=[{"t": 0, "do": "publish", "node": 0}])
+    rt.engine.fail_edge(tuple(killable_edges(graph)[0]))
+    # fill every cache at the new graph version before the splits land
+    for lvl in rt.hier.all_levels():
+        for c in rt.hier.clusters_at(lvl):
+            try:
+                c.diameter(rt.g, mode)
+            except ValueError:
+                pass  # strong cluster cut in two; its split is on the way
+    rt.sim.run()
+    assert any(s["child"] is not None for s in rt.engine.failures[0]["splits"])
+    post = rt.record()["partition_post"]
+    for row in post["levels"]:
+        fresh_diams = [brute_cluster_diameter(rt.g, c.members, mode)
+                       for c in rt.hier.clusters_at(row["level"])]
+        for c, d in zip(rt.hier.clusters_at(row["level"]), fresh_diams):
+            assert c.diameter(rt.g, mode) == d
+        assert row["max_diameter"] == str(max(fresh_diams))

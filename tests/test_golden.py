@@ -25,3 +25,5 @@ def test_scenarios_cover_their_shapes():
     assert not any("fail_during" in e for e in events["grid-fail"])
     assert any("fail_during" in e for e in events["grid-fail-during"])
     assert scenario("weak-random")["mode"] == "weak"
+    assert scenario("weak-grid")["mode"] == "weak"
+    assert sum(e["do"] == "fail" for e in events["weak-grid"]) == 2

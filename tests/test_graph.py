@@ -125,6 +125,21 @@ def test_spt_tie_breaks_to_smaller_parent():
     check_spt(g, t)
 
 
+def test_spt_is_a_private_copy_of_the_cached_sssp():
+    g = grid_graph(3, 3)
+    dist, parent = g.sssp(0)
+    t = build_spt(g, 0)
+    assert (t.dist, t.parent) == (dist, parent)
+    assert t.dist is not dist and t.parent is not parent
+    t.repair(g, edge_id(0, 1), {edge_id(0, 1)})
+    assert g.sssp(0) == (dist, parent) and dist[1] == 1
+    g2 = Graph()
+    g2.add_edge(0, 1, 1)
+    g2.add_node(2)
+    with pytest.raises(ValueError, match="cannot reach"):
+        build_spt(g2, 0)
+
+
 def test_spt_random_matches_oracle():
     for seed in range(8):
         g = random_graph(16, 0.25, seed=seed + 20)

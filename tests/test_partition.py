@@ -4,13 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultdir.graph import grid_graph, load_graph, path_graph, random_graph, ring_graph
 from faultdir.partition import (
-    Hierarchy, build_hierarchy, build_partition, choose_leader, cluster_tree,
-    preprocess_leaders, verify_partition,
+    Hierarchy, _grow_waves, build_hierarchy, build_partition, choose_leader,
+    cluster_tree, eccentricities, preprocess_leaders, verify_partition,
 )
-from oracles import brute_cluster_diameter, brute_intersection_count, fw_all_pairs
+from oracles import (brute_cluster_diameter, brute_intersection_count,
+                     brute_weak_assign, brute_weak_partition,
+                     clusters_intersecting, fw_all_pairs)
 
 
 def test_r_at_least_diameter_single_cluster():
@@ -88,15 +91,18 @@ def test_level_minus_one_and_top():
         assert len(c.members) == 1 and c.diameter(g, "strong") == 0
     assert len(hier.clusters_at(hier.top)) == 1
     for u in g.nodes():
-        assert len(hier.clusters_intersecting(u, hier.top)) == 1
-        assert len(hier.clusters_intersecting(u, -1)) == 1
+        assert len(clusters_intersecting(hier, u, hier.top)) == 1
+        assert len(clusters_intersecting(hier, u, -1)) == 1
 
 
 def test_leaders_are_centers():
     g = path_graph(5)
-    assert choose_leader(g, {0, 1, 2, 3, 4}, "strong") == 2
-    assert choose_leader(g, {0, 1}, "weak") == 0  # tie to smaller id
-    assert choose_leader(g, {3}, "strong") == 3
+    assert choose_leader(eccentricities(g, {0, 1, 2, 3, 4}, "strong")) == 2
+    assert choose_leader(eccentricities(g, {0, 1}, "weak")) == 0  # tie to smaller id
+    assert choose_leader(eccentricities(g, {3}, "strong")) == 3
+    with pytest.raises(ValueError, match="disconnected"):
+        eccentricities(g, {0, 2}, "strong")
+    assert eccentricities(g, {0, 2}, "weak") == {0: 2, 2: 2}
 
 
 def test_cluster_tree_strong_stays_inside():
@@ -134,7 +140,7 @@ def test_neighborhood_clusters_matches_oracle():
     for u in (0, 12, 24):
         for i in range(0, hier.top + 1):
             believed = ldir.neighborhood_clusters(hier, u, i)
-            truth = {c.leader for c in hier.clusters_intersecting(u, i)}
+            truth = {c.leader for c in clusters_intersecting(hier, u, i)}
             assert set(believed) == truth
             assert len(believed) <= hier.overlap
 
@@ -142,25 +148,30 @@ def test_neighborhood_clusters_matches_oracle():
 def test_preprocess_tables_and_costs():
     g = load_graph("0 1 1\n")
     hier = build_hierarchy(g, rho=2, mode="weak", seed=0)
-    ldir, exchanges = preprocess_leaders(hier)
+    ldir, setup = preprocess_leaders(hier)
     lead = hier.leader(0, 0)
     assert ldir.believed_leader(0, 1, 0) == lead
     assert ldir.believed_leader(1, 0, 0) == lead
-    # one remote exchange per direction at level 0
-    assert exchanges == [(0, 1, 1), (1, 0, 1)]
+    # one remote exchange per direction at level 0, at distance 1 each
+    assert setup == (2, 1 + 1)
 
 
 def test_preprocess_ring_matches_oracle():
     g = ring_graph(16)
     hier = build_hierarchy(g, rho=2, mode="strong", seed=7)
-    ldir, _ = preprocess_leaders(hier)
+    ldir, setup = preprocess_leaders(hier)
     dist = fw_all_pairs(g)
+    messages, cost = 0, 0
     for u in g.nodes():
         for i in range(0, hier.top + 1):
             r = hier.radius(i)
             for x in g.nodes():
                 want = hier.leader(i, x) if dist[u][x] <= r else None
                 assert ldir.believed_leader(u, x, i) == want
+                if want is not None and x != u:
+                    messages += 1
+                    cost += dist[u][x]
+    assert setup == (messages, cost)
 
 
 def test_shortcut_constants_exact():
@@ -200,3 +211,79 @@ def test_determinism_same_seed():
         sig_a = sorted((c.leader, tuple(sorted(c.members))) for c in a.clusters_at(i))
         sig_b = sorted((c.leader, tuple(sorted(c.members))) for c in b.clusters_at(i))
         assert sig_a == sig_b
+
+
+# -- the wave Dijkstra against the pairwise argmin ---------------------------
+
+GRAPHS = st.one_of(
+    st.builds(grid_graph, st.integers(1, 6), st.integers(2, 6)),
+    st.builds(ring_graph, st.integers(3, 14),
+              st.lists(st.integers(1, 4), min_size=14, max_size=14)),
+    st.builds(random_graph, st.integers(2, 16), st.sampled_from([0.2, 0.35, 0.6]),
+              st.integers(0, 10_000)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=GRAPHS, frac=st.fractions(min_value=0, max_value=1, max_denominator=8),
+       seed=st.integers(0, 10_000))
+def test_weak_partition_equals_pairwise_argmin(g, frac, seed):
+    D = g.diameter()
+    r = max(1, frac * D)
+    if r >= D:
+        r = D - 1 if D > 1 else Fraction(1, 2)
+    got = build_partition(g, r, "weak", random.Random(seed))
+    assert got == brute_weak_partition(g, r, random.Random(seed))
+    # strong mode draws the same shifts and grows the same waves
+    assert build_partition(g, r, "strong", random.Random(seed)) == got
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=GRAPHS, data=st.data())
+def test_waves_equal_pairwise_argmin_under_forced_ties(g, data):
+    # small integer starts make equal keys from different centers common
+    nodes = g.nodes()
+    starts = {u: data.draw(st.integers(0, 3)) for u in nodes}
+    assign = _grow_waves(g, nodes, starts)
+    assert assign == brute_weak_assign(g, starts)
+    for c in set(assign.values()):
+        members = {v for v, cc in assign.items() if cc == c}
+        brute_cluster_diameter(g, members, "strong")  # asserts connected
+
+
+def test_waves_break_key_ties_by_center_id():
+    # path 0-1-2-3-4-5: center 5 starts at 0, center 1 at 2, the rest late.
+    # Node 2 is reached at key 3 from both 1 and 5 and goes to 1; node 3 is
+    # reached at key 2 from 5 before 1's wave gets there.
+    g = path_graph(6)
+    starts = {0: 9, 1: 2, 2: 9, 3: 9, 4: 9, 5: 0}
+    want = {0: 1, 1: 1, 2: 1, 3: 5, 4: 5, 5: 5}
+    assert _grow_waves(g, g.nodes(), starts) == want
+    assert brute_weak_assign(g, starts) == want
+    # equal starts everywhere: every node keeps itself
+    flat = {u: 0 for u in g.nodes()}
+    assert _grow_waves(g, g.nodes(), flat) == {u: u for u in g.nodes()}
+    # a 4-cycle with opposite centers tied: both middle nodes go to 0
+    ring = ring_graph(4)
+    tied = {0: 0, 1: 5, 2: 0, 3: 5}
+    assert _grow_waves(ring, ring.nodes(), tied) == {0: 0, 1: 0, 2: 2, 3: 0}
+    assert brute_weak_assign(ring, tied) == {0: 0, 1: 0, 2: 2, 3: 0}
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong"])
+@pytest.mark.parametrize("graph", [grid_graph(6, 6), random_graph(20, 0.2, seed=4),
+                                   ring_graph(12, [1, 2, 3] * 4)])
+def test_measured_parameters_equal_oracles(graph, mode):
+    hier = build_hierarchy(graph, rho=2, mode=mode, seed=3)
+    overlap, sigma = 1, Fraction(1)
+    for i in hier.all_levels():
+        r = hier.radius(i)
+        if r == 0:
+            continue
+        for c in hier.clusters_at(i):
+            sigma = max(sigma, Fraction(brute_cluster_diameter(graph, c.members, mode)) / r)
+        for u in graph.nodes():
+            overlap = max(overlap, len(clusters_intersecting(hier, u, i)),
+                          brute_intersection_count(graph, hier, u, i))
+    assert hier.overlap == overlap
+    assert hier.sigma == sigma

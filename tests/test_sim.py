@@ -4,6 +4,7 @@ import pytest
 
 from faultdir.graph import (build_spt, edge_id, grid_graph, random_graph,
                             ring_graph)
+from faultdir.scenario import Runtime
 from faultdir.sim import Message, Simulator
 
 from oracles import fw_all_pairs
@@ -174,3 +175,30 @@ def test_timer_dispatch_and_clock():
     sim.call_later(9, "once", {"x": 1})
     sim.run()
     assert fired == [(9, {"x": 1})]
+
+
+def test_message_ids_are_numbered_per_simulator():
+    g = ring_graph(5)
+    for _ in range(2):
+        sim = make_sim(g)
+        got = collect(sim)
+        sim.send(Message("ping", 0, 2, {}, bucket="t"))
+        sim.bulk(Message("ping", 1, 3, {}, bucket="t"), cost=2)
+        sim.run()
+        assert sorted(m.id for m in got) == [0, 1]
+
+
+def test_two_runtimes_in_one_process_issue_the_same_message_ids():
+    sc = {"name": "ids", "mode": "strong", "rho": 2, "seed": 1,
+          "graph": {"kind": "grid", "rows": 4, "cols": 4},
+          "events": [{"do": "publish", "node": 5},
+                     {"do": "lookup", "node": 0},
+                     {"do": "fail", "edge": [5, 6]},
+                     {"do": "move", "node": 10},
+                     {"do": "lookup", "node": 15}]}
+    delivered = []
+    for _ in range(2):
+        rt = Runtime(sc)
+        rt.run()
+        delivered.append(sorted(rt.sim._delivered))
+    assert delivered[0] and delivered[0] == delivered[1]
