@@ -222,15 +222,6 @@ class _Rec:
         return self.move_level_coeff(f_seen) / (self.sigma * (self.sigma + i_eff))
 
 
-def optimal_move_cost(g, sources: list[int]):
-    """Any schedule serving the requests in order pays at least the distance
-    between consecutive request sites."""
-    total = 0
-    for a, b in zip(sources, sources[1:]):
-        total += g.distance(a, b)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # individual checks
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from faultdir.graph import edge_id
+from faultdir.graph import edge_id, subtree
 from faultdir.partition import Cluster
 from faultdir.sim import Message
 
@@ -91,14 +91,19 @@ class FailureEngine:
     # Counts and worst distances per repair category, kept out of the cost
     # ledger so the shape checks see message counts rather than hop counts.
 
-    def _stat_recluster(self, fid, cid, level, kind, dist, n=1):
+    def _recluster_row(self, fid, cid, level):
         if fid >= len(self.failures):
+            return None
+        return self.failures[fid]["stats"]["recluster"].setdefault(
+            str(cid), {"level": level, "msgs": 0, "max_dist": 0,
+                       "xfer_msgs": 0, "xfer_dist": 0,
+                       "bcast_msgs": 0, "bcast_max_dist": 0,
+                       "extension": False})
+
+    def _stat_recluster(self, fid, cid, level, kind, dist, n=1):
+        row = self._recluster_row(fid, cid, level)
+        if row is None:
             return
-        rows = self.failures[fid]["stats"]["recluster"]
-        row = rows.setdefault(str(cid), {"level": level, "msgs": 0, "max_dist": 0,
-                                         "xfer_msgs": 0, "xfer_dist": 0,
-                                         "bcast_msgs": 0, "bcast_max_dist": 0,
-                                         "extension": False})
         if kind == "xfer":
             row["xfer_msgs"] += n
             row["xfer_dist"] = max(row["xfer_dist"], dist)
@@ -192,8 +197,8 @@ class FailureEngine:
                 surv = a if t.child_endpoint(e) == b else b
             else:
                 surv = a
-            self._route_msg("spt_notify", surv, w, {"edge": list(e), "fid": fid},
-                            "logn", f"repair:spt_update:f{fid}")
+            self.dir._send("spt_notify", surv, w, {"edge": list(e), "fid": fid},
+                           "logn", f"repair:spt_update:f{fid}")
         # log reconciliation across the surviving network recovers messages
         # that died on the edge
         dist_a, _ = self.g.sssp(a)
@@ -205,9 +210,6 @@ class FailureEngine:
                                 {"edge": e, "fid": fid, "lost": lost,
                                  "d_alive": d_alive})
         return rec
-
-    def _route_msg(self, kind, src, dst, payload, size, bucket):
-        self.sim.send(Message(kind, src, dst, payload, size=size, bucket=bucket))
 
     def _resend_exchange(self, data):
         e = data["edge"]
@@ -244,9 +246,9 @@ class FailureEngine:
         # z is an endpoint of ed; if that edge is actually dead, the owner
         # adopted it blind and needs to hear about the failure
         if not self.g.is_alive(ed):
-            self._route_msg("spt_notify", z, root,
-                            {"edge": list(ed), "fid": payload["fid"]},
-                            "logn", f"repair:spt_update:f{payload['fid']}")
+            self.dir._send("spt_notify", z, root,
+                           {"edge": list(ed), "fid": payload["fid"]},
+                           "logn", f"repair:spt_update:f{payload['fid']}")
 
     def _on_spt_delta(self, msg):
         self._apply_delta(msg.dst, msg.payload)
@@ -291,8 +293,8 @@ class FailureEngine:
                              cluster=p["cluster"])
             return
         if c.leader != y:
-            self._route_msg("cluster_notify", y, c.leader, p, "logn",
-                            f"repair:recluster:f{fid}:c{c.id}")
+            self.dir._send("cluster_notify", y, c.leader, p, "logn",
+                           f"repair:recluster:f{fid}:c{c.id}")
             return
         if c.id in self.verdict_pending:
             self.verdict_wait.setdefault(c.id, []).append(p)
@@ -309,8 +311,8 @@ class FailureEngine:
                 child = self.hier.levels[level][entry["child"]]
                 p2 = dict(p)
                 p2["cluster"] = child.id
-                self._route_msg("cluster_notify", y, child.leader, p2, "logn",
-                                f"repair:recluster:f{fid}:c{child.id}")
+                self.dir._send("cluster_notify", y, child.leader, p2, "logn",
+                               f"repair:recluster:f{fid}:c{child.id}")
                 return
         self.dir.finding("notify_no_target", level=level, edge=list(e),
                          cluster=c.id)
@@ -339,8 +341,8 @@ class FailureEngine:
                 msg.no_reroute = True
                 self.sim.send_on_path(msg, target.tree_path_to_leader(y))
             else:
-                self._route_msg("cluster_notify", y, target.leader, p2,
-                                "logn", bucket)
+                self.dir._send("cluster_notify", y, target.leader, p2,
+                               "logn", bucket)
 
     def _tree_dist_from(self, parent_map, src):
         """Accumulated weights from src down/up along a parent map."""
@@ -366,7 +368,7 @@ class FailureEngine:
         level = c.level
         y = c.leader
         v = c.tree_child_endpoint(e)
-        det_nodes = c.subtree_nodes(v)
+        det_nodes = subtree(c.tree_parent, v)
         # capture the detached piece of the tree before pruning the parent
         tree2 = {x: (None if x == v else c.tree_parent[x]) for x in det_nodes}
         members2 = sorted(c.members & det_nodes)
@@ -421,10 +423,10 @@ class FailureEngine:
         if on_path:
             self.queue_txn(y, {"level": level, "bcast": c2.id, "fid": fid})
         else:
-            self._route_msg("split_verdict", y, v,
-                            {"cluster": c2.id, "level": level, "fid": fid,
+            self.dir._send("split_verdict", y, v,
+                           {"cluster": c2.id, "level": level, "fid": fid,
                              "final": w}, "logn",
-                            f"repair:path_update:f{fid}")
+                           f"repair:path_update:f{fid}")
         self._wake_parked(level)
 
     def _nearest_member(self, tree2, v, members2):
@@ -480,8 +482,8 @@ class FailureEngine:
         p = msg.payload
         self._stat_path(p["fid"], msg.traveled)
         if msg.dst != p["final"]:
-            self._route_msg("split_verdict", msg.dst, p["final"], p, "logn",
-                            f"repair:path_update:f{p['fid']}")
+            self.dir._send("split_verdict", msg.dst, p["final"], p, "logn",
+                           f"repair:path_update:f{p['fid']}")
             return
         self._verdict_arrived(p["cluster"], p["level"], p["fid"])
 
@@ -498,11 +500,8 @@ class FailureEngine:
         bucket = f"repair:recluster:f{fid}:c{c.id}"
         payload = {"entries": entries, "fid": fid, "extension": extension,
                    "fan_r": str(fan_r)}
-        if fid < len(self.failures):
-            row = self.failures[fid]["stats"]["recluster"].setdefault(
-                str(c.id), {"level": c.level, "msgs": 0, "max_dist": 0,
-                            "xfer_msgs": 0, "xfer_dist": 0, "bcast_msgs": 0,
-                            "bcast_max_dist": 0, "extension": False})
+        row = self._recluster_row(fid, c.id, c.level)
+        if row is not None:
             row["extension"] = row["extension"] or extension
         for x in sorted(c.members):
             if x == lead:
@@ -552,7 +551,7 @@ class FailureEngine:
         st = ns.levels.get(level)
         if st is None or not st.on_path or st.added_by is None:
             return
-        c = self._cluster_led_by(y, level)
+        c = self.hier.led_by(level, y)
         if c is None:
             return
         if st.added_by == y or st.added_by in c.members:
@@ -565,16 +564,10 @@ class FailureEngine:
         fid = max(0, self.dir.failure_count - 1)
         self.queue_txn(y, {"level": level, "bcast": None, "fid": fid})
 
-    def _cluster_led_by(self, y, level):
-        for c in self.hier.clusters_at(level):
-            if c.leader == y:
-                return c
-        return None
-
     def _resolve_adder(self, y, level, adder):
         """Follow the detach chain to the cluster now containing the adder.
         Returns (target_leader, via_endpoint) or None."""
-        c = self._cluster_led_by(y, level)
+        c = self.hier.led_by(level, y)
         if c is None:
             return None
         hops = 0
@@ -607,35 +600,39 @@ class FailureEngine:
             if spec.get("ext"):
                 self._init_extension_txn(y, spec)
                 continue
-            level = spec["level"]
-            st = ns.levels.get(level)
-            fid = spec["fid"]
+            st = ns.levels.get(spec["level"])
             if st is None or not st.on_path:
                 self._orphan_verdict(y, spec)
                 continue
-            resolved = self._resolve_adder(y, level, st.added_by)
+            resolved = self._resolve_adder(y, spec["level"], st.added_by)
             if resolved is None or resolved[0] == y:
                 self._orphan_verdict(y, spec)
                 continue
             target, via = resolved
-            tid = f"tx{self._txn_seq}"
-            self._txn_seq += 1
-            txn = Txn(tid, dict(spec, target=target, via=via), st.up, st.down,
-                      st.added_by)
-            txn.needed = {n for n in (st.up, st.down) if n is not None and n != y}
-            txn.clear_needed = {n for n in (st.up, st.down) if n is not None}
-            ns.busy_txn = txn
-            self.txns[tid] = txn
-            self.sim.log("txn_start", txn=tid, node=y, level=level,
-                         target=target)
-            if not txn.needed:
-                self._locks_done(y, txn)
-                continue
-            for n in sorted(txn.needed):
-                self._route_msg("txn_lock", y, n,
-                                {"txn": tid, "level": level, "initiator": y,
-                                 "fid": fid},
-                                "const", f"repair:path_update:f{fid}")
+            self._start_txn(y, dict(spec, target=target, via=via), st.up,
+                            st.down, st.added_by)
+
+    def _start_txn(self, y, spec, up, down, added_by):
+        """Lock the path neighbors `up`/`down` of y's state at
+        spec["level"]; the install follows once every grant is in."""
+        tid = f"tx{self._txn_seq}"
+        self._txn_seq += 1
+        txn = Txn(tid, spec, up, down, added_by)
+        txn.needed = {n for n in (up, down) if n is not None and n != y}
+        txn.clear_needed = {n for n in (up, down) if n is not None}
+        self.dir.nodes[y].busy_txn = txn
+        self.txns[tid] = txn
+        level, fid = spec["level"], spec["fid"]
+        self.sim.log("txn_start", txn=tid, node=y, level=level,
+                     target=spec["target"])
+        if not txn.needed:
+            self._locks_done(y, txn)
+            return
+        for n in sorted(txn.needed):
+            self.dir._send("txn_lock", y, n,
+                           {"txn": tid, "level": level, "initiator": y,
+                           "fid": fid},
+                           "const", f"repair:path_update:f{fid}")
 
     def _orphan_verdict(self, y, spec):
         """A queued update became moot, but a pending announcement gate must
@@ -646,10 +643,10 @@ class FailureEngine:
         level = spec["level"]
         fid = spec["fid"]
         c = self.hier.levels[level][cid]
-        self._route_msg("split_verdict", y, c.leader,
-                        {"cluster": cid, "level": level, "fid": fid,
+        self.dir._send("split_verdict", y, c.leader,
+                       {"cluster": cid, "level": level, "fid": fid,
                          "final": c.leader}, "logn",
-                        f"repair:path_update:f{fid}")
+                       f"repair:path_update:f{fid}")
 
     def _on_txn_lock(self, msg):
         z = msg.dst
@@ -664,9 +661,9 @@ class FailureEngine:
                 ns.queued_locks.append(msg)
                 return
         ns.grants[p["txn"]] = p["level"]
-        self._route_msg("txn_grant", z, p["initiator"],
-                        {"txn": p["txn"], "fid": p["fid"]},
-                        "const", f"repair:path_update:f{p['fid']}")
+        self.dir._send("txn_grant", z, p["initiator"],
+                       {"txn": p["txn"], "fid": p["fid"]},
+                       "const", f"repair:path_update:f{p['fid']}")
 
     def _abort_txn(self, z):
         ns = self.dir.nodes[z]
@@ -674,9 +671,9 @@ class FailureEngine:
         fid = txn.spec["fid"]
         for n in sorted(txn.got):
             if n != z:
-                self._route_msg("lock_release", z, n,
-                                {"txn": txn.id, "fid": fid}, "const",
-                                f"repair:path_update:f{fid}")
+                self.dir._send("lock_release", z, n,
+                               {"txn": txn.id, "fid": fid}, "const",
+                               f"repair:path_update:f{fid}")
         ns.pending_init.insert(0, txn.spec)
         ns.busy_txn = None
         self.txns.pop(txn.id, None)
@@ -695,10 +692,10 @@ class FailureEngine:
         txn = ns.busy_txn
         if txn is None or txn.id != msg.payload["txn"]:
             # granted to an aborted attempt; give it back
-            self._route_msg("lock_release", y, msg.src,
-                            {"txn": msg.payload["txn"],
+            self.dir._send("lock_release", y, msg.src,
+                           {"txn": msg.payload["txn"],
                              "fid": msg.payload["fid"]}, "const",
-                            f"repair:path_update:f{msg.payload['fid']}")
+                           f"repair:path_update:f{msg.payload['fid']}")
             return
         txn.got.add(msg.src)
         if txn.got >= txn.needed and txn.state == "locking":
@@ -720,15 +717,15 @@ class FailureEngine:
         first = spec.get("via") or spec["target"]
         if first == y:
             first = spec["target"]
-        self._route_msg("txn_install", y, first, payload, "logn",
-                        f"repair:path_update:f{fid}")
+        self.dir._send("txn_install", y, first, payload, "logn",
+                       f"repair:path_update:f{fid}")
 
     def _on_txn_install(self, msg):
         p = msg.payload
         self._stat_path_msg(msg, p["fid"])
         if msg.dst != p["target"]:
-            self._route_msg("txn_install", msg.dst, p["target"], p, "logn",
-                            f"repair:path_update:f{p['fid']}")
+            self.dir._send("txn_install", msg.dst, p["target"], p, "logn",
+                           f"repair:path_update:f{p['fid']}")
             return
         w = msg.dst
         ns = self.dir.nodes[w]
@@ -746,19 +743,14 @@ class FailureEngine:
             st = ns.level(p["level"])
             if st.on_path:
                 self.dir.finding("install_collision", node=w, level=p["level"])
-            st.on_path = True
-            st.up = p["up"]
-            st.down = p["down"]
-            st.added_by = p["added_by"]
-            st.built_t = self.sim.now
-            st.built_f = self.dir.failure_count
+            self.dir.link(st, p["up"], p["down"], p["added_by"])
             self.dir._register_shortcut(w, p["level"], bucket)
         for n, direction, at_level in ((p["up"], "down", p["level"] + 1),
                                        (p["down"], "up", p["level"] - 1)):
             if n is None:
                 continue
-            self._route_msg("txn_repoint", w, n,
-                            {"txn": p["txn"], "initiator": p["initiator"],
+            self.dir._send("txn_repoint", w, n,
+                           {"txn": p["txn"], "initiator": p["initiator"],
                              "at_level": at_level, "set": direction,
                              "new_node": w, "fid": fid}, "const", bucket)
         if p.get("bcast") is not None:
@@ -776,19 +768,20 @@ class FailureEngine:
         self.maybe_fix_adder(w, p["level"])
 
     def _apply_band_install(self, w, p):
-        ns = self.dir.nodes[w]
-        bands = p["bands"]
         for level, leader in p["entries"]:
             self.dir.refresh_belief(w, w, level, leader)
-        for j in bands:
-            st = ns.level(j)
-            st.on_path = True
-            st.down = p["down"] if j == bands[0] else w
-            st.up = w if j < bands[-1] else self.hier.root
-            st.added_by = p["added_by"]
-            st.built_t = self.sim.now
-            st.built_f = self.dir.failure_count
+        self._link_bands(w, p["bands"], p["down"], self.hier.root,
+                         p["added_by"])
         self.dir.re_register(w, p["fid"])
+
+    def _link_bands(self, y, bands, down, top_up, added_by):
+        """Put y on the path at every extension band: the lowest band
+        points down at `down`, the highest up at `top_up`, and the bands
+        in between at y itself."""
+        ns = self.dir.nodes[y]
+        for j in bands:
+            self.dir.link(ns.level(j), y if j < bands[-1] else top_up,
+                          down if j == bands[0] else y, added_by)
 
     def _on_txn_repoint(self, msg):
         z = msg.dst
@@ -798,17 +791,15 @@ class FailureEngine:
         st = ns.levels.get(p["at_level"])
         if st is not None and st.on_path:
             if p["set"] == "down":
-                st.down = p["new_node"]
-                st.built_t = self.sim.now
-                st.built_f = self.dir.failure_count
+                self.dir.set_down(st, p["new_node"])
             else:
                 st.up = p["new_node"]
         else:
             self.dir.finding("repoint_off_path", node=z, level=p["at_level"])
         ns.grants.pop(p["txn"], None)
-        self._route_msg("txn_clear", z, p["initiator"],
-                        {"txn": p["txn"], "fid": p["fid"]},
-                        "const", f"repair:path_update:f{p['fid']}")
+        self.dir._send("txn_clear", z, p["initiator"],
+                       {"txn": p["txn"], "fid": p["fid"]},
+                       "const", f"repair:path_update:f{p['fid']}")
         self._maintenance(z)
 
     def _on_txn_clear(self, msg):
@@ -827,18 +818,12 @@ class FailureEngine:
         level = spec["level"]
         st = ns.levels.get(level)
         if st is not None:
-            st.on_path = False
-            st.up = st.down = st.added_by = None
+            st.clear()
         ns.hints[level] = (spec["target"], level)
         self.dir._unregister_shortcut(y, level, bucket)
         if spec.get("ext"):
-            st_top = ns.level(spec["top_level"])
-            st_top.on_path = True
-            st_top.down = spec["target"]
-            st_top.up = None
-            st_top.added_by = txn.added_by
-            st_top.built_t = self.sim.now
-            st_top.built_f = self.dir.failure_count
+            self.dir.link(ns.level(spec["top_level"]), None, spec["target"],
+                          txn.added_by)
             self.dir.re_register(y, fid)
         ns.busy_txn = None
         self.txns.pop(txn.id, None)
@@ -851,9 +836,9 @@ class FailureEngine:
             msg = ns.queued_locks.pop(0)
             p = msg.payload
             ns.grants[p["txn"]] = p["level"]
-            self._route_msg("txn_grant", z, p["initiator"],
-                            {"txn": p["txn"], "fid": p["fid"]}, "const",
-                            f"repair:path_update:f{p['fid']}")
+            self.dir._send("txn_grant", z, p["initiator"],
+                           {"txn": p["txn"], "fid": p["fid"]}, "const",
+                           f"repair:path_update:f{p['fid']}")
         self.dir.drain_deferred(z)
         if not ns.locked():
             self.try_init(z)
@@ -873,7 +858,7 @@ class FailureEngine:
             top_c.tree_parent = dict(t.parent)
             return
         v = e[0] if pre_parent.get(e[0]) == e[1] else e[1]
-        det = self._subtree_of(pre_parent, v)
+        det = subtree(pre_parent, v)
         far_d = max(t.dist.values())
         far = min(x for x in t.dist if t.dist[x] == far_d)
         sigma, rho, h = self.hier.sigma, self.hier.rho, self.hier.top
@@ -911,19 +896,6 @@ class FailureEngine:
         self.failures[fid]["extension"] = ext
         self.sim.log("extension", fid=fid, to=ext["to"])
         self._install_extension(v, det, ext["to"], fid, pre_parent)
-
-    def _subtree_of(self, parent_map, v):
-        ch = {}
-        for x, p in parent_map.items():
-            if p is not None:
-                ch.setdefault(p, []).append(x)
-        out = set()
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            out.add(x)
-            stack.extend(ch.get(x, []))
-        return out
 
     def _install_extension(self, v, det, h_new, fid, pre_parent):
         root = self.hier.root
@@ -965,86 +937,42 @@ class FailureEngine:
         # the root is authoritative for its own part right away
         self._broadcast_cluster(c1_first, fid, entries_v1,
                                 fan_r=self.hier.radius(h_new), extension=True)
+        spec = {"ext": True, "level": h_old, "target": v, "via": None,
+                "bcast": None, "fid": fid, "bands": list(range(h_old, h_new)),
+                "top_level": h_new, "bcast_bands": band_c2_ids,
+                "entries": entries_v2}
         if adder in V1 or adder == root:
-            for j in range(h_old, h_new):
-                st = ns_root.level(j)
-                st.on_path = True
-                st.down = old_down if j == h_old else root
-                st.up = root
-                st.added_by = adder
-                st.built_t = self.sim.now
-                st.built_f = self.dir.failure_count
-            st_top = ns_root.level(h_new)
-            st_top.on_path = True
-            st_top.down = root
-            st_top.up = None
-            st_top.added_by = adder
-            st_top.built_t = self.sim.now
-            st_top.built_f = self.dir.failure_count
-            self.dir.re_register(root, fid)
-            self._route_msg("ext_verdict", root, v,
-                            {"bands": band_c2_ids,
-                             "level": h_old, "entries": entries_v2,
-                             "fid": fid}, "logn",
-                            f"repair:path_update:f{fid}")
+            self._extend_locally(root, spec, old_down, adder)
         else:
-            self.queue_txn(root, {"ext": True, "level": h_old, "target": v,
-                                  "via": None, "bcast": None, "fid": fid,
-                                  "bands": list(range(h_old, h_new)),
-                                  "top_level": h_new,
-                                  "bcast_bands": band_c2_ids,
-                                  "entries": entries_v2})
+            self.queue_txn(root, spec)
+
+    def _extend_locally(self, y, spec, down, added_by):
+        """Keep the path under y: y takes every new band and the new top
+        itself, and tells the detached part's leader to announce its
+        clusters."""
+        fid = spec["fid"]
+        self._link_bands(y, spec["bands"], down, y, added_by)
+        self.dir.link(self.dir.nodes[y].level(spec["top_level"]), None, y,
+                      added_by)
+        self.dir.re_register(y, fid)
+        self.dir._send("ext_verdict", y, spec["target"],
+                       {"bands": spec["bcast_bands"], "level": spec["level"],
+                       "entries": spec["entries"], "fid": fid}, "logn",
+                       f"repair:path_update:f{fid}")
 
     def _init_extension_txn(self, y, spec):
         ns = self.dir.nodes[y]
         st = ns.levels.get(spec["level"])
         if st is None or not st.on_path:
             raise RuntimeError("extension lost the top path state")
-        adder = st.added_by
-        fid = spec["fid"]
-        if adder in self.hier.levels[spec["level"]][spec["bcast_bands"][0]].members:
-            pass  # adder is in the detached part: proceed with the handoff
+        if st.added_by in self.hier.cluster(spec["level"],
+                                            spec["bcast_bands"][0]).members:
+            # the adder is in the detached part: hand the top over to it
+            self._start_txn(y, spec, None, st.down, st.added_by)
         else:
             # a move re-anchored the path under the root while the extension
             # was queued; install the band states locally instead
-            for j in spec["bands"]:
-                stj = ns.level(j)
-                stj.on_path = True
-                stj.down = st.down if j == spec["bands"][0] else y
-                stj.up = y
-                stj.added_by = adder
-                stj.built_t = self.sim.now
-                stj.built_f = self.dir.failure_count
-            st_top = ns.level(spec["top_level"])
-            st_top.on_path = True
-            st_top.down = y
-            st_top.up = None
-            st_top.added_by = adder
-            st_top.built_t = self.sim.now
-            st_top.built_f = self.dir.failure_count
-            self.dir.re_register(y, fid)
-            self._route_msg("ext_verdict", y, spec["target"],
-                            {"bands": spec["bcast_bands"], "level": spec["level"],
-                             "entries": spec["entries"], "fid": fid}, "logn",
-                            f"repair:path_update:f{fid}")
-            return
-        tid = f"tx{self._txn_seq}"
-        self._txn_seq += 1
-        txn = Txn(tid, spec, None, st.down, adder)
-        txn.needed = {n for n in (st.down,) if n is not None and n != y}
-        txn.clear_needed = {n for n in (st.down,) if n is not None}
-        ns.busy_txn = txn
-        self.txns[tid] = txn
-        self.sim.log("txn_start", txn=tid, node=y, level=spec["level"],
-                     target=spec["target"])
-        if not txn.needed:
-            self._locks_done(y, txn)
-            return
-        for n in sorted(txn.needed):
-            self._route_msg("txn_lock", y, n,
-                            {"txn": tid, "level": spec["level"], "initiator": y,
-                             "fid": fid},
-                            "const", f"repair:path_update:f{fid}")
+            self._extend_locally(y, spec, st.down, st.added_by)
 
     def _on_ext_verdict(self, msg):
         p = msg.payload

@@ -87,18 +87,12 @@ class Graph:
     def n(self) -> int:
         return len(self._adj)
 
-    def has_node(self, u: int) -> bool:
-        return u in self._adj
-
     def neighbors(self, u: int) -> dict[int, object]:
         """Alive neighbors of u mapped to edge weights."""
         return self._adj[u]
 
     def alive_edges(self) -> list[EdgeId]:
         return sorted(e for e in self._weights if e not in self._dead)
-
-    def all_edges(self) -> list[EdgeId]:
-        return sorted(self._weights)
 
     def dead_edges(self) -> set[EdgeId]:
         return set(self._dead)
@@ -198,11 +192,14 @@ class Graph:
         return {v: d for v, d in dist.items() if d <= r}
 
 
-def dijkstra(adj, source, targets=None):
+def dijkstra(adj, source, targets=None, skip=None):
     """Dijkstra over an adjacency dict; returns (dist, parent).
 
     Deterministic: nodes settle in (distance, id) order and the parent
-    of a node is the smallest-id optimal predecessor.
+    of a node is the smallest-id optimal predecessor. Stops once every
+    node in `targets` has settled. `skip(u, v)`, if given, hides the edge
+    u-v when relaxed from u: the result is Dijkstra over the adjacency
+    with those edges filtered out, without copying it.
     """
     dist = {source: 0}
     parent: dict[int, int | None] = {source: None}
@@ -219,6 +216,8 @@ def dijkstra(adj, source, targets=None):
             if not remaining:
                 break
         for v, w in adj[u].items():
+            if skip is not None and skip(u, v):
+                continue
             nd = d + w
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
@@ -227,6 +226,21 @@ def dijkstra(adj, source, targets=None):
             elif nd == dist[v] and v not in done and u < parent[v]:
                 parent[v] = u
     return dist, parent
+
+
+def subtree(parent_map: dict, v: int) -> set[int]:
+    """Nodes at or below v in a parent map (the root maps to None)."""
+    children: dict[int, list[int]] = {}
+    for x, p in parent_map.items():
+        if p is not None:
+            children.setdefault(p, []).append(x)
+    out = set()
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        out.add(x)
+        stack.extend(children.get(x, ()))
+    return out
 
 
 class ShortestPathTree:
@@ -242,9 +256,6 @@ class ShortestPathTree:
         self.root = root
         self.dist = dist
         self.parent = parent
-
-    def copy(self) -> "ShortestPathTree":
-        return ShortestPathTree(self.root, dict(self.dist), dict(self.parent))
 
     def tree_edges(self) -> set[EdgeId]:
         return {edge_id(u, p) for u, p in self.parent.items() if p is not None}
@@ -262,26 +273,6 @@ class ShortestPathTree:
             return v
         raise ValueError(f"edge {e} not in tree")
 
-    def children_map(self) -> dict[int, list[int]]:
-        ch: dict[int, list[int]] = {u: [] for u in self.parent}
-        for u, p in self.parent.items():
-            if p is not None:
-                ch[p].append(u)
-        for lst in ch.values():
-            lst.sort()
-        return ch
-
-    def subtree(self, v: int) -> set[int]:
-        """All nodes at or below v."""
-        ch = self.children_map()
-        out = set()
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            out.add(x)
-            stack.extend(ch[x])
-        return out
-
     def path_from_root(self, v: int) -> list[int]:
         path = []
         x = v
@@ -290,13 +281,6 @@ class ShortestPathTree:
             x = self.parent[x]
         path.reverse()
         return path
-
-    def next_hop(self, v: int) -> int:
-        """First node on the tree path from the root toward v."""
-        path = self.path_from_root(v)
-        if len(path) < 2:
-            raise ValueError(f"{v} is the root")
-        return path[1]
 
     def repair(self, g: Graph, e: EdgeId, known_dead: set[EdgeId]) -> tuple[list[EdgeId], list[EdgeId]]:
         """Reattach the subtree cut off by dead edge e.
@@ -314,7 +298,7 @@ class ShortestPathTree:
             return [], []
         before = self.tree_edges()
         cut = self.child_endpoint(e)
-        lost = self.subtree(cut)
+        lost = subtree(self.parent, cut)
         # Seed every lost node with its best attachment to the kept part.
         ndist: dict[int, object] = {}
         nparent: dict[int, int] = {}
@@ -365,20 +349,6 @@ def build_spt(g: Graph, root: int) -> ShortestPathTree:
     return ShortestPathTree(root, dict(dist), dict(parent))
 
 
-def affected_spts(trees: dict[int, ShortestPathTree], e: EdgeId) -> dict[int, int]:
-    """Roots whose tree uses edge e, mapped to the endpoint of e whose own
-    root path survives the deletion (the parent-side endpoint)."""
-    e = edge_id(*e)
-    out = {}
-    for root in sorted(trees):
-        t = trees[root]
-        if t.contains_edge(e):
-            child = t.child_endpoint(e)
-            u, v = e
-            out[root] = v if child == u else u
-    return out
-
-
 # -- parsing and generators ------------------------------------------------
 
 
@@ -410,11 +380,6 @@ def load_graph(text: str) -> Graph:
     if not g.is_connected():
         raise ValueError("graph is disconnected")
     return g
-
-
-def dump_graph(g: Graph) -> str:
-    lines = [f"{u} {v} {g.weight((u, v))}" for u, v in g.alive_edges()]
-    return "\n".join(lines) + "\n"
 
 
 def ring_graph(n: int, weights=None) -> Graph:

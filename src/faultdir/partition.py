@@ -47,12 +47,6 @@ class Cluster:
         # (graph version, diameter); cleared whenever members change
         self._diameter: tuple | None = None
 
-    def tree_nodes(self) -> set[int]:
-        return set(self.tree_parent)
-
-    def tree_edges(self) -> set[EdgeId]:
-        return {edge_id(u, p) for u, p in self.tree_parent.items() if p is not None}
-
     def contains_tree_edge(self, e: EdgeId) -> bool:
         u, v = edge_id(*e)
         return self.tree_parent.get(u) == v or self.tree_parent.get(v) == u
@@ -75,20 +69,6 @@ class Cluster:
             return v
         raise ValueError(f"edge {e} not in cluster tree")
 
-    def subtree_nodes(self, top: int) -> set[int]:
-        """Tree nodes at or below `top`."""
-        ch: dict[int, list[int]] = {x: [] for x in self.tree_parent}
-        for x, p in self.tree_parent.items():
-            if p is not None:
-                ch[p].append(x)
-        out: set[int] = set()
-        stack = [top]
-        while stack:
-            x = stack.pop()
-            out.add(x)
-            stack.extend(ch[x])
-        return out
-
     def diameter(self, g: Graph, mode: str):
         """Largest member-to-member distance; induced distances in strong
         mode, whole-graph distances in weak mode. 0 for singletons.
@@ -107,13 +87,10 @@ class Cluster:
     def induced_connected(self, g: Graph) -> bool:
         if len(self.members) <= 1:
             return True
-        start = next(iter(self.members))
-        dist, _ = dijkstra(_induced_adj(g, self.members), start)
-        return all(m in dist for m in self.members)
-
-
-def _induced_adj(g: Graph, allowed: set[int]) -> dict:
-    return {u: {v: w for v, w in g.neighbors(u).items() if v in allowed} for u in allowed}
+        members = self.members
+        dist, _ = dijkstra(g._adj, next(iter(members)),
+                           skip=lambda u, v: v not in members)
+        return len(dist) == len(members)
 
 
 def eccentricities(g: Graph, members: set[int], mode: str) -> dict:
@@ -122,10 +99,11 @@ def eccentricities(g: Graph, members: set[int], mode: str) -> dict:
     the members are every node, so those reuse the graph's cache)."""
     if len(members) == 1:
         return {u: 0 for u in members}
-    adj = _induced_adj(g, members) if mode == "strong" and len(members) < g.n else None
+    skip = (lambda u, v: v not in members) \
+        if mode == "strong" and len(members) < g.n else None
     out = {}
     for u in members:
-        dist = dijkstra(adj, u)[0] if adj is not None else g.sssp(u)[0]
+        dist = dijkstra(g._adj, u, skip=skip)[0] if skip else g.sssp(u)[0]
         if not members <= dist.keys():
             raise ValueError(f"induced subgraph of {sorted(members)} is disconnected")
         out[u] = max(dist[m] for m in members)
@@ -217,7 +195,8 @@ def cluster_tree(g: Graph, leader: int, members: set[int], mode: str) -> dict[in
     member root paths (may keep non-member pass-through nodes).
     """
     if mode == "strong":
-        dist, parent = dijkstra(_induced_adj(g, members), leader)
+        dist, parent = dijkstra(g._adj, leader,
+                                skip=lambda u, v: v not in members)
         if len(dist) != len(members):
             raise ValueError("induced subgraph disconnected")
         return {u: parent[u] for u in members}
@@ -286,6 +265,13 @@ class Hierarchy:
     def leader(self, level: int, node: int) -> int:
         return self.cluster_of(level, node).leader
 
+    def led_by(self, level: int, y: int) -> Cluster | None:
+        """The cluster y leads at `level`, if any. A leader is always a
+        member of its own cluster (`verify_partition` checks it), so
+        looking only at y's own cluster is exact."""
+        c = self.levels.get(level, {}).get(self.assign.get((level, y)))
+        return c if c is not None and c.leader == y else None
+
     @property
     def root(self) -> int:
         return self.clusters_at(self.top)[0].leader
@@ -297,16 +283,6 @@ class Hierarchy:
         r = self.radius(i)
         dist, _ = self.g.sssp(v)
         return len({self.assign[(i, x)] for x, d in dist.items() if d <= r})
-
-    def descendants(self, level: int, cid: int) -> list[int]:
-        """cid plus every cluster split off from it, recursively."""
-        out = [cid]
-        stack = list(self.levels[level][cid].child_ids)
-        while stack:
-            x = stack.pop()
-            out.append(x)
-            stack.extend(self.levels[level][x].child_ids)
-        return sorted(out)
 
     # -- measured parameters ----------------------------------------------
 
@@ -424,13 +400,15 @@ def verify_partition(hier: Hierarchy, sigma=None, post_failure: bool = False) ->
             seen |= c.members
             if c.leader not in c.members:
                 problem(f"level {i}: leader {c.leader} outside cluster {c.id}")
-            d = c.diameter(g, hier.mode)
-            max_diam = max(max_diam, d)
-            skip_diam = post_failure and i == hier.top
-            if r > 0 and d > allow * r and not skip_diam:
-                problem(f"level {i}: cluster {c.id} diameter {d} > {allow * r}")
             if hier.mode == "strong" and not c.induced_connected(g):
+                # no induced diameter to measure
                 problem(f"level {i}: cluster {c.id} induced subgraph disconnected")
+            else:
+                d = c.diameter(g, hier.mode)
+                max_diam = max(max_diam, d)
+                skip_diam = post_failure and i == hier.top
+                if r > 0 and d > allow * r and not skip_diam:
+                    problem(f"level {i}: cluster {c.id} diameter {d} > {allow * r}")
             _check_tree(hier, c, problem)
         if seen != nodes:
             problem(f"level {i}: clusters do not cover all nodes")
@@ -499,23 +477,6 @@ class LeaderDirectory:
 
     def believed_leader(self, u: int, x: int, level: int) -> int | None:
         return self.believed.get(u, {}).get(x, {}).get(level)
-
-    def neighborhood_clusters(self, hier: Hierarchy, u: int, level: int,
-                              dist=None) -> dict[int, list[int]]:
-        """Believed leaders of clusters meeting N(u, r_level), mapped to the
-        witness nodes supporting each belief. Distances come from `dist`
-        (the caller's current tree) or the alive graph."""
-        r = hier.radius(level)
-        if dist is None:
-            hood = hier.g.neighborhood(u, r)
-        else:
-            hood = {v: d for v, d in dist.items() if d <= r}
-        out: dict[int, list[int]] = {}
-        for x in sorted(hood):
-            led = self.believed_leader(u, x, level)
-            if led is not None:
-                out.setdefault(led, []).append(x)
-        return out
 
 
 def preprocess_leaders(hier: Hierarchy) -> tuple[LeaderDirectory, tuple[int, object]]:

@@ -16,6 +16,12 @@ concurrently. Moves splice the path at the discovery level and send a
 deletion walker down the abandoned segment; the walker finishes by
 handing the token to the new owner. Every node that leaves the path
 records where it went, so late walkers converge instead of getting lost.
+
+Path state (`LevelState`) has three writers and no others, here and in
+the failure engine alike: `Directory.link` puts a node on the path,
+`Directory.set_down` repoints its down link, and `LevelState.clear`
+takes it off. The first two stamp the state with the time and failure
+count of the write; clearing keeps the stamp.
 """
 
 from __future__ import annotations
@@ -37,6 +43,11 @@ class LevelState:
         self.added_by = None
         self.built_t = None
         self.built_f = None
+
+    def clear(self) -> None:
+        """Leave the path; the build stamp stays."""
+        self.on_path = False
+        self.up = self.down = self.added_by = None
 
 
 class NodeState:
@@ -157,6 +168,20 @@ class Directory:
         else:
             self.sim.send(msg)
         return msg
+
+    def link(self, st: LevelState, up, down, added_by) -> None:
+        """Put a node on the path at one level, stamped now."""
+        st.on_path = True
+        st.up = up
+        st.added_by = added_by
+        self.set_down(st, down)
+
+    def set_down(self, st: LevelState, down) -> None:
+        """Repoint a path node's down link and stamp it with the current
+        time and failure count."""
+        st.down = down
+        st.built_t = self.sim.now
+        st.built_f = self.failure_count
 
     def node_dist(self, u: int, v: int):
         """Distance per u's current tree knowledge."""
@@ -282,12 +307,7 @@ class Directory:
             op.discovery_level = -1
             self._complete(op)
             return op
-        st.on_path = True
-        st.down = None
-        st.up = None
-        st.added_by = v
-        st.built_t = self.sim.now
-        st.built_f = self.failure_count
+        self.link(st, None, None, v)
         ns.expecting_token = True
         self._register_shortcut(v, -1, f"op:{op.id}:L-1:sc")
         op.level = 0
@@ -398,7 +418,7 @@ class Directory:
         p = msg.payload
         level = p["level"]
         op_id = p["op"]
-        cluster = self._led_cluster(y, level)
+        cluster = self.hier.led_by(level, y)
         members = cluster.members if cluster else set()
         stale = sorted(x for x in p["members"] if x not in members)
         reply = {"op": op_id, "level": level, "found": False, "stale": stale,
@@ -407,10 +427,8 @@ class Directory:
         if p["kind"] == "move":
             if st is not None and st.on_path:
                 old_down = st.down
-                st.down = p["new_down"]
                 st.added_by = p["issuer"]
-                st.built_t = self.sim.now
-                st.built_f = self.failure_count
+                self.set_down(st, p["new_down"])
                 reply["found"] = True
                 self.sim.log("splice", op=op_id, node=y, level=level)
                 if old_down is None:
@@ -441,20 +459,6 @@ class Directory:
                            "const", f"op:{op_id}:walk")
         self._send("search_reply", y, p["issuer"], reply, "logn",
                    f"op:{op_id}:L{level}:reply")
-
-    def _led_cluster(self, y: int, level: int):
-        """The cluster y currently leads at `level`, if any."""
-        if level == -1:
-            return self.hier.cluster_of(-1, y)
-        if level not in self.hier.levels:
-            return None
-        c = self.hier.levels[level].get(self.hier.assign.get((level, y)))
-        if c is not None and c.leader == y:
-            return c
-        for c in self.hier.clusters_at(level):
-            if c.leader == y:
-                return c
-        return None
 
     def _on_search_reply(self, msg):
         p = msg.payload
@@ -502,10 +506,8 @@ class Directory:
             # a concurrent path update put y on the path after the search
             # missed it; treat the add as the discovery splice
             old_down = st.down
-            st.down = p["down"]
             st.added_by = p["added_by"]
-            st.built_t = self.sim.now
-            st.built_f = self.failure_count
+            self.set_down(st, p["down"])
             self.sim.log("splice_on_add", op=p["op"], node=y, level=level)
             if old_down is None:
                 self.finding("splice_without_down", op=p["op"], node=y,
@@ -517,12 +519,7 @@ class Directory:
                             "min_built_f": st.built_f},
                            "const", f"op:{p['op']}:walk")
         else:
-            st.on_path = True
-            st.down = p["down"]
-            st.up = None
-            st.added_by = p["added_by"]
-            st.built_t = self.sim.now
-            st.built_f = self.failure_count
+            self.link(st, None, p["down"], p["added_by"])
             self._register_shortcut(y, level, f"op:{p['op']}:L{level}:sc")
         self._send("move_ack", y, p["added_by"],
                    {"op": p["op"], "level": level, "spliced": spliced},
@@ -601,9 +598,7 @@ class Directory:
                              level=msg.payload["at_level"])
             return
         if st.down != msg.payload["new_node"]:
-            st.down = msg.payload["new_node"]
-            st.built_t = self.sim.now
-            st.built_f = self.failure_count
+            self.set_down(st, msg.payload["new_node"])
 
     # -- path state application (publish) --------------------------------------
 
@@ -611,12 +606,7 @@ class Directory:
         st = self.nodes[y].level(payload["level"])
         if st.on_path:
             self.finding("path_state_overwrite", node=y, level=payload["level"])
-        st.on_path = True
-        st.down = payload["down"]
-        st.up = payload["up"]
-        st.added_by = payload["added_by"]
-        st.built_t = self.sim.now
-        st.built_f = self.failure_count
+        self.link(st, payload["up"], payload["down"], payload["added_by"])
         self._register_shortcut(y, payload["level"], bucket.rsplit(":", 1)[0] + ":sc")
         self._stale_adder_check(y, payload["level"])
 
@@ -762,8 +752,7 @@ class Directory:
                 self._owner_end_transfer(y, p)
                 return
             nxt = st.down
-            st.on_path = False
-            st.up = st.down = st.added_by = None
+            st.clear()
             ns.hints[level] = (p["new_owner"], -1)
             self._unregister_shortcut(y, level, f"op:{p['op']}:L{level}:sc")
             self._send("del_walk", y, nxt,
@@ -793,9 +782,7 @@ class Directory:
 
     def _owner_end_transfer(self, y: int, p: dict) -> None:
         ns = self.nodes[y]
-        st = ns.level(-1)
-        st.on_path = False
-        st.up = st.down = st.added_by = None
+        ns.level(-1).clear()
         ns.hints[-1] = (p["new_owner"], -1)
         self._unregister_shortcut(y, -1, f"op:{p['op']}:L-1:sc")
         if ns.has_token:
@@ -848,8 +835,7 @@ class Directory:
             ns.pending_transfer = None
             st = ns.levels.get(-1)
             if st is not None:
-                st.on_path = False
-                st.up = st.down = st.added_by = None
+                st.clear()
             ns.has_token = False
             ns.token_forward = nxt
             self._send("token", y, nxt, {"op": nxt_op,

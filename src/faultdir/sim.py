@@ -221,9 +221,8 @@ class Simulator:
             if all(edge_id(path[i], path[i + 1]) not in avoid
                    for i in range(len(path) - 1)):
                 return path[1:]
-        adj = {u: {v: w for v, w in nbrs.items() if edge_id(u, v) not in avoid}
-               for u, nbrs in self.g._adj.items()}
-        dist, parent = dijkstra(adj, x, targets={msg.dst})
+        dist, parent = dijkstra(self.g._adj, x, targets={msg.dst},
+                                skip=lambda u, v: edge_id(u, v) in avoid)
         if msg.dst not in dist:
             return None
         path = []

@@ -5,13 +5,15 @@ and compares the sha256 of ``record.json``, ``events.jsonl`` and
 ``ledger.csv`` with the values pinned in ``digests.json``. A refactor or
 performance change must leave every digest as it is.
 
-Regenerate the pinned values with
+Pin newly added scenarios with
 
     PYTHONPATH=src python tests/golden/regen.py
 
-only when changing records, event logs or ledgers is the stated point of
-the change, and say so in CHANGES.md. Regenerating to make a failing
-golden test pass is not allowed.
+which fills in only the scenarios missing from ``digests.json`` and never
+rewrites an existing pin. To re-pin a scenario, delete its entry by hand
+first; do that only when changing records, event logs or ledgers is the
+stated point of the change, and say so in CHANGES.md. Re-pinning to make
+a failing golden test pass is not allowed.
 """
 from __future__ import annotations
 
@@ -50,6 +52,15 @@ SCENARIOS = {
                                                   1, 2, 3, 1, 2, 3]},
                           mode="strong", rho=2, seed=5, ops=8, failures=1,
                           horizon=2000),
+    # layer extension installed at the root itself, plus a resend exchange
+    "ring-ext-local": dict(graph_spec={"kind": "ring", "n": 12},
+                           mode="strong", rho=2, seed=5, ops=10, failures=2,
+                           horizon=2000),
+    # layer extension handed to the detached part: path update txn, band
+    # install at the new leader, and an aborted lock round
+    "ring-ext-handoff": dict(graph_spec={"kind": "ring", "n": 10},
+                             mode="strong", rho=2, seed=1, ops=10, failures=2,
+                             horizon=2000),
 }
 
 
@@ -57,13 +68,19 @@ def scenario(name: str) -> dict:
     return _gen_scenario(**SCENARIOS[name])
 
 
-def artifact_digests(name: str, work_dir: str) -> dict[str, str]:
-    """Run one scenario with `faultdir run` and hash its artifacts."""
+def run_named(name: str, work_dir: str) -> str:
+    """Run one scenario with `faultdir run`; returns its artifact directory."""
     scen_path = os.path.join(work_dir, f"{name}.json")
     out_dir = os.path.join(work_dir, name)
     with open(scen_path, "w") as fh:
         json.dump(scenario(name), fh)
     main(["run", scen_path, "--out-dir", out_dir])
+    return out_dir
+
+
+def artifact_digests(name: str, work_dir: str) -> dict[str, str]:
+    """Run one scenario and hash its artifacts."""
+    out_dir = run_named(name, work_dir)
     out = {}
     for art in ARTIFACTS:
         with open(os.path.join(out_dir, art), "rb") as fh:
@@ -77,12 +94,17 @@ def load_digests() -> dict[str, dict[str, str]]:
 
 
 def regenerate() -> None:
+    """Pin every scenario that has no entry yet; existing pins stay."""
+    pinned = load_digests() if os.path.exists(DIGESTS_PATH) else {}
+    missing = [name for name in SCENARIOS if name not in pinned]
     with tempfile.TemporaryDirectory() as work_dir:
-        pinned = {name: artifact_digests(name, work_dir) for name in SCENARIOS}
+        for name in missing:
+            pinned[name] = artifact_digests(name, work_dir)
     with open(DIGESTS_PATH, "w") as fh:
         json.dump(pinned, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"{len(pinned)} scenarios -> {DIGESTS_PATH}", file=sys.stderr)
+    print(f"{len(missing)} new of {len(pinned)} scenarios -> {DIGESTS_PATH}",
+          file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -127,6 +127,38 @@ def clusters_intersecting(hier, v, i):
     return [c for c in hier.clusters_at(i) if any(m in hood for m in c.members)]
 
 
+def neighborhood_clusters(ldir, hier, u, level):
+    """Leaders u believes in for the clusters meeting N(u, r_level) on the
+    alive graph, mapped to the witness nodes supporting each belief."""
+    out = {}
+    for x in sorted(hier.g.neighborhood(u, hier.radius(level))):
+        led = ldir.believed_leader(u, x, level)
+        if led is not None:
+            out.setdefault(led, []).append(x)
+    return out
+
+
+def scan_led_by(hier, level, y):
+    """The first level cluster, by id, whose leader is y, or None: a scan
+    over every cluster at the level."""
+    for c in hier.clusters_at(level):
+        if c.leader == y:
+            return c
+    return None
+
+
+def induced_adj(g, allowed):
+    """A copy of the alive adjacency restricted to the `allowed` nodes."""
+    return {u: {v: w for v, w in g.neighbors(u).items() if v in allowed}
+            for u in allowed}
+
+
+def dump_graph(g):
+    """The alive edges as 'u v w' lines, the format `load_graph` reads."""
+    lines = [f"{u} {v} {g.weight((u, v))}" for u, v in g.alive_edges()]
+    return "\n".join(lines) + "\n"
+
+
 def brute_weak_assign(g, starts):
     """v -> the center c minimising (starts[c] + d(c, v), c), by scanning
     every (center, node) pair over Floyd-Warshall distances."""
@@ -156,16 +188,6 @@ def brute_weak_partition(g, r, rng):
     for v, c in brute_weak_assign(g, starts).items():
         groups.setdefault(c, set()).add(v)
     return sorted(groups.items())
-
-
-def brute_optimal_move_cost(pairs):
-    """Sum of precomputed consecutive distances; pairs is a list of
-    (graph_at_issue_time, src, dst)."""
-    total = 0
-    for g, a, b in pairs:
-        dist = fw_all_pairs(g)
-        total += dist[a][b]
-    return total
 
 
 def brute_ledger_total(rows, prefix):

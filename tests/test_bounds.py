@@ -5,12 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from faultdir.bounds import LedgerView, check_bounds, optimal_move_cost
-from faultdir.graph import random_graph
+from faultdir.bounds import LedgerView, check_bounds
 from faultdir.scenario import Runtime
 
 from controls import CONTROL_DETAILS, CONTROLS, base_record, doctored
-from oracles import brute_optimal_move_cost, fw_all_pairs
 
 
 @pytest.mark.parametrize("name", ["clean", "fail", "weak"])
@@ -82,14 +80,6 @@ def test_level_costs_extraction():
     ])
     got = view.level_costs("a", "query")
     assert got == {0: 3, 2: Fraction(7, 2), -1: 1}
-
-
-def test_optimal_move_cost_matches_floyd_warshall():
-    g = random_graph(14, 0.3, seed=4)
-    sources = [0, 9, 3, 12, 7, 1]
-    want = brute_optimal_move_cost(
-        [(g, a, b) for a, b in zip(sources, sources[1:])])
-    assert optimal_move_cost(g, sources) == want
 
 
 def test_publish_bound_value():

@@ -8,7 +8,8 @@ from faultdir.graph import build_spt, edge_id
 from faultdir.partition import verify_partition
 from faultdir.scenario import Runtime, build_graph
 
-from oracles import brute_cluster_diameter, check_spt, fw_all_pairs
+from oracles import (brute_cluster_diameter, check_spt, fw_all_pairs,
+                     scan_led_by)
 
 RING12 = {"kind": "ring", "n": 12}
 
@@ -332,3 +333,67 @@ def test_cached_diameters_follow_splits_and_the_current_graph(mode):
         for c, d in zip(rt.hier.clusters_at(row["level"]), fresh_diams):
             assert c.diameter(rt.g, mode) == d
         assert row["max_diameter"] == str(max(fresh_diams))
+
+
+def test_queued_extension_installs_locally_when_adder_stayed_home():
+    # heavy chord: losing 0-1 stretches the root's reach from 1 to 51,
+    # so the stack grows from top 1 to top 6 with node 0 detached
+    graph = {"kind": "edges", "edges": [[0, 1, 1], [1, 2, 1], [0, 2, 50]]}
+    rt = fresh(graph, events=[{"t": 0, "do": "publish", "node": 2},
+                              {"t": 100, "do": "fail", "edge": [0, 1]}])
+    ext = rt.engine.failures[0]["extension"]
+    h_old, h_new = ext["from"], ext["to"]
+    root, v = rt.hier.root, 0
+    bands = list(range(h_old, h_new))
+    band_ids = [c.id for j in bands for c in rt.hier.clusters_at(j)
+                if c.origin == "ext:f0" and c.leader == v]
+    assert len(bands) > 1 and len(band_ids) == len(bands)
+    ns = rt.dir.nodes[root]
+    adder, old_down = ns.levels[h_old].added_by, ns.levels[h_old].down
+    assert adder not in rt.hier.cluster(h_old, band_ids[0]).members
+    entries = [(j, v) for j in bands] + [(h_new, root)]
+    rt.sim.now, rt.dir.failure_count = 777, 4
+    rt.engine._init_extension_txn(root, {
+        "ext": True, "level": h_old, "target": v, "via": None, "bcast": None,
+        "fid": 0, "bands": bands, "top_level": h_new,
+        "bcast_bands": band_ids, "entries": entries})
+    assert ns.busy_txn is None
+    for j in bands:
+        st = ns.levels[j]
+        assert (st.on_path, st.up, st.added_by) == (True, root, adder)
+        assert st.down == (old_down if j == h_old else root)
+        assert (st.built_t, st.built_f) == (777, 4)
+    top = ns.levels[h_new]
+    assert (top.on_path, top.up, top.down, top.added_by) == \
+        (True, None, root, adder)
+    assert (top.built_t, top.built_f) == (777, 4)
+    verdicts = [d for _t, _s, kind, d in rt.sim._heap
+                if kind in ("hop", "deliver") and d.kind == "ext_verdict"]
+    assert len(verdicts) == 1 and verdicts[0].dst == v
+    assert verdicts[0].payload == {"bands": band_ids, "level": h_old,
+                                   "entries": entries, "fid": 0}
+
+
+def test_leader_lookup_equals_scan_after_splits_and_extensions():
+    cases = [
+        (RING12, [[10, 11]]),
+        ({"kind": "edges", "edges": [[0, 1, 1], [1, 2, 1], [0, 2, 50]]},
+         [[0, 1]]),
+        ({"kind": "random", "n": 14, "p": 0.3, "seed": 3},
+         sequential_kills({"kind": "random", "n": 14, "p": 0.3, "seed": 3}, 3)),
+    ]
+    splits = extensions = 0
+    for graph, kills in cases:
+        for mode in ("strong", "weak"):
+            events = [{"t": 0, "do": "publish", "node": 2}]
+            events += [{"t": 300 * (k + 1), "do": "fail", "edge": list(e)}
+                       for k, e in enumerate(kills)]
+            rt = fresh(graph, mode=mode, events=events)
+            for rec in rt.engine.failures:
+                splits += sum(s["child"] is not None for s in rec["splits"])
+                extensions += rec["extension"] is not None
+            for level in range(-1, rt.hier.top + 1):
+                for y in rt.g.nodes():
+                    assert rt.hier.led_by(level, y) is \
+                        scan_led_by(rt.hier, level, y), (level, y)
+    assert splits and extensions

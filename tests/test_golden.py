@@ -4,9 +4,13 @@ The pinned digests live in ``tests/golden/digests.json``; see
 ``tests/golden/regen.py`` for when they may be regenerated.
 """
 
+import json
+import os
+
 import pytest
 
-from golden.regen import SCENARIOS, artifact_digests, load_digests, scenario
+from golden.regen import (SCENARIOS, artifact_digests, load_digests, run_named,
+                          scenario)
 
 
 def test_every_scenario_is_pinned():
@@ -18,7 +22,7 @@ def test_artifacts_match_pinned_digests(name, tmp_path):
     assert artifact_digests(name, str(tmp_path)) == load_digests()[name]
 
 
-def test_scenarios_cover_their_shapes():
+def test_scenarios_cover_their_shapes(tmp_path):
     events = {name: scenario(name)["events"] for name in SCENARIOS}
     assert any(e["do"] == "move" for e in events["grid-moves"])
     assert any(e["do"] == "fail" for e in events["grid-fail"])
@@ -27,3 +31,8 @@ def test_scenarios_cover_their_shapes():
     assert scenario("weak-random")["mode"] == "weak"
     assert scenario("weak-grid")["mode"] == "weak"
     assert sum(e["do"] == "fail" for e in events["weak-grid"]) == 2
+    for name in ("ring-ext-local", "ring-ext-handoff"):
+        with open(os.path.join(run_named(name, str(tmp_path)),
+                               "record.json")) as fh:
+            rec = json.load(fh)
+        assert any(f["extension"] is not None for f in rec["failures"]), name

@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultdir.graph import (
-    Graph, ShortestPathTree, affected_spts, build_spt, dump_graph, edge_id,
-    grid_graph, load_graph, parse_weight, path_graph, random_graph, ring_graph,
+    Graph, build_spt, dijkstra, edge_id, grid_graph, load_graph, parse_weight,
+    path_graph, random_graph, ring_graph, subtree,
 )
-from oracles import brute_diameter, brute_neighborhood, check_spt, fw_all_pairs
+from oracles import (brute_diameter, brute_neighborhood, check_spt, dump_graph,
+                     fw_all_pairs, induced_adj)
 
 
 def test_load_unit_path():
@@ -217,26 +219,12 @@ def test_repair_with_partial_knowledge_converges():
     check_spt(g, t)
 
 
-def test_affected_spts_and_survivor_side():
-    g = path_graph(4)
-    trees = {r: build_spt(g, r) for r in g.nodes()}
-    hit = affected_spts(trees, (1, 2))
-    assert set(hit) == {0, 1, 2, 3}  # path edge is in every tree
-    assert hit[0] == 1 and hit[1] == 1  # roots on the 0/1 side survive via 1
-    assert hit[2] == 2 and hit[3] == 2
-    g2 = ring_graph(4)
-    trees2 = {r: build_spt(g2, r) for r in g2.nodes()}
-    # ties send node 3 under parent 0 in the trees of roots 0 and 1,
-    # so only the roots on the far side route through edge 2-3
-    assert set(affected_spts(trees2, (2, 3))) == {2, 3}
-
-
 def test_subtree_and_paths():
     g = path_graph(5)
     t = build_spt(g, 0)
-    assert t.subtree(2) == {2, 3, 4}
+    assert subtree(t.parent, 2) == {2, 3, 4}
+    assert subtree(t.parent, 4) == {4}
     assert t.path_from_root(3) == [0, 1, 2, 3]
-    assert t.next_hop(4) == 1
 
 
 def test_generators_connected():
@@ -246,3 +234,38 @@ def test_generators_connected():
     assert g.is_connected() and g.n == 24
     for e in g.alive_edges():
         assert 1 <= g.weight(e) <= 4
+
+
+# -- the edge filter against Dijkstra over a filtered copy -------------------
+
+FILTER_GRAPHS = st.one_of(
+    st.builds(ring_graph, st.integers(3, 12),
+              st.lists(st.integers(1, 4), min_size=12, max_size=12)),
+    st.builds(random_graph, st.integers(2, 14), st.sampled_from([0.2, 0.4, 0.7]),
+              st.integers(0, 10_000)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=FILTER_GRAPHS, data=st.data())
+def test_dijkstra_skip_equals_filtered_copy(g, data):
+    edges = g.alive_edges()
+    hidden = set(data.draw(st.lists(st.sampled_from(edges), max_size=len(edges))))
+    src = data.draw(st.sampled_from(g.nodes()))
+    copy = {u: {v: w for v, w in g.neighbors(u).items()
+                if edge_id(u, v) not in hidden} for u in g.nodes()}
+    want = dijkstra(copy, src)
+    assert dijkstra(g._adj, src, skip=lambda u, v: edge_id(u, v) in hidden) == want
+    dst = data.draw(st.sampled_from(g.nodes()))
+    assert dijkstra(g._adj, src, targets={dst},
+                    skip=lambda u, v: edge_id(u, v) in hidden) == \
+        dijkstra(copy, src, targets={dst})
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=FILTER_GRAPHS, data=st.data())
+def test_dijkstra_skip_equals_induced_copy(g, data):
+    members = set(data.draw(st.lists(st.sampled_from(g.nodes()), min_size=1)))
+    src = data.draw(st.sampled_from(sorted(members)))
+    assert dijkstra(g._adj, src, skip=lambda u, v: v not in members) == \
+        dijkstra(induced_adj(g, members), src)

@@ -13,7 +13,8 @@ from faultdir.partition import (
 )
 from oracles import (brute_cluster_diameter, brute_intersection_count,
                      brute_weak_assign, brute_weak_partition,
-                     clusters_intersecting, fw_all_pairs)
+                     clusters_intersecting, fw_all_pairs,
+                     neighborhood_clusters)
 
 
 def test_r_at_least_diameter_single_cluster():
@@ -139,7 +140,7 @@ def test_neighborhood_clusters_matches_oracle():
     ldir, _ = preprocess_leaders(hier)
     for u in (0, 12, 24):
         for i in range(0, hier.top + 1):
-            believed = ldir.neighborhood_clusters(hier, u, i)
+            believed = neighborhood_clusters(ldir, hier, u, i)
             truth = {c.leader for c in clusters_intersecting(hier, u, i)}
             assert set(believed) == truth
             assert len(believed) <= hier.overlap
@@ -287,3 +288,15 @@ def test_measured_parameters_equal_oracles(graph, mode):
                           brute_intersection_count(graph, hier, u, i))
     assert hier.overlap == overlap
     assert hier.sigma == sigma
+
+
+def test_verify_reports_a_disconnected_strong_cluster():
+    g = grid_graph(6, 6)
+    hier = build_hierarchy(g, rho=2, mode="strong", seed=1)
+    cut = hier.cluster_of(1, 2)
+    assert cut.members == {2, 3, 9}
+    g.kill_edge((2, 3))  # 2 loses its only induced link to {3, 9}
+    report = verify_partition(hier, post_failure=True)
+    assert not report["ok"]
+    assert f"level 1: cluster {cut.id} induced subgraph disconnected" \
+        in report["problems"]

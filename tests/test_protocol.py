@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from faultdir.scenario import Runtime, run_scenario
+from faultdir.sim import Message
 
 from oracles import fw_all_pairs
 
@@ -159,3 +160,55 @@ def test_run_scenario_returns_record():
     assert rec["ops"][1]["phase"] == "done"
     assert rec["publish"] is not None
     assert Fraction(rec["sigma"]) >= 1
+
+
+def pending(sim):
+    """Messages scheduled but not yet delivered, in send order."""
+    msgs = [d for _t, _s, kind, d in sim._heap if kind in ("hop", "deliver")]
+    return sorted(msgs, key=lambda m: m.id)
+
+
+def settled_chain():
+    """Ring of 12 with the token published at node 4, plus its path as
+    {level: node}."""
+    rt = stack({"kind": "ring", "n": 12},
+               events=[{"t": 0, "do": "publish", "node": 4}])
+    return rt, dict(rt.dir.path_view())
+
+
+def test_move_add_onto_path_node_splices_and_walks_old_segment():
+    rt, chain = settled_chain()
+    y = chain[1]
+    st = rt.dir.nodes[y].levels[1]
+    old_up, old_down = st.up, st.down
+    mover = next(u for u in rt.g.nodes() if u not in chain.values())
+    rt.sim.now, rt.dir.failure_count = 777, 3
+    rt.dir._do_move_add(Message("move_add", mover, y,
+                                {"op": "move9", "level": 1, "down": mover,
+                                 "added_by": mover}))
+    assert (st.on_path, st.up, st.down, st.added_by) == \
+        (True, old_up, mover, mover)
+    assert (st.built_t, st.built_f) == (777, 3)
+    assert rt.sim.events[-1]["type"] == "splice_on_add"
+    walk, ack = pending(rt.sim)
+    assert (walk.kind, walk.dst) == ("del_walk", old_down)
+    assert walk.payload == {"op": "move9", "expect_level": 0,
+                            "new_owner": mover, "min_built_f": 3}
+    assert (ack.kind, ack.dst, ack.payload["spliced"]) == \
+        ("move_ack", mover, True)
+
+
+def test_down_fix_with_newer_stamp_repoints_down():
+    rt, chain = settled_chain()
+    y = chain[2]
+    st = rt.dir.nodes[y].levels[2]
+    old_up, adder = st.up, st.added_by
+    new_node = next(u for u in rt.g.nodes() if u != st.down)
+    rt.sim.now, rt.dir.failure_count = 777, 2
+    rt.dir._on_down_fix(Message("down_fix", new_node, y,
+                                {"at_level": 2, "new_node": new_node,
+                                 "stamp": st.built_t + 1}))
+    assert (st.on_path, st.up, st.down, st.added_by) == \
+        (True, old_up, new_node, adder)
+    assert (st.built_t, st.built_f) == (777, 2)
+    assert not pending(rt.sim)
