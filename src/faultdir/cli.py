@@ -6,7 +6,10 @@ Subcommands:
     gen             generate a seeded random scenario file
     partition-stats build the cluster hierarchy for a graph and dump it
 
-`check` exits nonzero when any inequality fails, so it can gate CI.
+`check` exits nonzero when any inequality fails, so it can gate CI. The
+`faultdir` command (`console`) exits 2 with one line on stderr when `run`
+is given a scenario file it cannot read or that is invalid; `main` is the
+same front end for in-process callers and raises instead.
 """
 from __future__ import annotations
 
@@ -57,9 +60,15 @@ def _write_artifacts(rt: Runtime, record: dict, out_dir: str) -> None:
 
 
 def cmd_run(args) -> int:
-    with open(args.scenario) as fh:
-        sc = json.load(fh)
-    rt = Runtime(sc)
+    try:
+        with open(args.scenario) as fh:
+            sc = json.load(fh)
+        rt = Runtime(sc)
+    except (OSError, ValueError, KeyError) as exc:
+        # bad input rather than a program defect: `console` reports it
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        exc.bad_input = f"{args.scenario}: {what}"
+        raise
     record = rt.run()
     _write_artifacts(rt, record, args.out_dir)
     done = sum(1 for o in record["ops"] if o["phase"] == "done")
@@ -151,6 +160,12 @@ def cmd_gen(args) -> int:
         json.dump(sc, fh, indent=1)
         fh.write("\n")
     print(f"{len(sc['events'])} events -> {out}")
+    # the generator stops short when no edge is left whose loss keeps the
+    # graph connected
+    got = sum(1 for ev in sc["events"]
+              if ev["do"] == "fail" or "fail_during" in ev)
+    print(f"{got} of {args.failures} requested failures generated",
+          file=sys.stderr)
     return 0
 
 
@@ -216,5 +231,18 @@ def main(argv=None) -> int:
     return args.fn(args)
 
 
+def console(argv=None) -> int:
+    """The `faultdir` command: `main`, but a scenario file that cannot be
+    read or is invalid gets one line on stderr and exit code 2, not a
+    traceback. Errors from running a valid scenario still propagate."""
+    try:
+        return main(argv)
+    except (OSError, ValueError, KeyError) as exc:
+        if not hasattr(exc, "bad_input"):
+            raise
+        print(f"faultdir run: {exc.bad_input}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

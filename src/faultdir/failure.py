@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from faultdir.graph import edge_id, subtree
+from faultdir.graph import (child_endpoint, edge_id, prune, reroot,
+                            root_path, subtree)
 from faultdir.partition import Cluster
 from faultdir.sim import Message
 
@@ -61,7 +62,6 @@ class FailureEngine:
         self.verdict_wait: dict[int, list[dict]] = {}
         self.verdict_pending: set[int] = set()
         self.detach_log: dict[int, list[dict]] = {}
-        self.retired: dict[int, Cluster] = {}
         self.failures: list[dict] = []
         self.txns: dict[str, Txn] = {}
         self._txn_seq = 0
@@ -169,9 +169,9 @@ class FailureEngine:
         # surviving-side endpoint, and never detour around further cuts
         for level in range(0, self.hier.top):
             for c in self.hier.clusters_at(level):
-                if not c.contains_tree_edge(e):
+                child = child_endpoint(c.tree_parent, e)
+                if child is None:
                     continue
-                child = c.tree_child_endpoint(e)
                 surv = a if child == b else b
                 payload = {"cluster": c.id, "level": level, "edge": list(e),
                            "fid": fid}
@@ -179,24 +179,21 @@ class FailureEngine:
                               size="logn",
                               bucket=f"repair:recluster:f{fid}:c{c.id}")
                 msg.no_reroute = True
-                self.sim.send_on_path(msg, c.tree_path_to_leader(surv))
+                self.sim.send_on_path(msg, root_path(c.tree_parent, surv))
         # the endpoints patch their own trees at zero message cost
         for x in (a, b):
             t = self.sim.trees[x]
-            if t.contains_edge(e):
-                if x == self.hier.root:
-                    self._root_repair(e, fid)
-                else:
-                    removed, added = t.repair(self.g, e, self.sim.known_dead[x])
-                    self._send_deltas(x, removed, added, fid)
-                    self.dir.reevaluate(x)
+            if child_endpoint(t.parent, e) is None:
+                continue
+            if x == self.hier.root:
+                self._root_repair(e, fid)
+            else:
+                removed, added = t.repair(self.g, e, self.sim.known_dead[x])
+                self._send_deltas(x, removed, added, fid)
+                self.dir.reevaluate(x)
         # remote tree owners are notified by the surviving endpoint
         for w in sorted(self.edge_roots.get(e, set()) - {a, b}):
-            t = self.sim.trees[w]
-            if t.contains_edge(e):
-                surv = a if t.child_endpoint(e) == b else b
-            else:
-                surv = a
+            surv = b if child_endpoint(self.sim.trees[w].parent, e) == a else a
             self.dir._send("spt_notify", surv, w, {"edge": list(e), "fid": fid},
                            "logn", f"repair:spt_update:f{fid}")
         # log reconciliation across the surviving network recovers messages
@@ -259,7 +256,7 @@ class FailureEngine:
         fid = msg.payload["fid"]
         self.sim.known_dead.setdefault(w, set()).add(e)
         t = self.sim.trees[w]
-        if not t.contains_edge(e):
+        if child_endpoint(t.parent, e) is None:
             return
         if w == self.hier.root:
             self._root_repair(e, fid)
@@ -299,7 +296,7 @@ class FailureEngine:
         if c.id in self.verdict_pending:
             self.verdict_wait.setdefault(c.id, []).append(p)
             return
-        if c.contains_tree_edge(e):
+        if child_endpoint(c.tree_parent, e) is not None:
             self._apply_split(c, e, fid)
             return
         for entry in self.detach_log.get(c.id, []):
@@ -323,7 +320,7 @@ class FailureEngine:
             e = edge_id(*p["edge"])
             target = None
             for c in self.hier.clusters_at(level):
-                if c.contains_tree_edge(e):
+                if child_endpoint(c.tree_parent, e) is not None:
                     target = c
                     break
             if target is None:
@@ -339,35 +336,15 @@ class FailureEngine:
                 msg = Message("cluster_notify", y, target.leader, p2,
                               size="logn", bucket=bucket)
                 msg.no_reroute = True
-                self.sim.send_on_path(msg, target.tree_path_to_leader(y))
+                self.sim.send_on_path(msg, root_path(target.tree_parent, y))
             else:
                 self.dir._send("cluster_notify", y, target.leader, p2,
                                "logn", bucket)
 
-    def _tree_dist_from(self, parent_map, src):
-        """Accumulated weights from src down/up along a parent map."""
-        out = {src: 0}
-        # walk up from every node until hitting a known prefix
-        for x in parent_map:
-            chain = []
-            cur = x
-            while cur not in out:
-                chain.append(cur)
-                cur = parent_map[cur]
-                if cur is None:
-                    break
-            if cur is None and chain:
-                continue
-            base = out.get(cur, 0)
-            for node in reversed(chain):
-                base = base + self.g.weight((node, parent_map[node]))
-                out[node] = base
-        return out
-
     def _apply_split(self, c, e, fid):
         level = c.level
         y = c.leader
-        v = c.tree_child_endpoint(e)
+        v = child_endpoint(c.tree_parent, e)
         det_nodes = subtree(c.tree_parent, v)
         # capture the detached piece of the tree before pruning the parent
         tree2 = {x: (None if x == v else c.tree_parent[x]) for x in det_nodes}
@@ -376,7 +353,7 @@ class FailureEngine:
             c.tree_parent.pop(x, None)
         c.members -= set(members2)
         c.members_changed()
-        self._prune_useless(c)
+        c.tree_parent = prune(c.tree_parent, c.members, c.leader)
         rec = self.failures[fid]
         if not members2:
             self.detach_log.setdefault(c.id, []).append(
@@ -387,21 +364,18 @@ class FailureEngine:
             self.sim.log("split_prune", level=level, cluster=c.id, edge=list(e))
             self._wake_parked(level)
             return
-        if v in set(members2):
-            w = v
-        else:
-            w = self._nearest_member(tree2, v, members2)
+        # the new leader is the member nearest to the cut along tree2 (v
+        # itself if it is a member: every weight is at least 1)
+        w = min(members2,
+                key=lambda m: (self.g.path_weight(root_path(tree2, m)), m))
         xfer_path = None
         if w != v:
-            tree2 = self._reroot(tree2, w)
+            tree2 = reroot(tree2, w)
             # capture the v-to-w walk before pruning can drop v itself
-            xfer_path = [v]
-            while tree2[xfer_path[-1]] is not None:
-                xfer_path.append(tree2[xfer_path[-1]])
-        tree2 = self._prune_map(tree2, set(members2), w)
+            xfer_path = root_path(tree2, v)
+        tree2 = prune(tree2, members2, w)
         c2 = Cluster(self.hier.new_cid(), level, set(members2), w, tree2,
-                     origin=f"split:f{fid}", parent_id=c.id)
-        c.child_ids.append(c2.id)
+                     origin=f"split:f{fid}")
         self.hier.add_cluster(c2)
         self.verdict_pending.add(c2.id)
         self.detach_log.setdefault(c.id, []).append(
@@ -428,47 +402,6 @@ class FailureEngine:
                              "final": w}, "logn",
                            f"repair:path_update:f{fid}")
         self._wake_parked(level)
-
-    def _nearest_member(self, tree2, v, members2):
-        dist = self._tree_dist_from(tree2, v)
-        best = None
-        for m in members2:
-            key = (dist.get(m), m)
-            if dist.get(m) is None:
-                continue
-            if best is None or key < best:
-                best = key
-        return best[1]
-
-    def _reroot(self, parent_map, new_root):
-        out = dict(parent_map)
-        path = [new_root]
-        while out[path[-1]] is not None:
-            path.append(out[path[-1]])
-        for i in range(len(path) - 1):
-            out[path[i + 1]] = path[i]
-        out[new_root] = None
-        return out
-
-    def _prune_map(self, parent_map, members, root):
-        """Drop non-member leaf chains (weak mode pass-throughs with no
-        member below)."""
-        out = dict(parent_map)
-        changed = True
-        while changed:
-            changed = False
-            children = {x: 0 for x in out}
-            for x, p in out.items():
-                if p is not None:
-                    children[p] += 1
-            for x in sorted(out):
-                if x != root and children[x] == 0 and x not in members:
-                    del out[x]
-                    changed = True
-        return out
-
-    def _prune_useless(self, c):
-        c.tree_parent = self._prune_map(c.tree_parent, c.members, c.leader)
 
     # -- verdicts and announcements ------------------------------------------------
 
@@ -507,7 +440,7 @@ class FailureEngine:
             if x == lead:
                 self._apply_bcast(lead, payload, fan_r)
             else:
-                cost = c.tree_path_cost(x, self.g)
+                cost = self.g.path_weight(root_path(c.tree_parent, x))
                 self._stat_recluster(fid, c.id, c.level, "bcast", cost)
                 self.sim.bulk(Message("bcast", lead, x, payload, size="logn",
                                       bucket=bucket), cost=cost)
@@ -680,7 +613,7 @@ class FailureEngine:
         self.sim.log("txn_abort", txn=txn.id, node=z)
 
     def _on_lock_release(self, msg):
-        self._stat_path_msg(msg, msg.payload.get("fid", len(self.failures)))
+        self._stat_path_msg(msg, msg.payload["fid"])
         ns = self.dir.nodes[msg.dst]
         ns.grants.pop(msg.payload["txn"], None)
         self._maintenance(msg.dst)
@@ -756,15 +689,8 @@ class FailureEngine:
         if p.get("bcast") is not None:
             self._verdict_arrived(p["bcast"], p["level"], fid)
         if p.get("bcast_bands"):
-            for cid in p["bcast_bands"]:
-                self.verdict_pending.discard(cid)
-            c2 = self.hier.levels[p["bands"][0]][p["bcast_bands"][0]]
-            self._broadcast_cluster(c2, fid, p["entries"],
-                                    fan_r=self.hier.radius(self.hier.top),
-                                    extension=True)
-            for cid in p["bcast_bands"]:
-                for q in self.verdict_wait.pop(cid, []):
-                    self._process_notify(c2.leader, q)
+            self._announce_bands(p["bands"][0], p["bcast_bands"], p["entries"],
+                                 fid)
         self.maybe_fix_adder(w, p["level"])
 
     def _apply_band_install(self, w, p):
@@ -804,7 +730,7 @@ class FailureEngine:
 
     def _on_txn_clear(self, msg):
         y = msg.dst
-        self._stat_path_msg(msg, msg.payload.get("fid", len(self.failures)))
+        self._stat_path_msg(msg, msg.payload["fid"])
         ns = self.dir.nodes[y]
         txn = ns.busy_txn
         if txn is None or txn.id != msg.payload["txn"]:
@@ -853,11 +779,10 @@ class FailureEngine:
         removed, added = t.repair(self.g, e, self.sim.known_dead[root])
         self._send_deltas(root, removed, added, fid)
         self.dir.reevaluate(root)
-        in_mirror = pre_parent.get(e[0]) == e[1] or pre_parent.get(e[1]) == e[0]
-        if not in_mirror:
+        v = child_endpoint(pre_parent, e)
+        if v is None:
             top_c.tree_parent = dict(t.parent)
             return
-        v = e[0] if pre_parent.get(e[0]) == e[1] else e[1]
         det = subtree(pre_parent, v)
         far_d = max(t.dist.values())
         far = min(x for x in t.dist if t.dist[x] == far_d)
@@ -870,12 +795,9 @@ class FailureEngine:
         self.failures[fid]["ext_check"] = check
         ext = None
         if far in det:
-            path = t.path_from_root(far)
-            crossing = []
-            for k in range(len(path) - 1):
-                a, b = path[k], path[k + 1]
-                if (a in det) != (b in det):
-                    crossing.append(edge_id(a, b))
+            path = root_path(t.parent, far)
+            crossing = [edge_id(a, b) for a, b in zip(path, path[1:])
+                        if (a in det) != (b in det)]
             estar = max(crossing, key=lambda ed: (self.g.weight(ed), ed))
             check["trigger_edge"] = list(estar)
             check["trigger_weight"] = str(self.g.weight(estar))
@@ -910,12 +832,11 @@ class FailureEngine:
         c1_first = None
         for j in range(h_old, h_new):
             c1 = Cluster(self.hier.new_cid(), j, set(V1), root, v1_parent,
-                         origin=f"ext:f{fid}", parent_id=top_old.id)
+                         origin=f"ext:f{fid}")
             c2 = Cluster(self.hier.new_cid(), j, set(V2), v, v2_parent,
-                         origin=f"ext:f{fid}", parent_id=top_old.id)
+                         origin=f"ext:f{fid}")
             if j == h_old:
                 del self.hier.levels[h_old][top_old.id]
-                self.retired[top_old.id] = top_old
                 c1_first = c1
             self.hier.add_cluster(c1)
             self.hier.add_cluster(c2)
@@ -923,7 +844,7 @@ class FailureEngine:
             self.verdict_pending.add(c2.id)
         c_top = Cluster(self.hier.new_cid(), h_new, all_nodes, root,
                         dict(self.sim.trees[root].parent),
-                        origin=f"ext:f{fid}", parent_id=top_old.id)
+                        origin=f"ext:f{fid}")
         self.hier.top = h_new
         self.hier.add_cluster(c_top)
         entries_v1 = [(j, root) for j in range(h_old, h_new)] + [(h_new, root)]
@@ -976,14 +897,19 @@ class FailureEngine:
 
     def _on_ext_verdict(self, msg):
         p = msg.payload
-        fid = p["fid"]
-        self._stat_path_msg(msg, fid)
-        for cid in p["bands"]:
+        self._stat_path_msg(msg, p["fid"])
+        self._announce_bands(p["level"], p["bands"], p["entries"], p["fid"])
+
+    def _announce_bands(self, level, bands, entries, fid):
+        """The detached part's leader learns its extension band clusters
+        (ids `bands`, the lowest at `level`): it opens their verdict gates,
+        broadcasts the new leaders and handles the notices held back."""
+        for cid in bands:
             self.verdict_pending.discard(cid)
-        c2 = self.hier.levels[p["level"]][p["bands"][0]]
-        self._broadcast_cluster(c2, fid, p["entries"],
+        c2 = self.hier.levels[level][bands[0]]
+        self._broadcast_cluster(c2, fid, entries,
                                 fan_r=self.hier.radius(self.hier.top),
                                 extension=True)
-        for cid in p["bands"]:
+        for cid in bands:
             for q in self.verdict_wait.pop(cid, []):
                 self._process_notify(c2.leader, q)

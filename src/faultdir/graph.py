@@ -4,6 +4,11 @@ Weights are ints or fractions.Fraction, never floats, so every distance
 comparison made by the simulator is exact and runs are reproducible.
 Deleted edges are tombstoned rather than forgotten: message logs and
 repair bookkeeping still need to refer to them.
+
+This module holds the one Dijkstra (`dijkstra`, with an edge filter and
+optional seeds) and every operation on a parent map `{node: parent}`,
+the form all trees take here (shortest path trees, cluster trees):
+`subtree`, `root_path`, `child_endpoint`, `reroot` and `prune`.
 """
 
 from __future__ import annotations
@@ -123,6 +128,8 @@ class Graph:
     # -- connectivity ------------------------------------------------------
 
     def _reach(self, start: int, skip: EdgeId | None = None) -> set[int]:
+        """Nodes reachable from start without edge `skip`. A plain stack
+        search rather than `dijkstra`: connectivity needs no distances."""
         seen = {start}
         stack = [start]
         while stack:
@@ -191,20 +198,28 @@ class Graph:
         dist, _ = self.sssp(u)
         return {v: d for v, d in dist.items() if d <= r}
 
+    def path_weight(self, path: list[int]):
+        """Summed weight of the edges along a node path, dead or alive."""
+        return sum(self.weight((a, b)) for a, b in zip(path, path[1:]))
 
-def dijkstra(adj, source, targets=None, skip=None):
+
+def dijkstra(adj, source=None, targets=None, skip=None, start=None):
     """Dijkstra over an adjacency dict; returns (dist, parent).
 
     Deterministic: nodes settle in (distance, id) order and the parent
     of a node is the smallest-id optimal predecessor. Stops once every
     node in `targets` has settled. `skip(u, v)`, if given, hides the edge
     u-v when relaxed from u: the result is Dijkstra over the adjacency
-    with those edges filtered out, without copying it.
+    with those edges filtered out, without copying it. `start`, if
+    given, replaces the single source by seeds {node: (dist, parent)}.
     """
-    dist = {source: 0}
-    parent: dict[int, int | None] = {source: None}
+    if start is None:
+        dist, parent, heap = {source: 0}, {source: None}, [(0, source)]
+    else:
+        dist = {x: d for x, (d, _) in start.items()}
+        parent = {x: p for x, (_, p) in start.items()}
+        heap = sorted((d, x) for x, d in dist.items())  # a sorted list is a heap
     done: set[int] = set()
-    heap = [(0, source)]
     remaining = set(targets) if targets is not None else None
     while heap:
         d, u = heapq.heappop(heap)
@@ -228,6 +243,9 @@ def dijkstra(adj, source, targets=None, skip=None):
     return dist, parent
 
 
+# -- parent maps: {node: parent}, the root maps to None ----------------------
+
+
 def subtree(parent_map: dict, v: int) -> set[int]:
     """Nodes at or below v in a parent map (the root maps to None)."""
     children: dict[int, list[int]] = {}
@@ -241,6 +259,49 @@ def subtree(parent_map: dict, v: int) -> set[int]:
         out.add(x)
         stack.extend(children.get(x, ()))
     return out
+
+
+def root_path(parent_map: dict, v: int) -> list[int]:
+    """v, its parent, and so on up to the root."""
+    path = []
+    while v is not None:
+        path.append(v)
+        v = parent_map[v]
+    return path
+
+
+def child_endpoint(parent_map: dict, e: EdgeId) -> int | None:
+    """The endpoint of tree edge e on the side away from the root, or None
+    if e is not a tree edge."""
+    u, v = e
+    if parent_map.get(u) == v:
+        return u
+    if parent_map.get(v) == u:
+        return v
+    return None
+
+
+def reroot(parent_map: dict, r: int) -> dict:
+    """A copy of the parent map rooted at r: the edges of r's root path
+    point the other way."""
+    out = dict(parent_map)
+    path = root_path(parent_map, r)
+    for child, parent in zip(path, path[1:]):
+        out[parent] = child
+    out[r] = None
+    return out
+
+
+def prune(parent_map: dict, keep, root: int) -> dict:
+    """The parent map cut down to the root paths of `root` and of the nodes
+    in `keep`, keys in their old order. This is the fixpoint of deleting
+    leaves outside `keep` other than `root`, reached in one pass."""
+    on = set()
+    for x in (root, *keep):
+        while x is not None and x not in on:
+            on.add(x)
+            x = parent_map.get(x)
+    return {x: p for x, p in parent_map.items() if x in on}
 
 
 class ShortestPathTree:
@@ -260,28 +321,6 @@ class ShortestPathTree:
     def tree_edges(self) -> set[EdgeId]:
         return {edge_id(u, p) for u, p in self.parent.items() if p is not None}
 
-    def contains_edge(self, e: EdgeId) -> bool:
-        u, v = edge_id(*e)
-        return self.parent.get(u) == v or self.parent.get(v) == u
-
-    def child_endpoint(self, e: EdgeId) -> int:
-        """The endpoint of tree edge e on the side away from the root."""
-        u, v = edge_id(*e)
-        if self.parent.get(u) == v:
-            return u
-        if self.parent.get(v) == u:
-            return v
-        raise ValueError(f"edge {e} not in tree")
-
-    def path_from_root(self, v: int) -> list[int]:
-        path = []
-        x = v
-        while x is not None:
-            path.append(x)
-            x = self.parent[x]
-        path.reverse()
-        return path
-
     def repair(self, g: Graph, e: EdgeId, known_dead: set[EdgeId]) -> tuple[list[EdgeId], list[EdgeId]]:
         """Reattach the subtree cut off by dead edge e.
 
@@ -290,54 +329,36 @@ class ShortestPathTree:
         that has not yet heard about some other failure may legitimately
         adopt that dead edge (the endpoint index flags it afterwards).
 
+        Every lost node is seeded with its least (distance, id) attachment
+        to a kept node, then Dijkstra runs inside the lost part. Only lost
+        nodes change parent, and no kept node's tree edge can be a lost
+        node's (its parent would be lost, so it would be lost too), so the
+        lost nodes' edges before and after give the whole tree-edge diff.
+
         Returns (removed_tree_edges, added_tree_edges). No-op if e is not
         a tree edge.
         """
-        e = edge_id(*e)
-        if not self.contains_edge(e):
+        cut = child_endpoint(self.parent, e)
+        if cut is None:
             return [], []
-        before = self.tree_edges()
-        cut = self.child_endpoint(e)
         lost = subtree(self.parent, cut)
-        # Seed every lost node with its best attachment to the kept part.
-        ndist: dict[int, object] = {}
-        nparent: dict[int, int] = {}
-        heap = []
-        for s in sorted(lost):
-            for x, w in g._adj[s].items():
-                if x in lost or edge_id(s, x) in known_dead:
-                    continue
-                nd = self.dist[x] + w
-                if s not in ndist or nd < ndist[s] or (nd == ndist[s] and x < nparent[s]):
-                    ndist[s] = nd
-                    nparent[s] = x
-        for s, nd in ndist.items():
-            heapq.heappush(heap, (nd, s))
-        done: set[int] = set()
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in done or d > ndist.get(u, d):
-                continue
-            done.add(u)
-            for v, w in g._adj[u].items():
-                if v not in lost or edge_id(u, v) in known_dead:
-                    continue
-                nd = d + w
-                if v not in ndist or nd < ndist[v]:
-                    ndist[v] = nd
-                    nparent[v] = u
-                    heapq.heappush(heap, (nd, v))
-                elif nd == ndist[v] and v not in done and u < nparent[v]:
-                    nparent[v] = u
-        if len(done) != len(lost):
-            raise ValueError(f"subtree below {e} cannot be reattached")
+        seeds = {}
         for s in lost:
-            self.dist[s] = ndist[s]
-            self.parent[s] = nparent[s]
-        after = self.tree_edges()
-        removed = sorted(before - after)
-        added = sorted(after - before)
-        return removed, added
+            best = min(((self.dist[x] + w, x) for x, w in g._adj[s].items()
+                        if x not in lost and edge_id(s, x) not in known_dead),
+                       default=None)
+            if best is not None:
+                seeds[s] = best
+        dist, parent = dijkstra(g._adj, start=seeds,
+                                skip=lambda u, v: v not in lost or edge_id(u, v) in known_dead)
+        if len(dist) != len(lost):
+            raise ValueError(f"subtree below {e} cannot be reattached")
+        before = {edge_id(s, self.parent[s]) for s in lost}
+        for s in lost:
+            self.dist[s] = dist[s]
+            self.parent[s] = parent[s]
+        after = {edge_id(s, self.parent[s]) for s in lost}
+        return sorted(before - after), sorted(after - before)
 
 
 def build_spt(g: Graph, root: int) -> ShortestPathTree:

@@ -22,7 +22,7 @@ import math
 import random
 from fractions import Fraction
 
-from faultdir.graph import Graph, EdgeId, edge_id, dijkstra
+from faultdir.graph import Graph, edge_id, dijkstra
 
 
 class Cluster:
@@ -34,40 +34,15 @@ class Cluster:
     """
 
     def __init__(self, cid: int, level: int, members: set[int], leader: int,
-                 tree_parent: dict[int, int | None], origin: str = "build",
-                 parent_id: int | None = None):
+                 tree_parent: dict[int, int | None], origin: str = "build"):
         self.id = cid
         self.level = level
         self.members = set(members)
         self.leader = leader
         self.tree_parent = dict(tree_parent)
         self.origin = origin
-        self.parent_id = parent_id
-        self.child_ids: list[int] = []
         # (graph version, diameter); cleared whenever members change
         self._diameter: tuple | None = None
-
-    def contains_tree_edge(self, e: EdgeId) -> bool:
-        u, v = edge_id(*e)
-        return self.tree_parent.get(u) == v or self.tree_parent.get(v) == u
-
-    def tree_path_to_leader(self, u: int) -> list[int]:
-        path = [u]
-        while self.tree_parent[path[-1]] is not None:
-            path.append(self.tree_parent[path[-1]])
-        return path
-
-    def tree_path_cost(self, u: int, g: Graph):
-        path = self.tree_path_to_leader(u)
-        return sum(g.weight((path[k], path[k + 1])) for k in range(len(path) - 1))
-
-    def tree_child_endpoint(self, e: EdgeId) -> int:
-        u, v = edge_id(*e)
-        if self.tree_parent.get(u) == v:
-            return u
-        if self.tree_parent.get(v) == u:
-            return v
-        raise ValueError(f"edge {e} not in cluster tree")
 
     def diameter(self, g: Graph, mode: str):
         """Largest member-to-member distance; induced distances in strong
@@ -166,7 +141,9 @@ def _grow_waves(g: Graph, nodes, starts) -> dict[int, int]:
     """Node -> center of the lexicographically least (start_c + d(c, v), c).
 
     Multi-source Dijkstra with heap keys (start_c + d, c, x) where each
-    wave only expands through nodes it already owns."""
+    wave only expands through nodes it already owns. It is not `dijkstra`
+    with seeds: its keys are lexicographic (start_c + d, c), not additive
+    distances."""
     assign: dict[int, int] = {}
     heap = [(starts[c], c, c) for c in nodes]
     heapq.heapify(heap)
@@ -192,7 +169,9 @@ def cluster_tree(g: Graph, leader: int, members: set[int], mode: str) -> dict[in
 
     Strong mode: shortest path tree inside the induced subgraph. Weak
     mode: shortest path tree over the whole graph pruned to the union of
-    member root paths (may keep non-member pass-through nodes).
+    member root paths (may keep non-member pass-through nodes). The weak
+    walk is written out rather than `graph.prune`: its key order follows
+    the member set's iteration order, which later output may depend on.
     """
     if mode == "strong":
         dist, parent = dijkstra(g._adj, leader,
@@ -427,6 +406,9 @@ def verify_partition(hier: Hierarchy, sigma=None, post_failure: bool = False) ->
 
 
 def _check_tree(hier: Hierarchy, c: Cluster, problem) -> None:
+    """Report a cluster tree that is not a valid spanning tree. Its walk to
+    the root is written out rather than `graph.root_path`: it must guard
+    against cycles and dangling parents instead of trusting the map."""
     g = hier.g
     if c.tree_parent.get(c.leader, "missing") is not None:
         problem(f"cluster {c.id}: leader is not the tree root")

@@ -183,10 +183,6 @@ class Directory:
         st.built_t = self.sim.now
         st.built_f = self.failure_count
 
-    def node_dist(self, u: int, v: int):
-        """Distance per u's current tree knowledge."""
-        return self.sim.trees[u].dist[v]
-
     def believed_own_leader(self, u: int, level: int) -> int | None:
         if level == -1:
             return u
@@ -426,20 +422,9 @@ class Directory:
         st = ns.levels.get(level)
         if p["kind"] == "move":
             if st is not None and st.on_path:
-                old_down = st.down
-                st.added_by = p["issuer"]
-                self.set_down(st, p["new_down"])
                 reply["found"] = True
-                self.sim.log("splice", op=op_id, node=y, level=level)
-                if old_down is None:
-                    self.finding("splice_without_down", op=op_id, node=y,
-                                 level=level)
-                else:
-                    self._send("del_walk", y, old_down,
-                               {"op": op_id, "expect_level": level - 1,
-                                "new_owner": p["issuer"],
-                                "min_built_f": st.built_f},
-                               "const", f"op:{op_id}:walk")
+                self._splice(y, st, level, op_id, p["issuer"], p["new_down"],
+                             "splice")
         else:
             on_levels = sorted(l for l, s in ns.levels.items()
                                if s.on_path and l <= level)
@@ -459,6 +444,22 @@ class Directory:
                            "const", f"op:{op_id}:walk")
         self._send("search_reply", y, p["issuer"], reply, "logn",
                    f"op:{op_id}:L{level}:reply")
+
+    def _splice(self, y, st, level, op_id, new_owner, down, event):
+        """A move meets the path at y's on-path state `st`: repoint it down
+        at the mover's branch node `down`, log `event`, and send a delete
+        walk down the old branch."""
+        old_down = st.down
+        st.added_by = new_owner
+        self.set_down(st, down)
+        self.sim.log(event, op=op_id, node=y, level=level)
+        if old_down is None:
+            self.finding("splice_without_down", op=op_id, node=y, level=level)
+        else:
+            self._send("del_walk", y, old_down,
+                       {"op": op_id, "expect_level": level - 1,
+                        "new_owner": new_owner, "min_built_f": st.built_f},
+                       "const", f"op:{op_id}:walk")
 
     def _on_search_reply(self, msg):
         p = msg.payload
@@ -505,19 +506,8 @@ class Directory:
         if spliced:
             # a concurrent path update put y on the path after the search
             # missed it; treat the add as the discovery splice
-            old_down = st.down
-            st.added_by = p["added_by"]
-            self.set_down(st, p["down"])
-            self.sim.log("splice_on_add", op=p["op"], node=y, level=level)
-            if old_down is None:
-                self.finding("splice_without_down", op=p["op"], node=y,
-                             level=level)
-            else:
-                self._send("del_walk", y, old_down,
-                           {"op": p["op"], "expect_level": level - 1,
-                            "new_owner": p["added_by"],
-                            "min_built_f": st.built_f},
-                           "const", f"op:{p['op']}:walk")
+            self._splice(y, st, level, p["op"], p["added_by"], p["down"],
+                         "splice_on_add")
         else:
             self.link(st, None, p["down"], p["added_by"])
             self._register_shortcut(y, level, f"op:{p['op']}:L{level}:sc")

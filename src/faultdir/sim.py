@@ -23,7 +23,7 @@ import heapq
 import json
 from fractions import Fraction
 
-from faultdir.graph import Graph, EdgeId, edge_id, dijkstra
+from faultdir.graph import Graph, EdgeId, edge_id, dijkstra, root_path
 
 SIZES = ("const", "logn", "nlogn")
 
@@ -216,22 +216,16 @@ class Simulator:
         this message has already bounced off."""
         tree = self.trees.get(x)
         avoid = set(msg.blocked) | self.known_dead.get(x, set())
+        # a route is the path from msg.dst up to x, reversed, without x
         if tree is not None and tree.root == x:
-            path = tree.path_from_root(msg.dst)
-            if all(edge_id(path[i], path[i + 1]) not in avoid
-                   for i in range(len(path) - 1)):
-                return path[1:]
+            path = root_path(tree.parent, msg.dst)
+            if all(edge_id(a, b) not in avoid for a, b in zip(path, path[1:])):
+                return path[-2::-1]
         dist, parent = dijkstra(self.g._adj, x, targets={msg.dst},
                                 skip=lambda u, v: edge_id(u, v) in avoid)
         if msg.dst not in dist:
             return None
-        path = []
-        cur = msg.dst
-        while cur != x:
-            path.append(cur)
-            cur = parent[cur]
-        path.reverse()
-        return path
+        return root_path(parent, msg.dst)[-2::-1]
 
     def _forward(self, msg: Message) -> None:
         route = self._route_from(msg.at, msg)

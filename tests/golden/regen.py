@@ -61,6 +61,12 @@ SCENARIOS = {
     "ring-ext-handoff": dict(graph_spec={"kind": "ring", "n": 10},
                              mode="strong", rho=2, seed=1, ops=10, failures=2,
                              horizon=2000),
+    # weak-mode split: the new part re-roots its tree at the member nearest
+    # to the lost leader, prunes nodes off it and transfers the leadership
+    "weak-split-reroot": dict(graph_spec={"kind": "grid", "rows": 5,
+                                          "cols": 5},
+                              mode="weak", rho=2, seed=3, ops=10, failures=3,
+                              horizon=2000),
 }
 
 

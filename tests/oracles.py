@@ -6,9 +6,11 @@ library's Dijkstra-based machinery, so the two routes to every number are
 independent.
 """
 
+import heapq
 import math
 from fractions import Fraction
 
+from faultdir.graph import edge_id, subtree
 from faultdir.partition import _rational_exp_shift
 
 INF = None
@@ -214,3 +216,135 @@ def brute_level_costs(rows, op_id, tag):
         lvl = int(lvl_s)
         out[lvl] = out.get(lvl, Fraction(0)) + c
     return out
+
+
+# -- parent-map walks, as written before they moved into graph.py ------------
+
+def tree_child_endpoint(parent_map, e):
+    """The endpoint of tree edge e on the side away from the root; raises
+    ValueError for a non-tree edge."""
+    u, v = edge_id(*e)
+    if parent_map.get(u) == v:
+        return u
+    if parent_map.get(v) == u:
+        return v
+    raise ValueError(f"edge {e} not in tree")
+
+
+def contains_tree_edge(parent_map, e):
+    u, v = e
+    return parent_map.get(u) == v or parent_map.get(v) == u
+
+
+def path_to_root(parent_map, u):
+    path = [u]
+    while parent_map[path[-1]] is not None:
+        path.append(parent_map[path[-1]])
+    return path
+
+
+def reroot_walk(parent_map, new_root):
+    out = dict(parent_map)
+    path = [new_root]
+    while out[path[-1]] is not None:
+        path.append(out[path[-1]])
+    for i in range(len(path) - 1):
+        out[path[i + 1]] = path[i]
+    out[new_root] = None
+    return out
+
+
+def prune_fixpoint(parent_map, members, root):
+    """Delete non-member leaves other than the root until none is left,
+    re-scanning the whole map each round."""
+    out = dict(parent_map)
+    changed = True
+    while changed:
+        changed = False
+        children = {x: 0 for x in out}
+        for x, p in out.items():
+            if p is not None:
+                children[p] += 1
+        for x in sorted(out):
+            if x != root and children[x] == 0 and x not in members:
+                del out[x]
+                changed = True
+    return out
+
+
+def tree_dist_from(g, parent_map, src):
+    """Accumulated weights from src down/up along a parent map, memoised
+    on the prefixes already walked."""
+    out = {src: 0}
+    for x in parent_map:
+        chain = []
+        cur = x
+        while cur not in out:
+            chain.append(cur)
+            cur = parent_map[cur]
+            if cur is None:
+                break
+        if cur is None and chain:
+            continue
+        base = out.get(cur, 0)
+        for node in reversed(chain):
+            base = base + g.weight((node, parent_map[node]))
+            out[node] = base
+    return out
+
+
+def split_leader(g, tree2, v, members2):
+    """The leader of a split-off part whose tree `tree2` is rooted at the
+    cut endpoint v: v if it is a member, else the member nearest to v
+    along the tree, ties to the smaller id."""
+    if v in set(members2):
+        return v
+    dist = tree_dist_from(g, tree2, v)
+    best = None
+    for m in members2:
+        key = (dist.get(m), m)
+        if dist.get(m) is None:
+            continue
+        if best is None or key < best:
+            best = key
+    return best[1]
+
+
+def heap_repair(tree, g, e, known_dead):
+    """Shortest path tree repair with its own heap loop: seed each node cut
+    off by e with its best attachment to the kept part, then run Dijkstra
+    inside the cut-off part. Returns new (dist, parent) maps of the cut-off
+    nodes, or None when e is not a tree edge."""
+    if not contains_tree_edge(tree.parent, e):
+        return None
+    lost = subtree(tree.parent, tree_child_endpoint(tree.parent, e))
+    ndist, nparent = {}, {}
+    for s in sorted(lost):
+        for x, w in g._adj[s].items():
+            if x in lost or edge_id(s, x) in known_dead:
+                continue
+            nd = tree.dist[x] + w
+            if s not in ndist or nd < ndist[s] or (nd == ndist[s] and x < nparent[s]):
+                ndist[s] = nd
+                nparent[s] = x
+    heap = [(nd, s) for s, nd in ndist.items()]
+    heapq.heapify(heap)
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done or d > ndist.get(u, d):
+            continue
+        done.add(u)
+        for v, w in g._adj[u].items():
+            if v not in lost or edge_id(u, v) in known_dead:
+                continue
+            nd = d + w
+            if v not in ndist or nd < ndist[v]:
+                ndist[v] = nd
+                nparent[v] = u
+                heapq.heappush(heap, (nd, v))
+            elif nd == ndist[v] and v not in done and u < nparent[v]:
+                nparent[v] = u
+    if len(done) != len(lost):
+        raise ValueError(f"subtree below {e} cannot be reattached")
+    return ndist, nparent

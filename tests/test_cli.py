@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
-from faultdir.cli import _gen_scenario, _graph_spec, main
-from faultdir.scenario import validate_scenario
+import pytest
+
+from faultdir.cli import _gen_scenario, _graph_spec, console, main
+from faultdir.scenario import Runtime, validate_scenario
 
 
 def test_graph_spec_parsing():
@@ -102,3 +107,68 @@ def test_partition_stats_output(capsys):
     assert out["levels"][0]["clusters"]
     sizes = {c["id"] for lvl in out["levels"] for c in lvl["clusters"]}
     assert len(sizes) == sum(len(l["clusters"]) for l in out["levels"])
+
+
+BAD_SCENARIOS = {
+    "before any publish": [{"t": 0, "do": "lookup", "node": 1}],
+    "missing or already down": [{"t": 0, "do": "publish", "node": 1},
+                                {"t": 1, "do": "fail", "edge": [0, 5]}],
+    "missing key 'edge'": [{"t": 0, "do": "publish", "node": 1},
+                           {"t": 1, "do": "fail"}],
+}
+
+
+@pytest.mark.parametrize("message", sorted(BAD_SCENARIOS))
+def test_run_rejects_invalid_scenario_in_one_line(message, tmp_path, capsys):
+    sc = {"name": "bad", "mode": "strong", "rho": 2, "seed": 0,
+          "graph": {"kind": "ring", "n": 8}, "events": BAD_SCENARIOS[message]}
+    scen_path = tmp_path / "scen.json"
+    scen_path.write_text(json.dumps(sc))
+    argv = ["run", str(scen_path), "--out-dir", str(tmp_path / "a")]
+    assert console(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err and str(scen_path) in err
+    assert not (tmp_path / "a").exists()
+    # in-process callers of `main` still get the exception itself
+    with pytest.raises((ValueError, KeyError)):
+        main(argv)
+
+
+def test_run_rejects_unreadable_file(tmp_path):
+    for text in (None, "{not json"):
+        scen_path = tmp_path / "scen.json"
+        if text is not None:
+            scen_path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "faultdir.cli", "run", str(scen_path),
+             "--out-dir", str(tmp_path / "a")],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("faultdir run: ")
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_run_defects_still_propagate(tmp_path, monkeypatch):
+    # an error raised while running a valid scenario is a program defect
+    scen_path = tmp_path / "scen.json"
+    main(["gen", "--graph", "ring:8", "--seed", "1", "--ops", "2",
+          "--failures", "0", "--out", str(scen_path)])
+
+    def broken(self):
+        raise ValueError("defect")
+    monkeypatch.setattr(Runtime, "run", broken)
+    with pytest.raises(ValueError, match="defect"):
+        console(["run", str(scen_path), "--out-dir", str(tmp_path / "a")])
+
+
+def test_gen_reports_how_many_failures_it_generated(tmp_path, capsys):
+    # a ring loses connectivity-safe edges after one failure
+    scen_path = tmp_path / "scen.json"
+    assert main(["gen", "--graph", "ring:8", "--seed", "3", "--ops", "4",
+                 "--failures", "3", "--horizon", "1000",
+                 "--out", str(scen_path)]) == 0
+    assert "1 of 3 requested failures generated" in capsys.readouterr().err
+    # the scenario itself is what the generator returns, cut included
+    assert json.loads(scen_path.read_text()) == _gen_scenario(
+        {"kind": "ring", "n": 8}, "strong", 2, 3, 4, 3, 1000)

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from faultdir.graph import build_spt, edge_id
-from faultdir.partition import verify_partition
+from faultdir.cli import _gen_scenario
+from faultdir.failure import FailureEngine
+from faultdir.graph import build_spt, edge_id, subtree
+from faultdir.partition import Cluster, verify_partition
 from faultdir.scenario import Runtime, build_graph
 
 from oracles import (brute_cluster_diameter, check_spt, fw_all_pairs,
-                     scan_led_by)
+                     prune_fixpoint, reroot_walk, scan_led_by, split_leader,
+                     tree_child_endpoint)
 
 RING12 = {"kind": "ring", "n": 12}
 
@@ -397,3 +400,76 @@ def test_leader_lookup_equals_scan_after_splits_and_extensions():
                     assert rt.hier.led_by(level, y) is \
                         scan_led_by(rt.hier, level, y), (level, y)
     assert splits and extensions
+
+
+def test_split_trees_match_the_old_walks(monkeypatch):
+    """Every split in a batch of generated runs, both modes: the new leader
+    and both pruned trees, key order included, equal what the old
+    nearest-member, re-root and leaf-deleting prune walks give."""
+    seen = {"entered": 0, "checked": 0, "reroot": 0, "dropped": 0}
+    real = FailureEngine._apply_split
+
+    def checked(self, c, e, fid):
+        tree = dict(c.tree_parent)
+        v = tree_child_endpoint(tree, e)
+        det = subtree(tree, v)
+        tree2 = {x: (None if x == v else tree[x]) for x in det}
+        members2 = sorted(c.members & det)
+        kept = {x: p for x, p in tree.items() if x not in det}
+        remaining = c.members - det
+        n_log = len(self.detach_log.get(c.id, []))
+        seen["entered"] += 1
+        mark = seen["entered"]
+        real(self, c, e, fid)
+        if seen["entered"] != mark:
+            return  # a split nested in this one moved the trees on
+        seen["checked"] += 1
+        want = prune_fixpoint(kept, remaining, c.leader)
+        assert list(c.tree_parent.items()) == list(want.items())
+        seen["dropped"] += len(want) < len(kept)
+        if not members2:
+            return
+        c2 = self.hier.levels[c.level][self.detach_log[c.id][n_log]["child"]]
+        w = split_leader(self.g, tree2, v, members2)
+        if w != v:
+            seen["reroot"] += 1
+            tree2 = reroot_walk(tree2, w)
+        want2 = prune_fixpoint(tree2, set(members2), w)
+        seen["dropped"] += len(want2) < len(tree2)
+        assert c2.leader == w
+        assert list(c2.tree_parent.items()) == list(want2.items())
+
+    monkeypatch.setattr(FailureEngine, "_apply_split", checked)
+    for mode in ("weak", "strong"):
+        for seed in range(6):
+            for spec in ({"kind": "grid", "rows": 5, "cols": 5},
+                         {"kind": "random", "n": 16, "p": 0.25, "seed": seed}):
+                rt = Runtime(_gen_scenario(spec, mode, 2, seed, ops=8,
+                                           failures=5, horizon=2000,
+                                           move_frac=0.2))
+                try:
+                    rt.run()
+                except RuntimeError as exc:
+                    # the known path-state defect (random graph seed 2,
+                    # both modes) stops the run after its splits; it is a
+                    # protocol fault, not a tree one
+                    assert str(exc).startswith("path broken"), exc
+    assert seen["checked"] >= 20 and seen["reroot"] and seen["dropped"], seen
+
+
+def test_split_leader_tie_goes_to_the_smaller_id():
+    """The cut endpoint 1 is a pass-through node with members 2 and 3 one
+    hop below it: 2 wins the tie, the detached tree is re-rooted at 2 and
+    the parent cluster keeps only its leader."""
+    graph = {"kind": "edges", "edges": [[0, 1, 1], [1, 2, 1], [1, 3, 1],
+                                        [0, 4, 1], [4, 2, 1], [4, 3, 1]]}
+    rt = fresh(graph, mode="weak", run=False)
+    c = Cluster(rt.hier.new_cid(), 0, {0, 2, 3}, 0,
+                {0: None, 1: 0, 2: 1, 3: 1})
+    rt.hier.add_cluster(c)
+    rt.engine.failures.append({"splits": []})
+    rt.engine._apply_split(c, (0, 1), 0)
+    c2 = rt.hier.cluster(0, rt.engine.detach_log[c.id][0]["child"])
+    assert (c2.leader, c2.members) == (2, {2, 3})
+    assert c2.tree_parent == {1: 2, 2: None, 3: 1}
+    assert c.tree_parent == {0: None}

@@ -36,3 +36,10 @@ def test_scenarios_cover_their_shapes(tmp_path):
                                "record.json")) as fh:
             rec = json.load(fh)
         assert any(f["extension"] is not None for f in rec["failures"]), name
+    with open(os.path.join(run_named("weak-split-reroot", str(tmp_path)),
+                           "record.json")) as fh:
+        rec = json.load(fh)
+    # a split led by a member other than the cut endpoint: the detached
+    # tree is re-rooted and the leadership handed over
+    assert any(row["xfer_msgs"] for f in rec["failures"]
+               for row in f["stats"]["recluster"].values())

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from faultdir.graph import (
-    Graph, build_spt, dijkstra, edge_id, grid_graph, load_graph, parse_weight,
-    path_graph, random_graph, ring_graph, subtree,
+    Graph, build_spt, child_endpoint, dijkstra, edge_id, grid_graph, load_graph,
+    parse_weight, path_graph, prune, random_graph, reroot, ring_graph, root_path,
+    subtree,
 )
-from oracles import (brute_diameter, brute_neighborhood, check_spt, dump_graph,
-                     fw_all_pairs, induced_adj)
+from oracles import (brute_diameter, brute_neighborhood, check_spt,
+                     contains_tree_edge, dump_graph, fw_all_pairs, heap_repair,
+                     induced_adj, path_to_root, prune_fixpoint, reroot_walk,
+                     split_leader, tree_child_endpoint)
 
 
 def test_load_unit_path():
@@ -152,7 +155,7 @@ def test_spt_random_matches_oracle():
 def test_repair_noop_for_non_tree_edge():
     g = ring_graph(6)
     t = build_spt(g, 0)
-    non_tree = [e for e in g.alive_edges() if not t.contains_edge(e)]
+    non_tree = [e for e in g.alive_edges() if child_endpoint(t.parent, e) is None]
     assert non_tree
     before = dict(t.parent)
     g.kill_edge(non_tree[0])
@@ -224,7 +227,7 @@ def test_subtree_and_paths():
     t = build_spt(g, 0)
     assert subtree(t.parent, 2) == {2, 3, 4}
     assert subtree(t.parent, 4) == {4}
-    assert t.path_from_root(3) == [0, 1, 2, 3]
+    assert root_path(t.parent, 3) == [3, 2, 1, 0]
 
 
 def test_generators_connected():
@@ -269,3 +272,109 @@ def test_dijkstra_skip_equals_induced_copy(g, data):
     src = data.draw(st.sampled_from(sorted(members)))
     assert dijkstra(g._adj, src, skip=lambda u, v: v not in members) == \
         dijkstra(induced_adj(g, members), src)
+
+
+# -- SPT repair against the heap loop it replaced ---------------------------
+
+REPAIR_GRAPHS = st.one_of(
+    st.builds(random_graph, st.integers(4, 14), st.sampled_from([0.3, 0.5, 0.8]),
+              st.integers(0, 10_000)),
+    st.builds(grid_graph, st.integers(2, 4), st.integers(2, 4)),
+    st.builds(ring_graph, st.integers(3, 10),
+              st.lists(st.integers(1, 4), min_size=10, max_size=10)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=REPAIR_GRAPHS, data=st.data())
+def test_repair_matches_heap_loop_and_full_diff(g, data):
+    """Failures arrive one by one; the owner hears of them late and in any
+    order, so it repairs with a partial `known_dead` view. Each repair
+    changes dist/parent exactly as the old heap loop did and reports the
+    whole tree-edge set difference; once every notice is in, the tree is
+    the true shortest path tree."""
+    t = build_spt(g, data.draw(st.sampled_from(g.nodes())))
+    pending, known = [], set()
+
+    def hear(e):
+        known.add(e)
+        want_dist, want_parent = dict(t.dist), dict(t.parent)
+        patch = heap_repair(t, g, e, known)
+        if patch is not None:
+            want_dist.update(patch[0])
+            want_parent.update(patch[1])
+        before = t.tree_edges()
+        removed, added = t.repair(g, e, known)
+        after = t.tree_edges()
+        assert (removed, added) == (sorted(before - after), sorted(after - before))
+        assert (t.dist, t.parent) == (want_dist, want_parent)
+
+    for _ in range(data.draw(st.integers(1, 5))):
+        cands = [e for e in g.alive_edges() if not g.would_disconnect(e)]
+        if not cands:
+            break
+        e = data.draw(st.sampled_from(cands))
+        g.kill_edge(e)
+        pending.append(e)
+        for heard in data.draw(st.lists(st.sampled_from(pending), unique=True)):
+            pending.remove(heard)
+            hear(heard)
+    for e in pending:
+        hear(e)
+    check_spt(g, t)
+
+
+# -- parent-map functions against the walks they replaced --------------------
+
+@st.composite
+def parent_maps(draw, max_nodes=14):
+    """A random rooted tree as {node: parent}, keys in a random order."""
+    order = draw(st.permutations(range(draw(st.integers(1, max_nodes)))))
+    parent = {order[0]: None}
+    for k in range(1, len(order)):
+        parent[order[k]] = order[draw(st.integers(0, k - 1))]
+    return {x: parent[x] for x in draw(st.permutations(order))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(pm=parent_maps(), data=st.data())
+def test_prune_equals_leaf_deleting_fixpoint(pm, data):
+    nodes = sorted(pm)
+    keep = data.draw(st.sets(st.sampled_from(nodes + [len(nodes) + 5])))
+    root = data.draw(st.sampled_from(nodes))
+    assert list(prune(pm, keep, root).items()) == \
+        list(prune_fixpoint(pm, keep, root).items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(pm=parent_maps(), data=st.data())
+def test_root_path_reroot_child_endpoint_match_old_walks(pm, data):
+    nodes = sorted(pm)
+    v = data.draw(st.sampled_from(nodes))
+    assert root_path(pm, v) == path_to_root(pm, v)
+    out = reroot(pm, v)
+    assert list(out.items()) == list(reroot_walk(pm, v).items())
+    assert out[v] is None and {edge_id(x, p) for x, p in out.items() if p is not None} \
+        == {edge_id(x, p) for x, p in pm.items() if p is not None}
+    for a in nodes:
+        for b in nodes:
+            if a < b:
+                want = tree_child_endpoint(pm, (a, b)) \
+                    if contains_tree_edge(pm, (a, b)) else None
+                assert child_endpoint(pm, (a, b)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(pm=parent_maps(), data=st.data())
+def test_split_leader_is_the_nearest_member(pm, data):
+    """A split-off part's tree is rooted at the cut endpoint v; its leader
+    is the member of least tree distance to v, ties to the smaller id."""
+    g = Graph()
+    for x, p in pm.items():
+        g.add_node(x)
+        if p is not None:
+            g.add_edge(x, p, data.draw(st.sampled_from([1, 2, Fraction(3, 2)])))
+    v = next(x for x, p in pm.items() if p is None)
+    members = sorted(data.draw(st.sets(st.sampled_from(sorted(pm)), min_size=1)))
+    w = min(members, key=lambda m: (g.path_weight(root_path(pm, m)), m))
+    assert w == split_leader(g, pm, v, members)

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faultdir.graph import grid_graph, load_graph, path_graph, random_graph, ring_graph
+from faultdir.graph import (grid_graph, load_graph, path_graph, random_graph,
+                            ring_graph, root_path)
 from faultdir.partition import (
     Hierarchy, _grow_waves, build_hierarchy, build_partition, choose_leader,
     cluster_tree, eccentricities, preprocess_leaders, verify_partition,
@@ -129,7 +130,7 @@ def test_tree_paths_within_diameter_bound():
             r = hier.radius(i)
             for c in hier.clusters_at(i):
                 for m in c.members:
-                    cost = c.tree_path_cost(m, g)
+                    cost = g.path_weight(root_path(c.tree_parent, m))
                     if r > 0:
                         assert cost <= hier.sigma * r
 
