@@ -170,15 +170,20 @@ class _Rec:
             i = max(self.radii)
         return self.radii[i]
 
+    def i_eff(self, f: int) -> Fraction:
+        """The overlap inflated by f failures: each failure adds one
+        cluster to a neighbourhood in strong mode and multiplies them in
+        weak mode. Both equal the overlap at f = 0."""
+        if self.mode == "strong":
+            return self.overlap + f
+        return (f + 1) * self.overlap
+
     # per-level search cost, one-way probe fan-out
     def search_bound(self, j: int, f_seen: int) -> Fraction:
         r = self.radius(j)
         if f_seen == 0:
             return self.overlap * (1 + self.sigma) * r
-        wide = (1 + 2 * self.sigma) * r
-        if self.mode == "strong":
-            return (self.overlap + f_seen) * wide
-        return (f_seen + 1) * self.overlap * wide
+        return self.i_eff(f_seen) * (1 + 2 * self.sigma) * r
 
     # distance between adjacent path nodes at levels j and j-1
     def pair_bound(self, j: int, f_seen: int) -> Fraction:
@@ -201,25 +206,19 @@ class _Rec:
         """Per-level inventory of one relocation, as a multiple of the level
         radius: search fan-out, the two fresh links, and the long-range
         pointer rewrite (two messages within a cluster c'*sigma levels up)."""
-        s, rho, i_eff = self.sigma, self.rho, self.overlap
+        s, rho, i_eff = self.sigma, self.rho, self.i_eff(f_seen)
         if f_seen == 0:
             search = i_eff * (1 + s)
             link = s * (rho + 1) / rho + 1
         else:
-            if self.mode == "strong":
-                i_eff = self.overlap + f_seen
-            else:
-                i_eff = (f_seen + 1) * self.overlap
             search = i_eff * (1 + 2 * s)
             link = 2 * s * (rho + 1) / rho + 1
         sc = 4 * self.c_prime * s * s
         return search + link + sc
 
     def move_c4(self, f_seen: int) -> Fraction:
-        i_eff = self.overlap if f_seen == 0 else (
-            self.overlap + f_seen if self.mode == "strong"
-            else (f_seen + 1) * self.overlap)
-        return self.move_level_coeff(f_seen) / (self.sigma * (self.sigma + i_eff))
+        return self.move_level_coeff(f_seen) / (
+            self.sigma * (self.sigma + self.i_eff(f_seen)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +366,7 @@ def _check_move_ratio(rx: _Rec, rep: BoundReport) -> None:
         return
     h = rx.top
     c4 = rx.move_c4(f_max)
-    i_eff = rx.overlap if f_max == 0 else (
-        rx.overlap + f_max if rx.mode == "strong"
-        else (f_max + 1) * rx.overlap)
-    bound = 2 * c4 * (h + 1) * rx.rho * rx.sigma * (rx.sigma + i_eff)
+    bound = 2 * c4 * (h + 1) * rx.rho * rx.sigma * (rx.sigma + rx.i_eff(f_max))
     if f_max > 0:
         bound += rx.f_total * h * rx.d_alive / base
     ratio = paid / base

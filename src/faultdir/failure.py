@@ -4,7 +4,8 @@ When an edge dies its endpoints notice instantly and patch their own
 shortest path trees; every other tree owner is told by a routed notice
 from the surviving side, repairs on arrival, and pushes tree-delta
 notices to the endpoints of every edge that entered or left its tree.
-An endpoint that sees a dead edge being adopted answers with another
+A repair adopts only alive edges, but an adopted edge can die before its
+endpoints hear of the adoption; such an endpoint answers with another
 notice, so all trees converge to true shortest path trees at quiescence
 even though every owner works from its own partial knowledge.
 
@@ -163,8 +164,6 @@ class FailureEngine:
         lost = self.sim.capture_in_flight(e)
         rec["lost"] = len(lost)
         a, b = e
-        for x in (a, b):
-            self.sim.known_dead.setdefault(x, set()).add(e)
         # split notices travel along each broken cluster tree, sent by the
         # surviving-side endpoint, and never detour around further cuts
         for level in range(0, self.hier.top):
@@ -188,7 +187,7 @@ class FailureEngine:
             if x == self.hier.root:
                 self._root_repair(e, fid)
             else:
-                removed, added = t.repair(self.g, e, self.sim.known_dead[x])
+                removed, added = t.repair(self.g, e)
                 self._send_deltas(x, removed, added, fid)
                 self.dir.reevaluate(x)
         # remote tree owners are notified by the surviving endpoint
@@ -240,8 +239,8 @@ class FailureEngine:
             self.edge_roots.get(ed, set()).discard(root)
             return
         self.edge_roots.setdefault(ed, set()).add(root)
-        # z is an endpoint of ed; if that edge is actually dead, the owner
-        # adopted it blind and needs to hear about the failure
+        # z is an endpoint of ed; if that edge died after the repair
+        # adopted it, the owner needs to hear about the failure
         if not self.g.is_alive(ed):
             self.dir._send("spt_notify", z, root,
                            {"edge": list(ed), "fid": payload["fid"]},
@@ -254,14 +253,13 @@ class FailureEngine:
         w = msg.dst
         e = edge_id(*msg.payload["edge"])
         fid = msg.payload["fid"]
-        self.sim.known_dead.setdefault(w, set()).add(e)
         t = self.sim.trees[w]
         if child_endpoint(t.parent, e) is None:
             return
         if w == self.hier.root:
             self._root_repair(e, fid)
         else:
-            removed, added = t.repair(self.g, e, self.sim.known_dead[w])
+            removed, added = t.repair(self.g, e)
             self._send_deltas(w, removed, added, fid)
             self.dir.reevaluate(w)
 
@@ -776,7 +774,7 @@ class FailureEngine:
         top_c = self.hier.clusters_at(self.hier.top)[0]
         pre_parent = dict(top_c.tree_parent)
         t = self.sim.trees[root]
-        removed, added = t.repair(self.g, e, self.sim.known_dead[root])
+        removed, added = t.repair(self.g, e)
         self._send_deltas(root, removed, added, fid)
         self.dir.reevaluate(root)
         v = child_endpoint(pre_parent, e)
@@ -886,8 +884,8 @@ class FailureEngine:
         st = ns.levels.get(spec["level"])
         if st is None or not st.on_path:
             raise RuntimeError("extension lost the top path state")
-        if st.added_by in self.hier.cluster(spec["level"],
-                                            spec["bcast_bands"][0]).members:
+        band = self.hier.levels[spec["level"]][spec["bcast_bands"][0]]
+        if st.added_by in band.members:
             # the adder is in the detached part: hand the top over to it
             self._start_txn(y, spec, None, st.down, st.added_by)
         else:

@@ -99,9 +99,6 @@ class Graph:
     def alive_edges(self) -> list[EdgeId]:
         return sorted(e for e in self._weights if e not in self._dead)
 
-    def dead_edges(self) -> set[EdgeId]:
-        return set(self._dead)
-
     def weight(self, e: EdgeId):
         """Weight of an edge, dead or alive."""
         return self._weights[edge_id(*e)]
@@ -192,11 +189,6 @@ class Graph:
             if best_ecc is None or ecc < best_ecc:
                 best, best_ecc = u, ecc
         return best
-
-    def neighborhood(self, u: int, r) -> dict[int, object]:
-        """Nodes within distance r of u (u included), mapped to distance."""
-        dist, _ = self.sssp(u)
-        return {v: d for v, d in dist.items() if d <= r}
 
     def path_weight(self, path: list[int]):
         """Summed weight of the edges along a node path, dead or alive."""
@@ -321,13 +313,11 @@ class ShortestPathTree:
     def tree_edges(self) -> set[EdgeId]:
         return {edge_id(u, p) for u, p in self.parent.items() if p is not None}
 
-    def repair(self, g: Graph, e: EdgeId, known_dead: set[EdgeId]) -> tuple[list[EdgeId], list[EdgeId]]:
-        """Reattach the subtree cut off by dead edge e.
-
-        `known_dead` is the edge set the tree's owner currently knows to be
-        dead; the repair routes around those and nothing else, so a root
-        that has not yet heard about some other failure may legitimately
-        adopt that dead edge (the endpoint index flags it afterwards).
+    def repair(self, g: Graph, e: EdgeId) -> tuple[list[EdgeId], list[EdgeId]]:
+        """Reattach the subtree cut off by dead edge e, over the alive
+        graph. The tree may keep other dead edges its owner has not heard
+        of yet; it never adopts one. An edge it adopts can still die before
+        the endpoints hear of the adoption; the endpoint index flags that.
 
         Every lost node is seeded with its least (distance, id) attachment
         to a kept node, then Dijkstra runs inside the lost part. Only lost
@@ -345,12 +335,11 @@ class ShortestPathTree:
         seeds = {}
         for s in lost:
             best = min(((self.dist[x] + w, x) for x, w in g._adj[s].items()
-                        if x not in lost and edge_id(s, x) not in known_dead),
-                       default=None)
+                        if x not in lost), default=None)
             if best is not None:
                 seeds[s] = best
         dist, parent = dijkstra(g._adj, start=seeds,
-                                skip=lambda u, v: v not in lost or edge_id(u, v) in known_dead)
+                                skip=lambda u, v: v not in lost)
         if len(dist) != len(lost):
             raise ValueError(f"subtree below {e} cannot be reattached")
         before = {edge_id(s, self.parent[s]) for s in lost}

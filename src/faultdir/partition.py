@@ -20,6 +20,8 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_right
+from itertools import accumulate
 from fractions import Fraction
 
 from faultdir.graph import Graph, edge_id, dijkstra
@@ -220,12 +222,6 @@ class Hierarchy:
         for m in cluster.members:
             self.assign[(cluster.level, m)] = cluster.id
 
-    def cluster(self, cid_level: int, cid: int) -> Cluster:
-        return self.levels[cid_level][cid]
-
-    def cluster_of(self, level: int, node: int) -> Cluster:
-        return self.levels[level][self.assign[(level, node)]]
-
     def clusters_at(self, level: int) -> list[Cluster]:
         return [self.levels[level][cid] for cid in sorted(self.levels[level])]
 
@@ -240,9 +236,6 @@ class Hierarchy:
         if i <= self.base_top:
             return min(self.diameter0, self.rho ** i)
         return self.rho ** i
-
-    def leader(self, level: int, node: int) -> int:
-        return self.cluster_of(level, node).leader
 
     def led_by(self, level: int, y: int) -> Cluster | None:
         """The cluster y leads at `level`, if any. A leader is always a
@@ -444,44 +437,62 @@ def _check_tree(hier: Hierarchy, c: Cluster, problem) -> None:
 
 
 class LeaderDirectory:
-    """Per-node beliefs about cluster leadership in each level neighborhood.
+    """Who each node believes leads the cluster of each nearby node, per level.
 
-    believed[u][x][i] is who u thinks leads x's level-i cluster. Beliefs
-    start exact (preprocessing) and are refreshed by broadcast fanouts
+    `believed_leader(u, x, i)` answers, in this order:
+    - the leader u was last told for (x, i) by `set_belief`, if any;
+    - else the build-time leader of x at level i, if i is a level at build
+      time (0..top) and x was within radius(i) of u on the build graph;
+    - else None.
+
+    The build-time answers are one table {level: {node: leader}} plus the
+    build graph's own cached distance maps, held by reference (nothing
+    mutates them; trees copy theirs). Only the news is kept per node, as
+    {level: {u: {x: leader}}}. Beliefs are refreshed by broadcast fanouts
     after reclustering, so they can be stale in flight.
     """
 
-    def __init__(self):
-        self.believed: dict[int, dict[int, dict[int, int]]] = {}
+    def __init__(self, leaders: dict[int, dict[int, int]], radii: dict,
+                 dist: dict[int, dict]):
+        self.leaders = leaders
+        self.radii = radii
+        self.dist = dist
+        self.news: dict[int, dict[int, dict[int, int]]] = {}
 
     def set_belief(self, u: int, x: int, level: int, leader: int) -> None:
-        self.believed.setdefault(u, {}).setdefault(x, {})[level] = leader
+        self.news.setdefault(level, {}).setdefault(u, {})[x] = leader
 
     def believed_leader(self, u: int, x: int, level: int) -> int | None:
-        return self.believed.get(u, {}).get(x, {}).get(level)
+        told = self.news.get(level)
+        if told is not None:
+            mine = told.get(u)
+            if mine is not None and x in mine:
+                return mine[x]
+        leaders = self.leaders.get(level)
+        if leaders is None:
+            return None
+        d = self.dist[u].get(x)
+        return leaders[x] if d is not None and d <= self.radii[level] else None
 
 
 def preprocess_leaders(hier: Hierarchy) -> tuple[LeaderDirectory, tuple[int, object]]:
-    """Seed exact beliefs: u learns, for every level i, the leader of every
-    node within r_i. Returns the directory plus the number and summed
-    distance of the (u, x != u, level) exchanges, which the runtime
-    charges to the setup ledger."""
-    ldir = LeaderDirectory()
-    messages, cost = 0, 0
+    """Exact beliefs at build time: u learns, for every level i, the leader
+    of every node within r_i. Returns the directory plus the number and
+    summed distance of the (u, x != u, level) exchanges, which the runtime
+    charges to the setup ledger. The sum starts from 0, so it stays an
+    int when every distance is one."""
     g = hier.g
-    nodes = g.nodes()
-    levels = [(i, hier.radius(i), {x: hier.leader(i, x) for x in nodes})
-              for i in range(0, hier.top + 1)]
-    for u in nodes:
-        dist, _ = g.sssp(u)
-        by_id = sorted(dist.items())
-        beliefs = ldir.believed.setdefault(u, {})
-        for i, r, leader in levels:
-            for x, d in by_id:
-                if d > r:
-                    continue
-                beliefs.setdefault(x, {})[i] = leader[x]
-                if x != u:
-                    messages += 1
-                    cost += d
-    return ldir, (messages, cost)
+    levels = range(0, hier.top + 1)
+    leaders = {i: {m: c.leader for c in hier.levels[i].values() for m in c.members}
+               for i in levels}
+    radii = {i: hier.radius(i) for i in levels}
+    dist = {u: g.sssp(u)[0] for u in g.nodes()}
+    messages, cost = 0, 0
+    for du in dist.values():
+        ds = sorted(du.values())
+        sums = list(accumulate(ds, initial=0))
+        for r in radii.values():
+            k = bisect_right(ds, r)
+            messages += k - 1  # u itself, at distance 0, sends nothing
+            cost += sums[k]
+    return LeaderDirectory(leaders, radii, dist), (messages, cost)

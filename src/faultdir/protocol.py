@@ -161,6 +161,15 @@ class Directory:
             return False
         return True
 
+    def _parked(self, msg) -> bool:
+        """Park a write message at a locked destination; `drain_deferred`
+        replays it through its handler once the node is unlocked."""
+        ns = self.nodes[msg.dst]
+        if ns.locked():
+            ns.deferred.append(msg)
+            return True
+        return False
+
     def _send(self, kind, src, dst, payload, size, bucket, path=None):
         msg = Message(kind, src, dst, payload, size=size, bucket=bucket)
         if path is not None:
@@ -401,14 +410,8 @@ class Directory:
     # -- search handling at leaders ---------------------------------------------
 
     def _on_search(self, msg):
-        y = msg.dst
-        ns = self.nodes[y]
-        if msg.payload["kind"] == "move" and ns.locked():
-            ns.deferred.append(msg)
+        if msg.payload["kind"] == "move" and self._parked(msg):
             return
-        self._do_search(msg)
-
-    def _do_search(self, msg):
         y = msg.dst
         ns = self.nodes[y]
         p = msg.payload
@@ -432,7 +435,8 @@ class Directory:
             if on_levels:
                 reply["found"] = True
                 reply["walking"] = True
-                self._start_walk_at(y, on_levels[0], op_id, p["issuer"], None)
+                self._deliver_walk_step(y, on_levels[0], op_id, p["issuer"],
+                                        None, None)
             elif sc:
                 tlevel, target = sc[0]
                 reply["found"] = True
@@ -490,13 +494,8 @@ class Directory:
     # -- move: adding levels ------------------------------------------------------
 
     def _on_move_add(self, msg):
-        ns = self.nodes[msg.dst]
-        if ns.locked():
-            ns.deferred.append(msg)
+        if self._parked(msg):
             return
-        self._do_move_add(msg)
-
-    def _do_move_add(self, msg):
         y = msg.dst
         ns = self.nodes[y]
         p = msg.payload
@@ -540,12 +539,11 @@ class Directory:
         self._advance(op)
 
     def _on_set_up(self, msg):
+        if self._parked(msg):
+            return
         y = msg.dst
         ns = self.nodes[y]
         level = msg.payload["level"]
-        if ns.locked():
-            ns.deferred.append(msg)
-            return
         st = ns.levels.get(level)
         if st is None or not st.on_path:
             hint = ns.hints.get(level)
@@ -571,11 +569,9 @@ class Directory:
                     "stamp": st.built_t}, "const", msg.bucket)
 
     def _on_down_fix(self, msg):
-        ns = self.nodes[msg.dst]
-        if ns.locked():
-            ns.deferred.append(msg)
+        if self._parked(msg):
             return
-        st = ns.levels.get(msg.payload["at_level"])
+        st = self.nodes[msg.dst].levels.get(msg.payload["at_level"])
         if st is None or not st.on_path:
             self.finding("down_fix_off_path", node=msg.dst,
                          level=msg.payload["at_level"])
@@ -622,10 +618,6 @@ class Directory:
             self.engine.maybe_fix_adder(y, level)
 
     # -- lookup walks -----------------------------------------------------------
-
-    def _start_walk_at(self, y: int, level: int, op_id: str, issuer: int,
-                       min_built_f) -> None:
-        self._deliver_walk_step(y, level, op_id, issuer, None, min_built_f)
 
     def _on_lookup_walk(self, msg):
         p = msg.payload
@@ -725,13 +717,8 @@ class Directory:
     # -- deletion walker ---------------------------------------------------------
 
     def _on_del_walk(self, msg):
-        ns = self.nodes[msg.dst]
-        if ns.locked():
-            ns.deferred.append(msg)
+        if self._parked(msg):
             return
-        self._do_del_walk(msg)
-
-    def _do_del_walk(self, msg):
         y = msg.dst
         ns = self.nodes[y]
         p = msg.payload
@@ -872,18 +859,14 @@ class Directory:
                 self._register_shortcut(y, i, bucket)
 
     def drain_deferred(self, y: int) -> None:
-        direct = {"search": self._do_search, "move_add": self._do_move_add,
-                  "del_walk": self._do_del_walk}
+        """Replay parked messages through their handlers. The node is
+        unlocked here, so each handler's gate lets its message through."""
         ns = self.nodes[y]
         while ns.deferred and not ns.locked():
             # processing one message can re-lock the node (e.g. by starting
             # a path update); the rest then waits for the next drain
             msg = ns.deferred.pop(0)
-            handler = direct.get(msg.kind)
-            if handler is None:
-                self.sim.handlers[msg.kind](msg)
-            else:
-                handler(msg)
+            self.sim.handlers[msg.kind](msg)
 
     # -- inspection ------------------------------------------------------------------
 

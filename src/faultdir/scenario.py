@@ -116,7 +116,6 @@ class Runtime:
         self.sim = Simulator(self.g)
         for x in sorted(self.g.nodes()):
             self.sim.trees[x] = build_spt(self.g, x)
-            self.sim.known_dead[x] = set()
         self.ldir, (messages, cost) = preprocess_leaders(self.hier)
         if messages:
             self.sim.charge_only("setup", cost, size="logn", count=messages)
@@ -151,21 +150,16 @@ class Runtime:
                 starter = {"publish": self.dir.start_publish,
                            "lookup": self.dir.start_lookup,
                            "move": self.dir.start_move}[do]
-                if do in ("publish", "move"):
-                    # distance between consecutive request sources on the
-                    # graph alive right now; the competitive baseline
-                    if self._last_source is not None:
-                        self._source_dist[f"{do}?"] = self.g.distance(
-                            self._last_source, ev["node"])
                 op = starter(ev["node"])
                 self.issued.append(op)
                 if do in ("publish", "move") and op.phase != "rejected":
-                    d = self._source_dist.pop(f"{do}?", None)
-                    if d is not None:
-                        self._source_dist[op.id] = d
+                    # distance between consecutive request sources on the
+                    # graph alive at issue (starting an op kills no edge);
+                    # the competitive baseline
+                    if self._last_source is not None:
+                        self._source_dist[op.id] = self.g.distance(
+                            self._last_source, ev["node"])
                     self._last_source = ev["node"]
-                else:
-                    self._source_dist.pop(f"{do}?", None)
                 if ev.get("fail_during") is not None:
                     delay = unq(ev.get("fail_delay", 0))
                     self.sim.call_later(delay, "inject_fail",

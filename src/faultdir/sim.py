@@ -143,10 +143,8 @@ class Simulator:
         self.ledger = CostLedger()
         self.handlers: dict[str, callable] = {}
         self.timers: dict[str, callable] = {}
-        # per-node shortest path trees and per-root known-dead sets are
-        # installed by the runtime after preprocessing
+        # per-node shortest path trees, installed by the runtime
         self.trees = {}
-        self.known_dead: dict[int, set[EdgeId]] = {}
         self._next_msg_id = 0
         # edges that ever carried a routed hop; a failed edge among them
         # triggers the resend exchange
@@ -212,17 +210,17 @@ class Simulator:
         self._hop(msg)
 
     def _route_from(self, x: int, msg: Message) -> list[int] | None:
-        """Next route from x to msg.dst given x's knowledge plus the edges
-        this message has already bounced off."""
+        """Next route from x to msg.dst: x's tree path, unless it crosses
+        an edge this message has already bounced off, else a shortest path
+        on the alive graph. x's tree never holds an edge x knows is dead:
+        x repairs its tree the moment it learns of a failure."""
         tree = self.trees.get(x)
-        avoid = set(msg.blocked) | self.known_dead.get(x, set())
         # a route is the path from msg.dst up to x, reversed, without x
         if tree is not None and tree.root == x:
             path = root_path(tree.parent, msg.dst)
-            if all(edge_id(a, b) not in avoid for a, b in zip(path, path[1:])):
+            if all(edge_id(a, b) not in msg.blocked for a, b in zip(path, path[1:])):
                 return path[-2::-1]
-        dist, parent = dijkstra(self.g._adj, x, targets={msg.dst},
-                                skip=lambda u, v: edge_id(u, v) in avoid)
+        dist, parent = dijkstra(self.g._adj, x, targets={msg.dst})
         if msg.dst not in dist:
             return None
         return root_path(parent, msg.dst)[-2::-1]

@@ -53,6 +53,13 @@ def brute_diameter(g):
     return best
 
 
+def neighborhood(g, u, r):
+    """Nodes within distance r of u (u included), mapped to distance, from
+    the graph's own cached Dijkstra."""
+    dist, _ = g.sssp(u)
+    return {v: d for v, d in dist.items() if d <= r}
+
+
 def brute_neighborhood(g, u, r):
     dist = fw_all_pairs(g)
     return {v: d for v, d in dist[u].items() if d is not INF and d <= r}
@@ -125,7 +132,7 @@ def brute_intersection_count(g, hier, u, level):
 def clusters_intersecting(hier, v, i):
     """Clusters at level i whose members meet N(v, r_i) on the alive
     graph, by scanning every cluster's members."""
-    hood = hier.g.neighborhood(v, hier.radius(i))
+    hood = neighborhood(hier.g, v, hier.radius(i))
     return [c for c in hier.clusters_at(i) if any(m in hood for m in c.members)]
 
 
@@ -133,7 +140,7 @@ def neighborhood_clusters(ldir, hier, u, level):
     """Leaders u believes in for the clusters meeting N(u, r_level) on the
     alive graph, mapped to the witness nodes supporting each belief."""
     out = {}
-    for x in sorted(hier.g.neighborhood(u, hier.radius(level))):
+    for x in sorted(neighborhood(hier.g, u, hier.radius(level))):
         led = ldir.believed_leader(u, x, level)
         if led is not None:
             out.setdefault(led, []).append(x)
@@ -310,7 +317,7 @@ def split_leader(g, tree2, v, members2):
     return best[1]
 
 
-def heap_repair(tree, g, e, known_dead):
+def heap_repair(tree, g, e):
     """Shortest path tree repair with its own heap loop: seed each node cut
     off by e with its best attachment to the kept part, then run Dijkstra
     inside the cut-off part. Returns new (dist, parent) maps of the cut-off
@@ -321,7 +328,7 @@ def heap_repair(tree, g, e, known_dead):
     ndist, nparent = {}, {}
     for s in sorted(lost):
         for x, w in g._adj[s].items():
-            if x in lost or edge_id(s, x) in known_dead:
+            if x in lost:
                 continue
             nd = tree.dist[x] + w
             if s not in ndist or nd < ndist[s] or (nd == ndist[s] and x < nparent[s]):
@@ -336,7 +343,7 @@ def heap_repair(tree, g, e, known_dead):
             continue
         done.add(u)
         for v, w in g._adj[u].items():
-            if v not in lost or edge_id(u, v) in known_dead:
+            if v not in lost:
                 continue
             nd = d + w
             if v not in ndist or nd < ndist[v]:
@@ -348,3 +355,47 @@ def heap_repair(tree, g, e, known_dead):
     if len(done) != len(lost):
         raise ValueError(f"subtree below {e} cannot be reattached")
     return ndist, nparent
+
+
+# -- leader index: the nested per-pair directory it replaced ------------------
+
+
+def cluster_of(hier, level, node):
+    """The level cluster `node` belongs to, through the `assign` index."""
+    return hier.levels[level][hier.assign[(level, node)]]
+
+
+class NestedLeaderDirectory:
+    """Reference leader directory: believed[u][x][i] is who u thinks leads
+    x's level-i cluster, one entry per (node, neighbour, level)."""
+
+    def __init__(self):
+        self.believed = {}
+
+    def set_belief(self, u, x, level, leader):
+        self.believed.setdefault(u, {}).setdefault(x, {})[level] = leader
+
+    def believed_leader(self, u, x, level):
+        return self.believed.get(u, {}).get(x, {}).get(level)
+
+
+def nested_preprocess_leaders(hier):
+    """Reference preprocessing: u learns, for every level i, the leader of
+    every node within r_i, written out entry by entry. Returns the
+    directory plus the number and summed distance of the (u, x != u,
+    level) exchanges, summed in node-id order."""
+    ldir = NestedLeaderDirectory()
+    messages, cost = 0, 0
+    g = hier.g
+    for u in g.nodes():
+        dist, _ = g.sssp(u)
+        for i in range(0, hier.top + 1):
+            r = hier.radius(i)
+            for x, d in sorted(dist.items()):
+                if d > r:
+                    continue
+                ldir.set_belief(u, x, i, cluster_of(hier, i, x).leader)
+                if x != u:
+                    messages += 1
+                    cost += d
+    return ldir, (messages, cost)

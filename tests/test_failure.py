@@ -135,10 +135,10 @@ def test_split_membership_matches_tree_component_oracle():
             key = (s["level"], s["parent"])
             det = hit[key]
             want = before[key]["members"] & det
-            child = rt.hier.cluster(s["level"], s["child"])
+            child = rt.hier.levels[s["level"]][s["child"]]
             assert set(child.members) == want
             assert child.leader in child.members
-            parent = rt.hier.cluster(s["level"], s["parent"])
+            parent = rt.hier.levels[s["level"]][s["parent"]]
             assert set(parent.members) == before[key]["members"] - want
 
 
@@ -276,7 +276,7 @@ def test_weak_mode_split_transfers_leadership_along_old_tree():
     assert row["xfer_msgs"] == 1
     assert Fraction(str(row["xfer_dist"])) <= rt.hier.sigma * \
         rt.hier.radius(row["level"])
-    child = rt.hier.cluster(row["level"], cid)
+    child = rt.hier.levels[row["level"]][cid]
     assert child.leader in child.members
     assert rt.issued[-1].phase == "done"
 
@@ -353,7 +353,7 @@ def test_queued_extension_installs_locally_when_adder_stayed_home():
     assert len(bands) > 1 and len(band_ids) == len(bands)
     ns = rt.dir.nodes[root]
     adder, old_down = ns.levels[h_old].added_by, ns.levels[h_old].down
-    assert adder not in rt.hier.cluster(h_old, band_ids[0]).members
+    assert adder not in rt.hier.levels[h_old][band_ids[0]].members
     entries = [(j, v) for j in bands] + [(h_new, root)]
     rt.sim.now, rt.dir.failure_count = 777, 4
     rt.engine._init_extension_txn(root, {
@@ -469,7 +469,7 @@ def test_split_leader_tie_goes_to_the_smaller_id():
     rt.hier.add_cluster(c)
     rt.engine.failures.append({"splits": []})
     rt.engine._apply_split(c, (0, 1), 0)
-    c2 = rt.hier.cluster(0, rt.engine.detach_log[c.id][0]["child"])
+    c2 = rt.hier.levels[0][rt.engine.detach_log[c.id][0]["child"]]
     assert (c2.leader, c2.members) == (2, {2, 3})
     assert c2.tree_parent == {1: 2, 2: None, 3: 1}
     assert c.tree_parent == {0: None}

@@ -13,8 +13,8 @@ from faultdir.graph import (
 )
 from oracles import (brute_diameter, brute_neighborhood, check_spt,
                      contains_tree_edge, dump_graph, fw_all_pairs, heap_repair,
-                     induced_adj, path_to_root, prune_fixpoint, reroot_walk,
-                     split_leader, tree_child_endpoint)
+                     induced_adj, neighborhood, path_to_root, prune_fixpoint,
+                     reroot_walk, split_leader, tree_child_endpoint)
 
 
 def test_load_unit_path():
@@ -95,12 +95,12 @@ def test_kill_edge_guards():
 
 def test_neighborhood_examples():
     g = path_graph(5)
-    assert g.neighborhood(2, 0) == {2: 0}
-    assert g.neighborhood(2, 1) == {1: 1, 2: 0, 3: 1}
+    assert neighborhood(g, 2, 0) == {2: 0}
+    assert neighborhood(g, 2, 1) == {1: 1, 2: 0, 3: 1}
     g2 = random_graph(12, 0.3, seed=3)
     for u in (0, 5, 11):
         for r in (0, 1, 2, 3):
-            assert g2.neighborhood(u, r) == brute_neighborhood(g2, u, r)
+            assert neighborhood(g2, u, r) == brute_neighborhood(g2, u, r)
 
 
 def test_diameter_matches_oracle_random():
@@ -136,8 +136,10 @@ def test_spt_is_a_private_copy_of_the_cached_sssp():
     t = build_spt(g, 0)
     assert (t.dist, t.parent) == (dist, parent)
     assert t.dist is not dist and t.parent is not parent
-    t.repair(g, edge_id(0, 1), {edge_id(0, 1)})
-    assert g.sssp(0) == (dist, parent) and dist[1] == 1
+    cached = (dict(dist), dict(parent))
+    g.kill_edge((0, 1))
+    t.repair(g, edge_id(0, 1))
+    assert t.dist[1] == 3 and (dist, parent) == cached
     g2 = Graph()
     g2.add_edge(0, 1, 1)
     g2.add_node(2)
@@ -159,7 +161,7 @@ def test_repair_noop_for_non_tree_edge():
     assert non_tree
     before = dict(t.parent)
     g.kill_edge(non_tree[0])
-    removed, added = t.repair(g, non_tree[0], g.dead_edges())
+    removed, added = t.repair(g, non_tree[0])
     assert (removed, added) == ([], [])
     assert t.parent == before
 
@@ -170,7 +172,7 @@ def test_repair_frozen_example():
     t = build_spt(g, 0)
     assert t.parent[2] == 1
     g.kill_edge((1, 2))
-    removed, added = t.repair(g, (1, 2), g.dead_edges())
+    removed, added = t.repair(g, (1, 2))
     assert removed == [(1, 2)] and added == [(0, 2)]
     assert t.dist[2] == 3
     check_spt(g, t)
@@ -186,7 +188,7 @@ def test_repair_equals_rebuild_exhaustive_singles():
             trees = {r: build_spt(g, r) for r in g.nodes()}
             g.kill_edge(e)
             for r, t in trees.items():
-                t.repair(g, e, g.dead_edges())
+                t.repair(g, e)
                 check_spt(g, t)
 
 
@@ -202,23 +204,24 @@ def test_repair_equals_rebuild_multi_failure():
             e = candidates[rng.randrange(len(candidates))]
             g.kill_edge(e)
             for t in trees.values():
-                t.repair(g, e, g.dead_edges())
+                t.repair(g, e)
         for t in trees.values():
             check_spt(g, t)
 
 
 def test_repair_with_partial_knowledge_converges():
-    # The root only knows about dead edges it was told about. Repairing
-    # with a stale view may adopt a dead edge; a later repair for that
-    # edge must land on the true tree.
+    # The root only repairs for dead edges it was told about. A tree edge
+    # it has not heard of stays in the tree (a repair never adopts a dead
+    # edge); the later repair for that edge must land on the true tree.
     g = load_graph("0 1 1\n1 2 1\n2 3 1\n0 3 5\n1 3 2\n")
     t = build_spt(g, 0)
+    assert t.parent[3] == 1  # the 1-3 / 2-3 tie goes to the smaller id
     g.kill_edge((2, 3))
     g.kill_edge((1, 3))
-    # root hears about 2-3 first and still trusts 1-3
-    t.repair(g, (2, 3), {edge_id(2, 3)})
-    assert t.parent[3] == 1  # adopted the dead edge, as its view allows
-    t.repair(g, (1, 3), {edge_id(2, 3), edge_id(1, 3)})
+    # root hears about 2-3 first, a non-tree edge; it keeps the unheard 1-3
+    t.repair(g, (2, 3))
+    assert t.parent[3] == 1
+    t.repair(g, (1, 3))
     check_spt(g, t)
 
 
@@ -289,22 +292,21 @@ REPAIR_GRAPHS = st.one_of(
 @given(g=REPAIR_GRAPHS, data=st.data())
 def test_repair_matches_heap_loop_and_full_diff(g, data):
     """Failures arrive one by one; the owner hears of them late and in any
-    order, so it repairs with a partial `known_dead` view. Each repair
+    order, so its tree may keep dead edges it has not heard of. Each repair
     changes dist/parent exactly as the old heap loop did and reports the
     whole tree-edge set difference; once every notice is in, the tree is
     the true shortest path tree."""
     t = build_spt(g, data.draw(st.sampled_from(g.nodes())))
-    pending, known = [], set()
+    pending = []
 
     def hear(e):
-        known.add(e)
         want_dist, want_parent = dict(t.dist), dict(t.parent)
-        patch = heap_repair(t, g, e, known)
+        patch = heap_repair(t, g, e)
         if patch is not None:
             want_dist.update(patch[0])
             want_parent.update(patch[1])
         before = t.tree_edges()
-        removed, added = t.repair(g, e, known)
+        removed, added = t.repair(g, e)
         after = t.tree_edges()
         assert (removed, added) == (sorted(before - after), sorted(after - before))
         assert (t.dist, t.parent) == (want_dist, want_parent)

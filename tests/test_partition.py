@@ -6,16 +6,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from faultdir.cli import _gen_scenario
 from faultdir.graph import (grid_graph, load_graph, path_graph, random_graph,
                             ring_graph, root_path)
 from faultdir.partition import (
     Hierarchy, _grow_waves, build_hierarchy, build_partition, choose_leader,
     cluster_tree, eccentricities, preprocess_leaders, verify_partition,
 )
+from faultdir.scenario import Runtime
+from golden.regen import SCENARIOS as GOLDEN, scenario as golden_scenario
 from oracles import (brute_cluster_diameter, brute_intersection_count,
-                     brute_weak_assign, brute_weak_partition,
+                     brute_weak_assign, brute_weak_partition, cluster_of,
                      clusters_intersecting, fw_all_pairs,
-                     neighborhood_clusters)
+                     neighborhood_clusters, nested_preprocess_leaders)
 
 
 def test_r_at_least_diameter_single_cluster():
@@ -151,7 +154,7 @@ def test_preprocess_tables_and_costs():
     g = load_graph("0 1 1\n")
     hier = build_hierarchy(g, rho=2, mode="weak", seed=0)
     ldir, setup = preprocess_leaders(hier)
-    lead = hier.leader(0, 0)
+    lead = cluster_of(hier, 0, 0).leader
     assert ldir.believed_leader(0, 1, 0) == lead
     assert ldir.believed_leader(1, 0, 0) == lead
     # one remote exchange per direction at level 0, at distance 1 each
@@ -168,12 +171,94 @@ def test_preprocess_ring_matches_oracle():
         for i in range(0, hier.top + 1):
             r = hier.radius(i)
             for x in g.nodes():
-                want = hier.leader(i, x) if dist[u][x] <= r else None
+                want = cluster_of(hier, i, x).leader if dist[u][x] <= r else None
                 assert ldir.believed_leader(u, x, i) == want
                 if want is not None and x != u:
                     messages += 1
                     cost += dist[u][x]
     assert setup == (messages, cost)
+
+
+# -- the leader index against the nested per-pair directory ------------------
+
+
+def assert_same_beliefs(ldir, ref, hier):
+    nodes = hier.g.nodes()
+    for i in range(-1, hier.top + 2):
+        for u in nodes:
+            for x in nodes:
+                assert ldir.believed_leader(u, x, i) == \
+                    ref.believed_leader(u, x, i), (u, x, i)
+
+
+def fraction_ring():
+    return ring_graph(12, [Fraction(3, 2), 1, Fraction(5, 3), 2, 1,
+                           Fraction(7, 4)] * 2)
+
+
+@pytest.mark.parametrize("graph,mode,kind", [
+    (lambda: grid_graph(6, 6), "strong", int),
+    (lambda: grid_graph(6, 6), "weak", int),
+    (fraction_ring, "strong", Fraction),
+    (fraction_ring, "weak", Fraction),
+])
+def test_preprocess_matches_nested_reference(graph, mode, kind):
+    hier = build_hierarchy(graph(), rho=2, mode=mode, seed=3)
+    ldir, setup = preprocess_leaders(hier)
+    ref, want = nested_preprocess_leaders(hier)
+    assert setup == want
+    assert type(setup[0]) is int and type(setup[1]) is type(want[1]) is kind
+    assert_same_beliefs(ldir, ref, hier)
+
+
+def test_runtime_holds_one_leader_per_level_and_node():
+    rt = Runtime({"name": "t", "mode": "weak", "rho": 2, "seed": 1,
+                  "graph": {"kind": "grid", "rows": 5, "cols": 5},
+                  "events": []})
+    nodes = rt.g.nodes()
+    assert sorted(rt.ldir.leaders) == list(range(rt.hier.top + 1))
+    for i, table in rt.ldir.leaders.items():
+        assert sorted(table) == nodes
+        assert all(table[x] == cluster_of(rt.hier, i, x).leader for x in nodes)
+    assert rt.ldir.news == {}
+    # the build graph's cached distance maps, by reference
+    assert all(rt.ldir.dist[u] is rt.g.sssp(u)[0] for u in nodes)
+
+
+GENERATED = {
+    f"grid6-{mode}-{seed}": dict(graph_spec={"kind": "grid", "rows": 6,
+                                             "cols": 6},
+                                 mode=mode, rho=2, seed=seed, ops=12,
+                                 failures=4, horizon=2000, move_frac=0.3)
+    for mode in ("strong", "weak") for seed in (1, 2)
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN) + sorted(GENERATED))
+def test_leader_index_answers_as_nested_reference_over_runs(name):
+    sc = golden_scenario(name) if name in GOLDEN \
+        else _gen_scenario(**GENERATED[name])
+    rt = Runtime(sc)
+    build_top = rt.hier.top
+    ref, setup = nested_preprocess_leaders(rt.hier)
+    assert rt.sim.ledger.total("setup") == setup
+    assert_same_beliefs(rt.ldir, ref, rt.hier)
+    told = []
+    real = rt.ldir.set_belief
+
+    def mirrored(u, x, level, leader):
+        told.append(level)
+        real(u, x, level, leader)
+        ref.set_belief(u, x, level, leader)
+
+    rt.ldir.set_belief = mirrored
+    rt.run()
+    assert_same_beliefs(rt.ldir, ref, rt.hier)
+    if any(s["child"] is not None for f in rt.engine.failures
+           for s in f["splits"]):
+        assert told  # a split announces its new leader
+    if name.startswith("ring-ext"):
+        assert max(told) > build_top
 
 
 def test_shortcut_constants_exact():
@@ -294,7 +379,7 @@ def test_measured_parameters_equal_oracles(graph, mode):
 def test_verify_reports_a_disconnected_strong_cluster():
     g = grid_graph(6, 6)
     hier = build_hierarchy(g, rho=2, mode="strong", seed=1)
-    cut = hier.cluster_of(1, 2)
+    cut = cluster_of(hier, 1, 2)
     assert cut.members == {2, 3, 9}
     g.kill_edge((2, 3))  # 2 loses its only induced link to {3, 9}
     report = verify_partition(hier, post_failure=True)

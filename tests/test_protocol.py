@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from faultdir.scenario import Runtime, run_scenario
 from faultdir.sim import Message
 
@@ -183,7 +185,7 @@ def test_move_add_onto_path_node_splices_and_walks_old_segment():
     old_up, old_down = st.up, st.down
     mover = next(u for u in rt.g.nodes() if u not in chain.values())
     rt.sim.now, rt.dir.failure_count = 777, 3
-    rt.dir._do_move_add(Message("move_add", mover, y,
+    rt.dir._on_move_add(Message("move_add", mover, y,
                                 {"op": "move9", "level": 1, "down": mover,
                                  "added_by": mover}))
     assert (st.on_path, st.up, st.down, st.added_by) == \
@@ -212,3 +214,70 @@ def test_down_fix_with_newer_stamp_repoints_down():
         (True, old_up, new_node, adder)
     assert (st.built_t, st.built_f) == (777, 2)
     assert not pending(rt.sim)
+
+
+# -- the deferral gate: write messages park at a locked node -----------------
+
+
+def node_view(rt):
+    """Everything a handler may change: path states, registries, hints and
+    token state of every node, the findings and the event log."""
+    nodes = {}
+    for u, ns in rt.dir.nodes.items():
+        nodes[u] = (
+            sorted((lv, st.on_path, st.up, st.down, st.added_by, st.built_t,
+                    st.built_f) for lv, st in ns.levels.items()),
+            sorted(ns.shortcuts), sorted(ns.my_shortcut.items()),
+            sorted(ns.hints.items()), ns.has_token, ns.expecting_token,
+            ns.token_forward, ns.pending_transfer)
+    return nodes, list(rt.dir.findings), list(rt.sim.events)
+
+
+def sent(sim):
+    return [(m.id, m.kind, m.src, m.dst, m.payload, m.bucket)
+            for m in pending(sim)]
+
+
+def write_message(kind, chain, mover):
+    """One message of `kind` aimed at the chain's level-1 node that, handled
+    unlocked, changes state there and (all but down_fix) sends on."""
+    y, up = chain[1], chain[2]
+    payload = {
+        "search": {"op": "move9", "kind": "move", "level": 1,
+                   "issuer": mover, "members": [y], "new_down": mover},
+        "move_add": {"op": "move9", "level": 1, "down": mover,
+                     "added_by": mover},
+        "set_up": {"level": 1, "up": up},
+        "down_fix": {"at_level": 1, "new_node": mover, "stamp": 10 ** 6},
+        "del_walk": {"op": "move9", "expect_level": 1, "new_owner": mover,
+                     "min_built_f": 0},
+    }[kind]
+    return Message(kind, mover, y, payload)
+
+
+@pytest.mark.parametrize("kind", ["search", "move_add", "set_up", "down_fix",
+                                  "del_walk"])
+def test_locked_node_parks_a_write_and_drain_replays_it(kind):
+    rt, chain = settled_chain()
+    twin, _ = settled_chain()
+    mover = next(u for u in rt.g.nodes() if u not in chain.values())
+    for r in (rt, twin):
+        r.sim.now, r.dir.failure_count = 777, 3
+    y = chain[1]
+    ns = rt.dir.nodes[y]
+    before = node_view(rt)
+    ns.grants["tx-held"] = 1
+    msg = write_message(kind, chain, mover)
+    rt.sim.handlers[kind](msg)
+    assert ns.deferred == [msg]
+    assert node_view(rt) == before
+    assert not pending(rt.sim)
+
+    del ns.grants["tx-held"]
+    rt.dir.drain_deferred(y)
+    assert not ns.deferred
+    twin.sim.handlers[kind](write_message(kind, chain, mover))
+    assert node_view(rt) == node_view(twin)
+    assert node_view(rt) != before
+    assert sent(rt.sim) == sent(twin.sim)
+    assert bool(sent(rt.sim)) == (kind != "down_fix")

@@ -14,7 +14,6 @@ def make_sim(g):
     sim = Simulator(g)
     for x in sorted(g.nodes()):
         sim.trees[x] = build_spt(g, x)
-        sim.known_dead[x] = set()
     return sim
 
 
