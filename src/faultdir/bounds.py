@@ -14,19 +14,7 @@ from faultdir.sim import BucketIndex
 
 
 def _num(x):
-    if x is None:
-        return None
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else str(x)
-    return str(x)
+    return None if x is None else Fraction(x)
 
 
 class LedgerView:
@@ -90,8 +78,8 @@ class BoundReport:
         return all(line.passed for line in self.lines)
 
     def add(self, formula, passed, observed, bound, detail="") -> None:
-        self.lines.append(CheckLine(formula, bool(passed), _fmt(observed),
-                                    _fmt(bound), detail))
+        self.lines.append(CheckLine(formula, bool(passed), str(observed),
+                                    str(bound), detail))
 
     def as_dict(self) -> dict:
         return {"ok": self.ok, "lines": [l.as_dict() for l in self.lines]}
@@ -114,7 +102,7 @@ class _Group:
         self.n += 1
         ok = observed <= bound
         if not ok:
-            self.fails.append(f"{label}: {_fmt(observed)} > {_fmt(bound)}")
+            self.fails.append(f"{label}: {observed} > {bound}")
         if bound > 0:
             ratio = Fraction(observed) / bound
         else:
@@ -361,7 +349,7 @@ def _check_move_ratio(rx: _Rec, rep: BoundReport) -> None:
         f_max = max(f_max, op["f_at_issue"],
                     op["f_at_complete"] or op["f_at_issue"])
     if base == 0:
-        rep.add("move-ratio", True, _fmt(paid), "-",
+        rep.add("move-ratio", True, paid, "-",
                 f"{len(moves)} relocations but zero baseline, skipped")
         return
     h = rx.top
@@ -371,8 +359,8 @@ def _check_move_ratio(rx: _Rec, rep: BoundReport) -> None:
         bound += rx.f_total * h * rx.d_alive / base
     ratio = paid / base
     rep.add("move-ratio", ratio <= bound, ratio, bound,
-            f"{len(moves)} relocations, paid {_fmt(paid)} vs baseline "
-            f"{_fmt(base)}, c4={_fmt(c4)}")
+            f"{len(moves)} relocations, paid {paid} vs baseline "
+            f"{base}, c4={c4}")
 
 
 def _split_children(frec: dict) -> list[dict]:

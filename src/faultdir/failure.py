@@ -26,8 +26,6 @@ rather than splitting the root cluster.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from faultdir.graph import (child_endpoint, edge_id, prune, reroot,
                             root_path, subtree)
 from faultdir.partition import Cluster
@@ -171,30 +169,16 @@ class FailureEngine:
                 child = child_endpoint(c.tree_parent, e)
                 if child is None:
                     continue
-                surv = a if child == b else b
-                payload = {"cluster": c.id, "level": level, "edge": list(e),
-                           "fid": fid}
-                msg = Message("cluster_notify", surv, c.leader, payload,
-                              size="logn",
-                              bucket=f"repair:recluster:f{fid}:c{c.id}")
-                msg.no_reroute = True
-                self.sim.send_on_path(msg, root_path(c.tree_parent, surv))
+                self._notify_along_tree(a if child == b else b, c,
+                                        {"cluster": c.id, "level": level,
+                                         "edge": list(e), "fid": fid})
         # the endpoints patch their own trees at zero message cost
         for x in (a, b):
-            t = self.sim.trees[x]
-            if child_endpoint(t.parent, e) is None:
-                continue
-            if x == self.hier.root:
-                self._root_repair(e, fid)
-            else:
-                removed, added = t.repair(self.g, e)
-                self._send_deltas(x, removed, added, fid)
-                self.dir.reevaluate(x)
+            self._repair_tree(x, e, fid)
         # remote tree owners are notified by the surviving endpoint
         for w in sorted(self.edge_roots.get(e, set()) - {a, b}):
             surv = b if child_endpoint(self.sim.trees[w].parent, e) == a else a
-            self.dir._send("spt_notify", surv, w, {"edge": list(e), "fid": fid},
-                           "logn", f"repair:spt_update:f{fid}")
+            self._spt_notify(surv, w, e, fid)
         # log reconciliation across the surviving network recovers messages
         # that died on the edge
         dist_a, _ = self.g.sssp(a)
@@ -216,6 +200,23 @@ class FailureEngine:
             self.sim.resend(m, frm=m.at, dead=e, bucket=bucket)
 
     # -- shortest path tree convergence ----------------------------------------
+
+    def _repair_tree(self, w, e, fid):
+        """w learned that e died: if e is in w's tree, repair the tree,
+        tell the endpoints of every edge that entered or left it and poke
+        w's searches; at the root, then check for a layer extension."""
+        t = self.sim.trees[w]
+        if child_endpoint(t.parent, e) is None:
+            return
+        removed, added = t.repair(self.g, e)
+        self._send_deltas(w, removed, added, fid)
+        self.dir.reevaluate(w)
+        if w == self.hier.root:
+            self._root_repair(e, fid)
+
+    def _spt_notify(self, src, w, e, fid):
+        self.dir._send("spt_notify", src, w, {"edge": list(e), "fid": fid},
+                       "logn", f"repair:spt_update:f{fid}")
 
     def _send_deltas(self, owner, removed, added, fid):
         t = self.sim.trees[owner]
@@ -242,26 +243,14 @@ class FailureEngine:
         # z is an endpoint of ed; if that edge died after the repair
         # adopted it, the owner needs to hear about the failure
         if not self.g.is_alive(ed):
-            self.dir._send("spt_notify", z, root,
-                           {"edge": list(ed), "fid": payload["fid"]},
-                           "logn", f"repair:spt_update:f{payload['fid']}")
+            self._spt_notify(z, root, ed, payload["fid"])
 
     def _on_spt_delta(self, msg):
         self._apply_delta(msg.dst, msg.payload)
 
     def _on_spt_notify(self, msg):
-        w = msg.dst
-        e = edge_id(*msg.payload["edge"])
-        fid = msg.payload["fid"]
-        t = self.sim.trees[w]
-        if child_endpoint(t.parent, e) is None:
-            return
-        if w == self.hier.root:
-            self._root_repair(e, fid)
-        else:
-            removed, added = t.repair(self.g, e)
-            self._send_deltas(w, removed, added, fid)
-            self.dir.reevaluate(w)
+        self._repair_tree(msg.dst, edge_id(*msg.payload["edge"]),
+                          msg.payload["fid"])
 
     # -- cluster splits ----------------------------------------------------------
 
@@ -312,6 +301,14 @@ class FailureEngine:
         self.dir.finding("notify_no_target", level=level, edge=list(e),
                          cluster=c.id)
 
+    def _notify_along_tree(self, y, c, p):
+        """Send split notice `p` from y to c's leader along c's tree; it
+        parks where that tree is cut again rather than detour."""
+        msg = Message("cluster_notify", y, c.leader, p, size="logn",
+                      bucket=f"repair:recluster:f{p['fid']}:c{c.id}")
+        msg.no_reroute = True
+        self.sim.send_on_path(msg, root_path(c.tree_parent, y))
+
     def _wake_parked(self, level):
         waiting = self.parked.pop(level, [])
         for y, p in waiting:
@@ -329,15 +326,11 @@ class FailureEngine:
             if target.leader == y:
                 self._process_notify(y, p2)
                 continue
-            bucket = f"repair:recluster:f{p['fid']}:c{target.id}"
             if y in target.tree_parent:
-                msg = Message("cluster_notify", y, target.leader, p2,
-                              size="logn", bucket=bucket)
-                msg.no_reroute = True
-                self.sim.send_on_path(msg, root_path(target.tree_parent, y))
+                self._notify_along_tree(y, target, p2)
             else:
-                self.dir._send("cluster_notify", y, target.leader, p2,
-                               "logn", bucket)
+                self.dir._send("cluster_notify", y, target.leader, p2, "logn",
+                               f"repair:recluster:f{p['fid']}:c{target.id}")
 
     def _apply_split(self, c, e, fid):
         level = c.level
@@ -395,10 +388,7 @@ class FailureEngine:
         if on_path:
             self.queue_txn(y, {"level": level, "bcast": c2.id, "fid": fid})
         else:
-            self.dir._send("split_verdict", y, v,
-                           {"cluster": c2.id, "level": level, "fid": fid,
-                             "final": w}, "logn",
-                           f"repair:path_update:f{fid}")
+            self._split_verdict(y, v, c2.id, level, fid, w)
         self._wake_parked(level)
 
     # -- verdicts and announcements ------------------------------------------------
@@ -409,12 +399,19 @@ class FailureEngine:
         self._stat_recluster(p["fid"], p["cluster"], p["level"], "xfer",
                              msg.traveled)
 
+    def _split_verdict(self, src, dst, cid, level, fid, final):
+        """Tell `final`, the new leader of split-off cluster `cid`, via
+        `dst`, that the path needs no update and it may announce."""
+        self.dir._send("split_verdict", src, dst,
+                       {"cluster": cid, "level": level, "fid": fid,
+                        "final": final}, "logn", f"repair:path_update:f{fid}")
+
     def _on_split_verdict(self, msg):
         p = msg.payload
         self._stat_path(p["fid"], msg.traveled)
         if msg.dst != p["final"]:
-            self.dir._send("split_verdict", msg.dst, p["final"], p, "logn",
-                           f"repair:path_update:f{p['fid']}")
+            self._split_verdict(msg.dst, p["final"], p["cluster"], p["level"],
+                                p["fid"], p["final"])
             return
         self._verdict_arrived(p["cluster"], p["level"], p["fid"])
 
@@ -430,13 +427,13 @@ class FailureEngine:
         lead = c.leader
         bucket = f"repair:recluster:f{fid}:c{c.id}"
         payload = {"entries": entries, "fid": fid, "extension": extension,
-                   "fan_r": str(fan_r)}
+                   "fan_r": fan_r}
         row = self._recluster_row(fid, c.id, c.level)
         if row is not None:
             row["extension"] = row["extension"] or extension
         for x in sorted(c.members):
             if x == lead:
-                self._apply_bcast(lead, payload, fan_r)
+                self._apply_bcast(lead, payload)
             else:
                 cost = self.g.path_weight(root_path(c.tree_parent, x))
                 self._stat_recluster(fid, c.id, c.level, "bcast", cost)
@@ -444,18 +441,15 @@ class FailureEngine:
                                       bucket=bucket), cost=cost)
 
     def _on_bcast(self, msg):
-        self._apply_bcast(msg.dst, msg.payload, None)
+        self._apply_bcast(msg.dst, msg.payload)
 
-    def _apply_bcast(self, x, payload, fan_r_value):
+    def _apply_bcast(self, x, payload):
         fid = payload["fid"]
         for level, leader in payload["entries"]:
             self.dir.refresh_belief(x, x, level, leader)
         if payload["extension"]:
             self.dir.re_register(x, fid)
-        fan_r = fan_r_value
-        if fan_r is None:
-            txt = payload["fan_r"]
-            fan_r = Fraction(txt) if "/" in txt else int(txt)
+        fan_r = payload["fan_r"]
         tree = self.sim.trees[x]
         bucket = f"repair:preprocess:f{fid}"
         for z in sorted(tree.dist):
@@ -573,11 +567,8 @@ class FailureEngine:
         cid = spec["bcast"]
         level = spec["level"]
         fid = spec["fid"]
-        c = self.hier.levels[level][cid]
-        self.dir._send("split_verdict", y, c.leader,
-                       {"cluster": cid, "level": level, "fid": fid,
-                         "final": c.leader}, "logn",
-                       f"repair:path_update:f{fid}")
+        leader = self.hier.levels[level][cid].leader
+        self._split_verdict(y, leader, cid, level, fid, leader)
 
     def _on_txn_lock(self, msg):
         z = msg.dst
@@ -591,20 +582,26 @@ class FailureEngine:
             else:
                 ns.queued_locks.append(msg)
                 return
-        ns.grants[p["txn"]] = p["level"]
+        self._grant(z, p)
+
+    def _grant(self, z, p):
+        """z grants the lock request `p`: it holds the grant until the
+        repoint (or a release) and tells the initiator."""
+        self.dir.nodes[z].grants[p["txn"]] = p["level"]
         self.dir._send("txn_grant", z, p["initiator"],
                        {"txn": p["txn"], "fid": p["fid"]},
                        "const", f"repair:path_update:f{p['fid']}")
 
+    def _release(self, src, dst, tid, fid):
+        self.dir._send("lock_release", src, dst, {"txn": tid, "fid": fid},
+                       "const", f"repair:path_update:f{fid}")
+
     def _abort_txn(self, z):
         ns = self.dir.nodes[z]
         txn = ns.busy_txn
-        fid = txn.spec["fid"]
         for n in sorted(txn.got):
             if n != z:
-                self.dir._send("lock_release", z, n,
-                               {"txn": txn.id, "fid": fid}, "const",
-                               f"repair:path_update:f{fid}")
+                self._release(z, n, txn.id, txn.spec["fid"])
         ns.pending_init.insert(0, txn.spec)
         ns.busy_txn = None
         self.txns.pop(txn.id, None)
@@ -623,10 +620,7 @@ class FailureEngine:
         txn = ns.busy_txn
         if txn is None or txn.id != msg.payload["txn"]:
             # granted to an aborted attempt; give it back
-            self.dir._send("lock_release", y, msg.src,
-                           {"txn": msg.payload["txn"],
-                             "fid": msg.payload["fid"]}, "const",
-                           f"repair:path_update:f{msg.payload['fid']}")
+            self._release(y, msg.src, msg.payload["txn"], msg.payload["fid"])
             return
         txn.got.add(msg.src)
         if txn.got >= txn.needed and txn.state == "locking":
@@ -658,24 +652,19 @@ class FailureEngine:
             self.dir._send("txn_install", msg.dst, p["target"], p, "logn",
                            f"repair:path_update:f{p['fid']}")
             return
-        w = msg.dst
-        ns = self.dir.nodes[w]
         # a grant held for this very transaction must not block its install
-        locked_other = ns.busy_txn is not None or any(
-            t != p["txn"] for t in ns.grants)
-        if locked_other:
-            ns.deferred.append(msg)
+        if self.dir._parked(msg, txn=p["txn"]):
             return
+        w = msg.dst
         fid = p["fid"]
         bucket = f"repair:path_update:f{fid}"
         if p["bands"] is not None:
             self._apply_band_install(w, p)
         else:
-            st = ns.level(p["level"])
-            if st.on_path:
+            if self.dir.nodes[w].level(p["level"]).on_path:
                 self.dir.finding("install_collision", node=w, level=p["level"])
-            self.dir.link(st, p["up"], p["down"], p["added_by"])
-            self.dir._register_shortcut(w, p["level"], bucket)
+            self.dir.join(w, p["level"], p["up"], p["down"], p["added_by"],
+                          bucket)
         for n, direction, at_level in ((p["up"], "down", p["level"] + 1),
                                        (p["down"], "up", p["level"] - 1)):
             if n is None:
@@ -717,7 +706,7 @@ class FailureEngine:
             if p["set"] == "down":
                 self.dir.set_down(st, p["new_node"])
             else:
-                st.up = p["new_node"]
+                self.dir.set_up(st, p["new_node"])
         else:
             self.dir.finding("repoint_off_path", node=z, level=p["at_level"])
         ns.grants.pop(p["txn"], None)
@@ -740,11 +729,7 @@ class FailureEngine:
         fid = spec["fid"]
         bucket = f"repair:path_update:f{fid}"
         level = spec["level"]
-        st = ns.levels.get(level)
-        if st is not None:
-            st.clear()
-        ns.hints[level] = (spec["target"], level)
-        self.dir._unregister_shortcut(y, level, bucket)
+        self.dir.leave(y, level, (spec["target"], level), bucket)
         if spec.get("ext"):
             self.dir.link(ns.level(spec["top_level"]), None, spec["target"],
                           txn.added_by)
@@ -757,12 +742,7 @@ class FailureEngine:
     def _maintenance(self, z):
         ns = self.dir.nodes[z]
         while ns.queued_locks and ns.busy_txn is None:
-            msg = ns.queued_locks.pop(0)
-            p = msg.payload
-            ns.grants[p["txn"]] = p["level"]
-            self.dir._send("txn_grant", z, p["initiator"],
-                           {"txn": p["txn"], "fid": p["fid"]}, "const",
-                           f"repair:path_update:f{p['fid']}")
+            self._grant(z, ns.queued_locks.pop(0).payload)
         self.dir.drain_deferred(z)
         if not ns.locked():
             self.try_init(z)
@@ -770,13 +750,12 @@ class FailureEngine:
     # -- the top level: repair plus possible layer extension -------------------------
 
     def _root_repair(self, e, fid):
-        root = self.hier.root
+        """The root repaired its tree after e died: if e cut the top
+        cluster's tree, decide whether to add levels on top."""
+        t = self.sim.trees[self.hier.root]
         top_c = self.hier.clusters_at(self.hier.top)[0]
-        pre_parent = dict(top_c.tree_parent)
-        t = self.sim.trees[root]
-        removed, added = t.repair(self.g, e)
-        self._send_deltas(root, removed, added, fid)
-        self.dir.reevaluate(root)
+        # still the tree from before this repair: it is a copy, never t.parent
+        pre_parent = top_c.tree_parent
         v = child_endpoint(pre_parent, e)
         if v is None:
             top_c.tree_parent = dict(t.parent)

@@ -343,17 +343,16 @@ def build_hierarchy(g: Graph, rho: int = 2, mode: str = "strong", seed: int = 0)
     return hier
 
 
-def verify_partition(hier: Hierarchy, sigma=None, post_failure: bool = False) -> dict:
+def verify_partition(hier: Hierarchy, post_failure: bool = False) -> dict:
     """Check the whole stack against the partition property.
 
-    Uses the hierarchy's measured sigma/overlap unless an explicit sigma
-    is given. After failures the diameter allowance doubles and the top
-    level is exempt (its radius argument no longer tracks the grown
-    diameter). Returns a report dict with per-level stats and an 'ok' flag.
+    Uses the hierarchy's measured sigma/overlap. After failures the
+    diameter allowance doubles and the top level is exempt (its radius
+    argument no longer tracks the grown diameter). Returns a report dict
+    with per-level stats and an 'ok' flag.
     """
     g = hier.g
-    sigma = sigma if sigma is not None else hier.sigma
-    allow = 2 * sigma if post_failure else sigma
+    allow = 2 * hier.sigma if post_failure else hier.sigma
     report = {"levels": [], "ok": True, "problems": []}
 
     def problem(msg):

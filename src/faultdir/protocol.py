@@ -17,11 +17,14 @@ deletion walker down the abandoned segment; the walker finishes by
 handing the token to the new owner. Every node that leaves the path
 records where it went, so late walkers converge instead of getting lost.
 
-Path state (`LevelState`) has three writers and no others, here and in
-the failure engine alike: `Directory.link` puts a node on the path,
-`Directory.set_down` repoints its down link, and `LevelState.clear`
-takes it off. The first two stamp the state with the time and failure
-count of the write; clearing keeps the stamp.
+Path state (`LevelState`, the forwarding hints and the shortcut
+registrations) is written only by these `Directory` methods, here and in
+the failure engine alike: `join` puts a node on the path and registers
+its shortcut, `leave` takes it off, leaves a hint and unregisters, `link`
+puts a node on the path without registering (the extension bands, which
+re-register afterwards), `set_down` repoints a down link and `set_up` an
+up link. `link` and `set_down` stamp the state with the time and failure
+count of the write; `set_up` and leaving keep the stamp.
 """
 
 from __future__ import annotations
@@ -161,22 +164,18 @@ class Directory:
             return False
         return True
 
-    def _parked(self, msg) -> bool:
+    def _parked(self, msg, txn=None) -> bool:
         """Park a write message at a locked destination; `drain_deferred`
-        replays it through its handler once the node is unlocked."""
+        replays it through its handler once the node is unlocked. A grant
+        held for transaction `txn` does not lock the node."""
         ns = self.nodes[msg.dst]
-        if ns.locked():
+        if ns.busy_txn is not None or any(t != txn for t in ns.grants):
             ns.deferred.append(msg)
             return True
         return False
 
-    def _send(self, kind, src, dst, payload, size, bucket, path=None):
-        msg = Message(kind, src, dst, payload, size=size, bucket=bucket)
-        if path is not None:
-            self.sim.send_on_path(msg, path)
-        else:
-            self.sim.send(msg)
-        return msg
+    def _send(self, kind, src, dst, payload, size, bucket) -> None:
+        self.sim.send(Message(kind, src, dst, payload, size=size, bucket=bucket))
 
     def link(self, st: LevelState, up, down, added_by) -> None:
         """Put a node on the path at one level, stamped now."""
@@ -191,6 +190,23 @@ class Directory:
         st.down = down
         st.built_t = self.sim.now
         st.built_f = self.failure_count
+
+    def set_up(self, st: LevelState, up) -> None:
+        """Repoint a path node's up link; the stamp stays."""
+        st.up = up
+
+    def join(self, y: int, level: int, up, down, added_by, bucket: str) -> None:
+        """Put y on the path at `level` and register its shortcut."""
+        self.link(self.nodes[y].level(level), up, down, added_by)
+        self._register_shortcut(y, level, bucket)
+
+    def leave(self, y: int, level: int, hint, bucket: str) -> None:
+        """Take y off the path at `level`, leave the hint `hint` (node,
+        level) for late walkers and unregister y's shortcut."""
+        ns = self.nodes[y]
+        ns.level(level).clear()
+        ns.hints[level] = hint
+        self._unregister_shortcut(y, level, bucket)
 
     def believed_own_leader(self, u: int, level: int) -> int | None:
         if level == -1:
@@ -243,6 +259,14 @@ class Directory:
         self.sim.log("op_issue", op=oid, kind=kind, node=issuer)
         return op
 
+    def _open_move(self, y: int) -> OpState | None:
+        """y's oldest open move, if any. A node has at most one once
+        `start_move` has rejected a second."""
+        for op in self.ops.values():
+            if op.kind == "move" and op.issuer == y and op.open():
+                return op
+        return None
+
     def current_owner(self) -> int | None:
         return self.owner_trace[-1][1] if self.owner_trace else None
 
@@ -266,7 +290,7 @@ class Directory:
             payload = {"op": op.id, "level": level, "down": down, "up": up,
                        "added_by": v}
             if leader == v:
-                self._apply_path_state(v, payload, bucket=f"op:{op.id}:L{level}:link")
+                self._apply_path_state(v, payload)
             else:
                 op.acks_needed.add((leader, level))
                 self._send("pub_set", v, leader, payload, "logn",
@@ -298,23 +322,21 @@ class Directory:
             self.finding("move_before_publish", node=v)
             op.phase = "rejected"
             return op
-        for other in self.ops.values():
-            if other.kind == "move" and other.issuer == v and other.open() and other is not op:
-                self.finding("concurrent_move_same_node", node=v)
-                op.phase = "rejected"
-                return op
+        # ops are kept in issue order, so an older open move comes first
+        if self._open_move(v) is not op:
+            self.finding("concurrent_move_same_node", node=v)
+            op.phase = "rejected"
+            return op
         op.owner_at_issue = self.current_owner()
         op.dist_at_issue = self.sim.g.distance(v, op.owner_at_issue)
         ns = self.nodes[v]
-        st = ns.level(-1)
-        if st.on_path and (ns.has_token or ns.expecting_token):
+        if ns.level(-1).on_path and (ns.has_token or ns.expecting_token):
             # already the owner (or about to be): nothing to do
             op.discovery_level = -1
             self._complete(op)
             return op
-        self.link(st, None, None, v)
+        self.join(v, -1, None, None, v, f"op:{op.id}:L-1:sc")
         ns.expecting_token = True
-        self._register_shortcut(v, -1, f"op:{op.id}:L-1:sc")
         op.level = 0
         self._advance(op)
         return op
@@ -442,10 +464,8 @@ class Directory:
                 reply["found"] = True
                 reply["walking"] = True
                 reply["via_shortcut"] = True
-                self._send("lookup_walk", y, target,
-                           {"op": op_id, "issuer": p["issuer"], "at_level": tlevel,
-                            "via_shortcut": [y, level], "min_built_f": None},
-                           "const", f"op:{op_id}:walk")
+                self._walk(y, target, op_id, p["issuer"], tlevel, [y, level],
+                           None)
         self._send("search_reply", y, p["issuer"], reply, "logn",
                    f"op:{op_id}:L{level}:reply")
 
@@ -454,16 +474,12 @@ class Directory:
         at the mover's branch node `down`, log `event`, and send a delete
         walk down the old branch."""
         old_down = st.down
-        st.added_by = new_owner
-        self.set_down(st, down)
+        self.link(st, st.up, down, new_owner)
         self.sim.log(event, op=op_id, node=y, level=level)
         if old_down is None:
             self.finding("splice_without_down", op=op_id, node=y, level=level)
         else:
-            self._send("del_walk", y, old_down,
-                       {"op": op_id, "expect_level": level - 1,
-                        "new_owner": new_owner, "min_built_f": st.built_f},
-                       "const", f"op:{op_id}:walk")
+            self._del_walk(y, old_down, op_id, level - 1, new_owner, st.built_f)
 
     def _on_search_reply(self, msg):
         p = msg.payload
@@ -508,8 +524,8 @@ class Directory:
             self._splice(y, st, level, p["op"], p["added_by"], p["down"],
                          "splice_on_add")
         else:
-            self.link(st, None, p["down"], p["added_by"])
-            self._register_shortcut(y, level, f"op:{p['op']}:L{level}:sc")
+            self.join(y, level, None, p["down"], p["added_by"],
+                      f"op:{p['op']}:L{level}:sc")
         self._send("move_ack", y, p["added_by"],
                    {"op": p["op"], "level": level, "spliced": spliced},
                    "const", f"op:{p['op']}:L{level}:link")
@@ -557,7 +573,7 @@ class Directory:
                 self.finding("set_up_after_delete", node=y, level=level)
             return
         if st.up is None:
-            st.up = msg.payload["up"]
+            self.set_up(st, msg.payload["up"])
         else:
             # a concurrent path update already repointed us; its value is
             # fresher than the mover's snapshot
@@ -588,17 +604,16 @@ class Directory:
 
     # -- path state application (publish) --------------------------------------
 
-    def _apply_path_state(self, y: int, payload: dict, bucket: str) -> None:
-        st = self.nodes[y].level(payload["level"])
-        if st.on_path:
-            self.finding("path_state_overwrite", node=y, level=payload["level"])
-        self.link(st, payload["up"], payload["down"], payload["added_by"])
-        self._register_shortcut(y, payload["level"], bucket.rsplit(":", 1)[0] + ":sc")
-        self._stale_adder_check(y, payload["level"])
+    def _apply_path_state(self, y: int, p: dict) -> None:
+        level = p["level"]
+        if self.nodes[y].level(level).on_path:
+            self.finding("path_state_overwrite", node=y, level=level)
+        self.join(y, level, p["up"], p["down"], p["added_by"],
+                  f"op:{p['op']}:L{level}:sc")
+        self._stale_adder_check(y, level)
 
     def _on_pub_set(self, msg):
-        self._apply_path_state(msg.dst, msg.payload,
-                               f"op:{msg.payload['op']}:L{msg.payload['level']}:link")
+        self._apply_path_state(msg.dst, msg.payload)
         self._send("ack", msg.dst, msg.src,
                    {"op": msg.payload["op"], "level": msg.payload["level"]},
                    "const", f"op:{msg.payload['op']}:L{msg.payload['level']}:link")
@@ -619,6 +634,17 @@ class Directory:
 
     # -- lookup walks -----------------------------------------------------------
 
+    def _walk(self, src, dst, op_id, issuer, at_level, via_shortcut, min_f):
+        self._send("lookup_walk", src, dst,
+                   {"op": op_id, "issuer": issuer, "at_level": at_level,
+                    "via_shortcut": via_shortcut, "min_built_f": min_f},
+                   "const", f"op:{op_id}:walk")
+
+    def _walk_fail(self, src, issuer, op_id, resume_level):
+        self._send("walk_fail", src, issuer,
+                   {"op": op_id, "resume_level": resume_level},
+                   "const", f"op:{op_id}:walk")
+
     def _on_lookup_walk(self, msg):
         p = msg.payload
         self._deliver_walk_step(msg.dst, p["at_level"], p["op"], p["issuer"],
@@ -637,36 +663,23 @@ class Directory:
                 if op is not None and op.open():
                     self._walk_arrived_at_owner(op, y)
                 return
-            self._send("lookup_walk", y, st.down,
-                       {"op": op_id, "issuer": issuer, "at_level": level - 1,
-                        "via_shortcut": None, "min_built_f": min_f},
-                       "const", f"op:{op_id}:walk")
+            self._walk(y, st.down, op_id, issuer, level - 1, None, min_f)
             return
         # not on the path here (anymore)
         if via_shortcut is not None:
-            self._send("walk_fail", y, issuer,
-                       {"op": op_id, "resume_level": via_shortcut[1]},
-                       "const", f"op:{op_id}:walk")
+            self._walk_fail(y, issuer, op_id, via_shortcut[1])
             return
         if ns.token_forward is not None:
             self.finding("lookup_forwarded_by_old_owner", op=op_id, node=y)
-            self._send("lookup_walk", y, ns.token_forward,
-                       {"op": op_id, "issuer": issuer, "at_level": -1,
-                        "via_shortcut": None, "min_built_f": min_f},
-                       "const", f"op:{op_id}:walk")
+            self._walk(y, ns.token_forward, op_id, issuer, -1, None, min_f)
             return
         hint = ns.hints.get(level)
         if hint is not None:
             self.finding("lookup_hint_redirect", op=op_id, node=y, level=level)
-            self._send("lookup_walk", y, hint[0],
-                       {"op": op_id, "issuer": issuer, "at_level": hint[1],
-                        "via_shortcut": None, "min_built_f": min_f},
-                       "const", f"op:{op_id}:walk")
+            self._walk(y, hint[0], op_id, issuer, hint[1], None, min_f)
             return
         self.finding("lookup_walk_stranded", op=op_id, node=y, level=level)
-        self._send("walk_fail", y, issuer,
-                   {"op": op_id, "resume_level": level + 1},
-                   "const", f"op:{op_id}:walk")
+        self._walk_fail(y, issuer, op_id, level + 1)
 
     def _walk_arrived_at_owner(self, op: OpState, y: int) -> None:
         ns = self.nodes[y]
@@ -686,14 +699,11 @@ class Directory:
             ns.waiting_lookups.append(op.id)
             return
         if ns.token_forward is not None:
-            self._send("lookup_walk", y, ns.token_forward,
-                       {"op": op.id, "issuer": op.issuer, "at_level": -1,
-                        "via_shortcut": None, "min_built_f": op.walk_min_built_f},
-                       "const", f"op:{op.id}:walk")
+            self._walk(y, ns.token_forward, op.id, op.issuer, -1, None,
+                       op.walk_min_built_f)
             return
         self.finding("owner_without_token", op=op.id, node=y)
-        self._send("walk_fail", y, op.issuer, {"op": op.id, "resume_level": 0},
-                   "const", f"op:{op.id}:walk")
+        self._walk_fail(y, op.issuer, op.id, 0)
 
     def _on_lookup_reply(self, msg):
         op = self.ops.get(msg.payload["op"])
@@ -716,58 +726,53 @@ class Directory:
 
     # -- deletion walker ---------------------------------------------------------
 
+    def _del_walk(self, src, dst, op_id, expect_level, new_owner, min_f):
+        self._send("del_walk", src, dst,
+                   {"op": op_id, "expect_level": expect_level,
+                    "new_owner": new_owner, "min_built_f": min_f},
+                   "const", f"op:{op_id}:walk")
+
     def _on_del_walk(self, msg):
         if self._parked(msg):
             return
         y = msg.dst
         ns = self.nodes[y]
         p = msg.payload
-        level = p["expect_level"]
+        op_id, level = p["op"], p["expect_level"]
+        new_owner, min_f = p["new_owner"], p["min_built_f"]
         st = ns.levels.get(level)
         if st is not None and st.on_path:
+            nxt = st.down
+            self.leave(y, level, (new_owner, -1), f"op:{op_id}:L{level}:sc")
             if level == -1:
                 self._owner_end_transfer(y, p)
-                return
-            nxt = st.down
-            st.clear()
-            ns.hints[level] = (p["new_owner"], -1)
-            self._unregister_shortcut(y, level, f"op:{p['op']}:L{level}:sc")
-            self._send("del_walk", y, nxt,
-                       {"op": p["op"], "expect_level": level - 1,
-                        "new_owner": p["new_owner"],
-                        "min_built_f": p.get("min_built_f")},
-                       "const", f"op:{p['op']}:walk")
+            else:
+                self._del_walk(y, nxt, op_id, level - 1, new_owner, min_f)
             return
         if ns.token_forward is not None and level == -1:
-            self.finding("del_walk_forwarded", op=p["op"], node=y)
-            self._send("del_walk", y, ns.token_forward,
-                       {"op": p["op"], "expect_level": -1,
-                        "new_owner": p["new_owner"],
-                        "min_built_f": p.get("min_built_f")},
-                       "const", f"op:{p['op']}:walk")
+            self.finding("del_walk_forwarded", op=op_id, node=y)
+            self._del_walk(y, ns.token_forward, op_id, -1, new_owner, min_f)
             return
         hint = ns.hints.get(level)
         if hint is not None:
-            self.finding("del_walk_hint_redirect", op=p["op"], node=y, level=level)
-            self._send("del_walk", y, hint[0],
-                       {"op": p["op"], "expect_level": hint[1],
-                        "new_owner": p["new_owner"],
-                        "min_built_f": p.get("min_built_f")},
-                       "const", f"op:{p['op']}:walk")
+            self.finding("del_walk_hint_redirect", op=op_id, node=y, level=level)
+            self._del_walk(y, hint[0], op_id, hint[1], new_owner, min_f)
             return
-        self.finding("del_walk_stranded", op=p["op"], node=y, level=level)
+        self.finding("del_walk_stranded", op=op_id, node=y, level=level)
+
+    def _hand_token(self, y: int, nxt: int, op_id: str) -> None:
+        ns = self.nodes[y]
+        ns.has_token = False
+        ns.token_forward = nxt
+        self._send("token", y, nxt, {"op": op_id, "value": self.token_value},
+                   "const", f"op:{op_id}:token")
 
     def _owner_end_transfer(self, y: int, p: dict) -> None:
+        """The delete walk reached the old owner y, which just left level
+        -1: pass the token on now or once it arrives."""
         ns = self.nodes[y]
-        ns.level(-1).clear()
-        ns.hints[-1] = (p["new_owner"], -1)
-        self._unregister_shortcut(y, -1, f"op:{p['op']}:L-1:sc")
         if ns.has_token:
-            ns.has_token = False
-            ns.token_forward = p["new_owner"]
-            self._send("token", y, p["new_owner"],
-                       {"op": p["op"], "value": self.token_value},
-                       "const", f"op:{p['op']}:token")
+            self._hand_token(y, p["new_owner"], p["op"])
         elif ns.expecting_token:
             if ns.pending_transfer is not None:
                 self.finding("double_pending_transfer", node=y)
@@ -792,11 +797,7 @@ class Directory:
         ns.expecting_token = False
         # whatever op id rode along, the receiver's own open move is the
         # one this arrival completes
-        mover_op = None
-        for cand in self.ops.values():
-            if cand.kind == "move" and cand.issuer == y and cand.open():
-                mover_op = cand
-                break
+        mover_op = self._open_move(y)
         if mover_op is not None:
             mover_op.read_t = now
             mover_op.version = self.token_version
@@ -808,16 +809,11 @@ class Directory:
             if wop is not None and wop.open():
                 self._walk_arrived_at_owner(wop, y)
         if ns.pending_transfer is not None:
+            # y left level -1 when the transfer was parked, and cannot
+            # have rejoined: its own move stayed open until now
             nxt, nxt_op = ns.pending_transfer
             ns.pending_transfer = None
-            st = ns.levels.get(-1)
-            if st is not None:
-                st.clear()
-            ns.has_token = False
-            ns.token_forward = nxt
-            self._send("token", y, nxt, {"op": nxt_op,
-                                         "value": self.token_value},
-                       "const", f"op:{nxt_op}:token")
+            self._hand_token(y, nxt, nxt_op)
 
     # -- completion ---------------------------------------------------------------
 

@@ -25,9 +25,7 @@ from faultdir.sim import Simulator
 
 def q(x):
     """Exact values as strings so records survive JSON round trips."""
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else str(x.numerator)
-    return x
+    return str(x) if isinstance(x, Fraction) else x
 
 
 def unq(s):
@@ -135,7 +133,7 @@ class Runtime:
 
     def _settle(self, context: str) -> None:
         self.sim.run()
-        stuck = [op.id for op in self.dir.ops.values() if op.open()]
+        stuck = [op.id for op in self.dir.open_ops()]
         if stuck:
             raise RuntimeError(f"{context}: operations never finished: {stuck}")
         if not self.dir.quiescent():

@@ -167,11 +167,9 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def schedule(self, delay, kind: str, data) -> int:
-        seq = self._seq
+    def schedule(self, delay, kind: str, data) -> None:
+        heapq.heappush(self._heap, (self.now + delay, self._seq, kind, data))
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, seq, kind, data))
-        return seq
 
     def call_later(self, delay, timer_name: str, data=None) -> None:
         assert timer_name in self.timers, timer_name
@@ -249,12 +247,12 @@ class Simulator:
         self.in_flight.setdefault(e, []).append(msg)
         self.schedule(self.g.weight(e), "hop", msg)
 
-    def bulk(self, msg: Message, cost, delay=None, count: int = 1) -> None:
-        """Direct delivery with explicit cost; latency defaults to cost."""
+    def bulk(self, msg: Message, cost) -> None:
+        """Direct delivery with explicit cost; the latency is the cost."""
         self._admit(msg)
-        self.ledger.charge(msg.bucket, cost, msg.size, count=count)
+        self.ledger.charge(msg.bucket, cost, msg.size)
         msg.traveled = cost
-        self.schedule(cost if delay is None else delay, "deliver", msg)
+        self.schedule(cost, "deliver", msg)
 
     def charge_only(self, bucket: str, cost, size: str = "const", count: int = 1) -> None:
         self.ledger.charge(bucket, cost, size, count=count)
