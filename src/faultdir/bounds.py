@@ -264,9 +264,8 @@ def _check_pairs(rx: _Rec, rep: BoundReport) -> None:
         if row["dist_next"] is None:
             continue
         i = row["level"]
-        s = rx.sigma if row["pair_f"] == 0 else 2 * rx.sigma
-        bound = s * (rx.radius(i) + rx.radius(i + 1)) + rx.radius(i + 1)
-        grp.hit(_num(row["dist_next"]), bound, f"levels {i}/{i + 1}")
+        grp.hit(_num(row["dist_next"]), rx.pair_bound(i + 1, row["pair_f"]),
+                f"levels {i}/{i + 1}")
     grp.emit(rep)
 
 

@@ -21,7 +21,7 @@ import random
 import sys
 
 from faultdir.bounds import check_bounds
-from faultdir.partition import build_hierarchy, verify_partition
+from faultdir.partition import build_hierarchy
 from faultdir.scenario import Runtime, build_graph
 
 
@@ -172,7 +172,7 @@ def cmd_gen(args) -> int:
 def cmd_partition_stats(args) -> int:
     g = build_graph(args.graph)
     hier = build_hierarchy(g, rho=args.rho, mode=args.mode, seed=args.seed)
-    chk = verify_partition(hier)
+    chk = hier.pre_check
     out = {
         "n": len(g.nodes()), "mode": hier.mode, "rho": hier.rho,
         "diameter": str(hier.diameter0), "top": hier.top,

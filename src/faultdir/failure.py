@@ -135,13 +135,6 @@ class FailureEngine:
         self.failures[fid]["stats"]["sc_update"].append(
             {"level": level, "clamp": clamp, "dist": dist})
 
-    def _stat_path_msg(self, msg, fid):
-        # deferred messages get handled twice; count the delivery once
-        if getattr(msg, "_path_counted", False):
-            return
-        msg._path_counted = True
-        self._stat_path(fid, msg.traveled)
-
     # -- failure entry point ----------------------------------------------------
 
     def fail_edge(self, e) -> dict:
@@ -349,7 +342,7 @@ class FailureEngine:
         if not members2:
             self.detach_log.setdefault(c.id, []).append(
                 {"child": None, "members": frozenset(), "nodes": frozenset(det_nodes),
-                 "v": v, "fid": fid})
+                 "v": v})
             rec["splits"].append({"level": level, "parent": c.id, "child": None,
                                   "size": 0})
             self.sim.log("split_prune", level=level, cluster=c.id, edge=list(e))
@@ -371,7 +364,7 @@ class FailureEngine:
         self.verdict_pending.add(c2.id)
         self.detach_log.setdefault(c.id, []).append(
             {"child": c2.id, "members": frozenset(members2),
-             "nodes": frozenset(det_nodes), "v": v, "fid": fid})
+             "nodes": frozenset(det_nodes), "v": v})
         st = self.dir.nodes[y].levels.get(level)
         on_path = st is not None and st.on_path and st.added_by in c2.members
         rec["splits"].append({"level": level, "parent": c.id, "child": c2.id,
@@ -573,7 +566,7 @@ class FailureEngine:
     def _on_txn_lock(self, msg):
         z = msg.dst
         p = msg.payload
-        self._stat_path_msg(msg, p["fid"])
+        self._stat_path(p["fid"], msg.traveled)
         ns = self.dir.nodes[z]
         if ns.busy_txn is not None:
             # still collecting locks and the requester outranks us: back off
@@ -608,14 +601,14 @@ class FailureEngine:
         self.sim.log("txn_abort", txn=txn.id, node=z)
 
     def _on_lock_release(self, msg):
-        self._stat_path_msg(msg, msg.payload["fid"])
+        self._stat_path(msg.payload["fid"], msg.traveled)
         ns = self.dir.nodes[msg.dst]
         ns.grants.pop(msg.payload["txn"], None)
         self._maintenance(msg.dst)
 
     def _on_txn_grant(self, msg):
         y = msg.dst
-        self._stat_path_msg(msg, msg.payload["fid"])
+        self._stat_path(msg.payload["fid"], msg.traveled)
         ns = self.dir.nodes[y]
         txn = ns.busy_txn
         if txn is None or txn.id != msg.payload["txn"]:
@@ -634,7 +627,6 @@ class FailureEngine:
                    "up": txn.up, "down": txn.down, "added_by": txn.added_by,
                    "target": spec["target"], "bcast": spec.get("bcast"),
                    "fid": fid, "bands": spec.get("bands"),
-                   "top_level": spec.get("top_level"),
                    "bcast_bands": spec.get("bcast_bands"),
                    "entries": spec.get("entries")}
         # route through the cut endpoint: it is the one node certain to know
@@ -647,13 +639,15 @@ class FailureEngine:
 
     def _on_txn_install(self, msg):
         p = msg.payload
-        self._stat_path_msg(msg, p["fid"])
-        if msg.dst != p["target"]:
+        at_target = msg.dst == p["target"]
+        # a grant held for this very transaction must not block its install;
+        # a parked install is counted when `drain_deferred` replays it
+        if at_target and self.dir._parked(msg, txn=p["txn"]):
+            return
+        self._stat_path(p["fid"], msg.traveled)
+        if not at_target:
             self.dir._send("txn_install", msg.dst, p["target"], p, "logn",
                            f"repair:path_update:f{p['fid']}")
-            return
-        # a grant held for this very transaction must not block its install
-        if self.dir._parked(msg, txn=p["txn"]):
             return
         w = msg.dst
         fid = p["fid"]
@@ -699,7 +693,7 @@ class FailureEngine:
     def _on_txn_repoint(self, msg):
         z = msg.dst
         p = msg.payload
-        self._stat_path_msg(msg, p["fid"])
+        self._stat_path(p["fid"], msg.traveled)
         ns = self.dir.nodes[z]
         st = ns.levels.get(p["at_level"])
         if st is not None and st.on_path:
@@ -717,7 +711,7 @@ class FailureEngine:
 
     def _on_txn_clear(self, msg):
         y = msg.dst
-        self._stat_path_msg(msg, msg.payload["fid"])
+        self._stat_path(msg.payload["fid"], msg.traveled)
         ns = self.dir.nodes[y]
         txn = ns.busy_txn
         if txn is None or txn.id != msg.payload["txn"]:
@@ -874,7 +868,7 @@ class FailureEngine:
 
     def _on_ext_verdict(self, msg):
         p = msg.payload
-        self._stat_path_msg(msg, p["fid"])
+        self._stat_path(p["fid"], msg.traveled)
         self._announce_bands(p["level"], p["bands"], p["entries"], p["fid"])
 
     def _announce_bands(self, level, bands, entries, fid):

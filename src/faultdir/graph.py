@@ -171,25 +171,6 @@ class Graph:
             raise ValueError(f"no path from {u} to {v}")
         return dist[v]
 
-    def eccentricity(self, u: int):
-        dist, _ = self.sssp(u)
-        if len(dist) != self.n:
-            raise ValueError("graph is disconnected")
-        return max(dist.values())
-
-    def diameter(self):
-        return max(self.eccentricity(u) for u in self.nodes())
-
-    def center(self) -> int:
-        """Node with minimum eccentricity, ties to the smaller id."""
-        best = None
-        best_ecc = None
-        for u in self.nodes():
-            ecc = self.eccentricity(u)
-            if best_ecc is None or ecc < best_ecc:
-                best, best_ecc = u, ecc
-        return best
-
     def path_weight(self, path: list[int]):
         """Summed weight of the edges along a node path, dead or alive."""
         return sum(self.weight((a, b)) for a, b in zip(path, path[1:]))

@@ -5,8 +5,9 @@ is bounded by sigma * r_i, such that any r_i-neighborhood meets at most
 `overlap` clusters. Level -1 is the singleton partition, the top level is
 the whole node set led by a global root. Clustering uses random
 exponential shifts and one multi-source Dijkstra, in both modes; the
-achieved sigma and overlap are measured once after the build and those
-measured values parameterize every downstream bound check.
+achieved sigma and overlap are measured once after the build, by the same
+pass that checks it, and those measured values parameterize every
+downstream bound check.
 
 Weak and strong mode share the partition and differ only in how leaders
 and trees are chosen. Clusters keep explicit spanning trees rooted at
@@ -123,13 +124,7 @@ def build_partition(g: Graph, r, mode: str, rng: random.Random) -> list[tuple[in
     if mode not in ("weak", "strong"):
         raise ValueError(f"unknown mode {mode!r}")
     nodes = g.nodes()
-    n = len(nodes)
-    if n == 1:
-        return [(nodes[0], {nodes[0]})]
-    if r >= g.diameter():
-        # one cluster already satisfies the radius; skip the lottery
-        return [(g.center(), set(nodes))]
-    rate = math.log(n) / float(r)
+    rate = math.log(len(nodes)) / float(r)
     shifts = {u: _rational_exp_shift(rng, rate, float(r)) for u in nodes}
     top = max(shifts.values())
     starts = {u: top - shifts[u] for u in nodes}
@@ -209,6 +204,7 @@ class Hierarchy:
         self.diameter0 = None
         self.sigma = None
         self.overlap = None
+        self.pre_check = None
 
     # -- structure accessors ---------------------------------------------
 
@@ -259,21 +255,15 @@ class Hierarchy:
     # -- measured parameters ----------------------------------------------
 
     def measure(self) -> None:
-        """Record achieved sigma and overlap over the built levels."""
-        sigma = Fraction(1)
-        overlap = 1
-        for i in self.all_levels():
-            r = self.radius(i)
-            if r == 0:
-                continue
-            for c in self.clusters_at(i):
-                d = c.diameter(self.g, self.mode)
-                if d > sigma * r:
-                    sigma = Fraction(d, 1) / r if not isinstance(d, Fraction) else d / r
-            for u in self.g.nodes():
-                overlap = max(overlap, self.overlap_at(u, i))
-        self.sigma = sigma
-        self.overlap = overlap
+        """The one build-time pass: check the stack with `verify_partition`,
+        keep its report as `pre_check`, and take sigma and overlap as the
+        largest diameter-to-radius ratio and overlap in its rows for the
+        levels with r > 0."""
+        self.pre_check = verify_partition(self)
+        rows = [(Fraction(row["r"]), row) for row in self.pre_check["levels"]]
+        self.sigma = max(Fraction(row["max_diameter"]) / r
+                         for r, row in rows if r > 0)
+        self.overlap = max(row["max_overlap"] for r, row in rows if r > 0)
 
     # -- derived constants -------------------------------------------------
 
@@ -313,7 +303,10 @@ def build_hierarchy(g: Graph, rho: int = 2, mode: str = "strong", seed: int = 0)
     if not g.is_connected():
         raise ValueError("graph is disconnected")
     hier = Hierarchy(g, mode, rho, seed)
-    D = g.diameter()
+    # the whole node set: its eccentricities give D, the root and the top
+    # cluster's diameter
+    ecc_all = eccentricities(g, set(g.nodes()), mode)
+    D = max(ecc_all.values())
     hier.diameter0 = D
     h = 0
     power = 1
@@ -336,23 +329,28 @@ def build_hierarchy(g: Graph, rho: int = 2, mode: str = "strong", seed: int = 0)
             # the eccentricities that chose the leader also give the diameter
             c._diameter = (g.version, max(ecc.values()))
             hier.add_cluster(c)
-    root = g.center()
-    root_tree = {u: p for u, p in g.sssp(root)[1].items()}
-    hier.add_cluster(Cluster(hier.new_cid(), h, set(g.nodes()), root, root_tree))
+    root = choose_leader(ecc_all)
+    top = Cluster(hier.new_cid(), h, set(g.nodes()), root, g.sssp(root)[1])
+    top._diameter = (g.version, D)
+    hier.add_cluster(top)
     hier.measure()
     return hier
 
 
 def verify_partition(hier: Hierarchy, post_failure: bool = False) -> dict:
-    """Check the whole stack against the partition property.
+    """Check the whole stack and report, per level, the radius, the
+    cluster count, the largest cluster diameter and the largest number of
+    clusters an r-ball meets; 'ok' is False if any check failed.
 
-    Uses the hierarchy's measured sigma/overlap. After failures the
-    diameter allowance doubles and the top level is exempt (its radius
-    argument no longer tracks the grown diameter). Returns a report dict
-    with per-level stats and an 'ok' flag.
+    Always checked: each level's clusters cover the nodes disjointly,
+    leaders lie in their clusters, trees are valid and, in strong mode,
+    clusters are connected. After failures the diameters below the top
+    must also stay within 2 * sigma * r (the top's radius no longer tracks
+    the grown diameter). Nothing bounds the overlap, and before failures
+    nothing bounds a diameter: sigma and the overlap are the maxima of the
+    build-time rows (`Hierarchy.measure`).
     """
     g = hier.g
-    allow = 2 * hier.sigma if post_failure else hier.sigma
     report = {"levels": [], "ok": True, "problems": []}
 
     def problem(msg):
@@ -363,6 +361,8 @@ def verify_partition(hier: Hierarchy, post_failure: bool = False) -> dict:
     for i in hier.all_levels():
         r = hier.radius(i)
         clusters = hier.clusters_at(i)
+        limit = 2 * hier.sigma * r \
+            if post_failure and r > 0 and i != hier.top else None
         seen: set[int] = set()
         max_diam = 0
         for c in clusters:
@@ -377,19 +377,15 @@ def verify_partition(hier: Hierarchy, post_failure: bool = False) -> dict:
             else:
                 d = c.diameter(g, hier.mode)
                 max_diam = max(max_diam, d)
-                skip_diam = post_failure and i == hier.top
-                if r > 0 and d > allow * r and not skip_diam:
-                    problem(f"level {i}: cluster {c.id} diameter {d} > {allow * r}")
+                if limit is not None and d > limit:
+                    problem(f"level {i}: cluster {c.id} diameter {d} > {limit}")
             _check_tree(hier, c, problem)
         if seen != nodes:
             problem(f"level {i}: clusters do not cover all nodes")
-        max_k = max(hier.overlap_at(u, i) for u in g.nodes())
-        limit = hier.overlap if not post_failure else None
-        if limit is not None and max_k > limit:
-            problem(f"level {i}: neighborhood meets {max_k} clusters > {limit}")
         report["levels"].append({
             "level": i, "r": str(r), "clusters": len(clusters),
-            "max_diameter": str(max_diam), "max_overlap": max_k,
+            "max_diameter": str(max_diam),
+            "max_overlap": max(hier.overlap_at(u, i) for u in g.nodes()),
         })
     tops = hier.clusters_at(hier.top)
     if len(tops) != 1 or tops[0].members != nodes:

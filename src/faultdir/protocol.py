@@ -132,7 +132,6 @@ class Directory:
         self.token_value = None
         self.token_version = None
         self.token_intervals: list[dict] = []
-        self.owner_trace: list[tuple] = []
         self.findings: list[dict] = []
         self.failure_count = 0
         self.engine = None  # failure engine attaches itself
@@ -268,7 +267,7 @@ class Directory:
         return None
 
     def current_owner(self) -> int | None:
-        return self.owner_trace[-1][1] if self.owner_trace else None
+        return self.token_intervals[-1]["holder"] if self.token_intervals else None
 
     def start_publish(self, v: int) -> OpState:
         op = self._new_op("pub", v)
@@ -281,7 +280,6 @@ class Directory:
         ns = self.nodes[v]
         ns.has_token = True
         self.token_intervals.append({"version": 0, "holder": v, "t_from": self.sim.now})
-        self.owner_trace.append((self.sim.now, v))
         for level in range(-1, self.hier.top + 1):
             leader = self.believed_own_leader(v, level)
             down = v if level == 0 else (
@@ -442,8 +440,7 @@ class Directory:
         cluster = self.hier.led_by(level, y)
         members = cluster.members if cluster else set()
         stale = sorted(x for x in p["members"] if x not in members)
-        reply = {"op": op_id, "level": level, "found": False, "stale": stale,
-                 "walking": False}
+        reply = {"op": op_id, "level": level, "found": False, "stale": stale}
         st = ns.levels.get(level)
         if p["kind"] == "move":
             if st is not None and st.on_path:
@@ -456,13 +453,11 @@ class Directory:
             sc = sorted((t[1], t[0]) for t in ns.shortcuts if t[1] < level)
             if on_levels:
                 reply["found"] = True
-                reply["walking"] = True
                 self._deliver_walk_step(y, on_levels[0], op_id, p["issuer"],
                                         None, None)
             elif sc:
                 tlevel, target = sc[0]
                 reply["found"] = True
-                reply["walking"] = True
                 reply["via_shortcut"] = True
                 self._walk(y, target, op_id, p["issuer"], tlevel, [y, level],
                            None)
@@ -792,7 +787,6 @@ class Directory:
             self.token_intervals[-1]["t_to"] = now
         self.token_intervals.append({"version": self.token_version, "holder": y,
                                      "t_from": now})
-        self.owner_trace.append((now, y))
         ns.has_token = True
         ns.expecting_token = False
         # whatever op id rode along, the receiver's own open move is the

@@ -108,9 +108,8 @@ class Runtime:
         self.hier = build_hierarchy(self.g, rho=int(sc.get("rho", 2)),
                                     mode=sc.get("mode", "strong"),
                                     seed=int(sc.get("seed", 0)))
-        self.pre_check = verify_partition(self.hier)
-        if not self.pre_check["ok"]:
-            raise RuntimeError(f"partition invalid at build: {self.pre_check}")
+        if not self.hier.pre_check["ok"]:
+            raise RuntimeError(f"partition invalid at build: {self.hier.pre_check}")
         self.sim = Simulator(self.g)
         for x in sorted(self.g.nodes()):
             self.sim.trees[x] = build_spt(self.g, x)
@@ -223,7 +222,7 @@ class Runtime:
                               "t_from": q(iv["t_from"]),
                               "t_to": q(iv.get("t_to"))})
         post = verify_partition(self.hier, post_failure=True) \
-            if self.engine.failures else self.pre_check
+            if self.engine.failures else self.hier.pre_check
         d_alive = 0
         for t in self.sim.trees.values():
             d_alive = max(d_alive, max(t.dist.values()))
@@ -246,8 +245,9 @@ class Runtime:
             "failures": failures,
             "findings": list(self.dir.findings),
             "token_intervals": intervals,
-            "owner_trace": [[q(t), x] for t, x in self.dir.owner_trace],
-            "partition_pre": self.pre_check,
+            "owner_trace": [[q(iv["t_from"]), iv["holder"]]
+                            for iv in self.dir.token_intervals],
+            "partition_pre": self.hier.pre_check,
             "partition_post": post,
             "ledger": led.as_rows(),
             "event_count": len(self.sim.events),

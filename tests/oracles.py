@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from faultdir.graph import edge_id, subtree
-from faultdir.partition import _rational_exp_shift
+from faultdir.partition import _check_tree, _rational_exp_shift, eccentricities
 
 INF = None
 
@@ -51,6 +51,13 @@ def brute_diameter(g):
             if dist[u][v] > best:
                 best = dist[u][v]
     return best
+
+
+def brute_center(g):
+    """The node of least eccentricity, ties to the smaller id, by
+    Floyd-Warshall."""
+    dist = fw_all_pairs(g)
+    return min(g.nodes(), key=lambda u: (max(dist[u].values()), u))
 
 
 def neighborhood(g, u, r):
@@ -399,3 +406,68 @@ def nested_preprocess_leaders(hier):
                     messages += 1
                     cost += d
     return ldir, (messages, cost)
+
+
+# -- the build-time measurement as two passes ----------------------------------
+
+
+def two_pass_pre_check(hier):
+    """Reference build-time measurement: sigma and the overlap from one scan
+    of cluster diameters and r-ball overlaps, then the build-time partition
+    check against those values, with its diameter and overlap limits.
+    Diameters are computed afresh, not read from the clusters' caches.
+    Returns (sigma, overlap, report)."""
+    g, mode = hier.g, hier.mode
+    diam = {c.id: max(eccentricities(g, c.members, mode).values())
+            for i in hier.all_levels() for c in hier.clusters_at(i)}
+    sigma = Fraction(1)
+    overlap = 1
+    for i in hier.all_levels():
+        r = hier.radius(i)
+        if r == 0:
+            continue
+        for c in hier.clusters_at(i):
+            d = diam[c.id]
+            if d > sigma * r:
+                sigma = Fraction(d, 1) / r if not isinstance(d, Fraction) else d / r
+        for u in g.nodes():
+            overlap = max(overlap, hier.overlap_at(u, i))
+    report = {"levels": [], "ok": True, "problems": []}
+
+    def problem(msg):
+        report["ok"] = False
+        report["problems"].append(msg)
+
+    nodes = set(g.nodes())
+    for i in hier.all_levels():
+        r = hier.radius(i)
+        clusters = hier.clusters_at(i)
+        seen = set()
+        max_diam = 0
+        for c in clusters:
+            if c.members & seen:
+                problem(f"level {i}: overlapping members in cluster {c.id}")
+            seen |= c.members
+            if c.leader not in c.members:
+                problem(f"level {i}: leader {c.leader} outside cluster {c.id}")
+            if mode == "strong" and not c.induced_connected(g):
+                problem(f"level {i}: cluster {c.id} induced subgraph disconnected")
+            else:
+                d = diam[c.id]
+                max_diam = max(max_diam, d)
+                if r > 0 and d > sigma * r:
+                    problem(f"level {i}: cluster {c.id} diameter {d} > {sigma * r}")
+            _check_tree(hier, c, problem)
+        if seen != nodes:
+            problem(f"level {i}: clusters do not cover all nodes")
+        max_k = max(hier.overlap_at(u, i) for u in g.nodes())
+        if max_k > overlap:
+            problem(f"level {i}: neighborhood meets {max_k} clusters > {overlap}")
+        report["levels"].append({
+            "level": i, "r": str(r), "clusters": len(clusters),
+            "max_diameter": str(max_diam), "max_overlap": max_k,
+        })
+    tops = hier.clusters_at(hier.top)
+    if len(tops) != 1 or tops[0].members != nodes:
+        problem("top level is not the whole node set")
+    return sigma, overlap, report

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from faultdir.bounds import check_bounds
 from faultdir.cli import _gen_scenario
-from faultdir.partition import build_hierarchy, verify_partition
+from faultdir.partition import build_hierarchy
 from faultdir.scenario import Runtime, build_graph, run_scenario
 
 from controls import CONTROLS, base_record, doctored
@@ -76,8 +76,7 @@ def hierarchy_stats():
         mode, rho = graph_params(k)
         g = build_graph(spec)
         hier = build_hierarchy(g, rho=rho, mode=mode, seed=k)
-        hier.measure()
-        chk = verify_partition(hier)
+        chk = hier.pre_check
         out.append({"spec": spec, "mode": mode, "rho": rho, "seed": k,
                     "n": len(g.nodes()), "ok": chk["ok"],
                     "findings": chk.get("findings"),

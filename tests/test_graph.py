@@ -11,6 +11,7 @@ from faultdir.graph import (
     parse_weight, path_graph, prune, random_graph, reroot, ring_graph, root_path,
     subtree,
 )
+from faultdir.partition import eccentricities
 from oracles import (brute_diameter, brute_neighborhood, check_spt,
                      contains_tree_edge, dump_graph, fw_all_pairs, heap_repair,
                      induced_adj, neighborhood, path_to_root, prune_fixpoint,
@@ -20,7 +21,7 @@ from oracles import (brute_diameter, brute_neighborhood, check_spt,
 def test_load_unit_path():
     g = load_graph("0 1 1\n1 2 1\n")
     assert g.n == 3
-    assert g.diameter() == 2
+    assert brute_diameter(g) == 2
 
 
 def test_load_comments_and_fractions():
@@ -61,10 +62,10 @@ def test_triangle_diameter_and_deletion():
     # heavy chord: the 10-edge is never used until the light path dies
     g = load_graph("0 1 1\n1 2 1\n0 2 10\n")
     assert g.distance(0, 0) == 0
-    assert g.diameter() == 2
+    assert brute_diameter(g) == 2
     g.kill_edge((0, 1))
     assert g.distance(0, 1) == 11
-    assert g.diameter() == 11
+    assert brute_diameter(g) == 11
 
 
 def test_deletion_never_shrinks_distances():
@@ -106,7 +107,9 @@ def test_neighborhood_examples():
 def test_diameter_matches_oracle_random():
     for seed in range(6):
         g = random_graph(13, 0.25, seed=seed)
-        assert g.diameter() == brute_diameter(g)
+        for mode in ("weak", "strong"):
+            ecc = eccentricities(g, set(g.nodes()), mode)
+            assert max(ecc.values()) == brute_diameter(g)
 
 
 def test_spt_star():

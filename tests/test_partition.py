@@ -1,5 +1,6 @@
 """Sparse partition hierarchy: construction, verification, preprocessing."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -13,19 +14,13 @@ from faultdir.partition import (
     Hierarchy, _grow_waves, build_hierarchy, build_partition, choose_leader,
     cluster_tree, eccentricities, preprocess_leaders, verify_partition,
 )
-from faultdir.scenario import Runtime
+from faultdir.scenario import Runtime, build_graph
 from golden.regen import SCENARIOS as GOLDEN, scenario as golden_scenario
-from oracles import (brute_cluster_diameter, brute_intersection_count,
-                     brute_weak_assign, brute_weak_partition, cluster_of,
-                     clusters_intersecting, fw_all_pairs,
-                     neighborhood_clusters, nested_preprocess_leaders)
-
-
-def test_r_at_least_diameter_single_cluster():
-    g = ring_graph(8)
-    clusters = build_partition(g, g.diameter(), "strong", random.Random(0))
-    assert len(clusters) == 1
-    assert clusters[0][1] == set(range(8))
+from oracles import (brute_center, brute_cluster_diameter, brute_diameter,
+                     brute_intersection_count, brute_weak_assign,
+                     brute_weak_partition, cluster_of, clusters_intersecting,
+                     fw_all_pairs, neighborhood_clusters,
+                     nested_preprocess_leaders, two_pass_pre_check)
 
 
 def test_r_below_min_weight_singletons():
@@ -315,7 +310,7 @@ GRAPHS = st.one_of(
 @given(g=GRAPHS, frac=st.fractions(min_value=0, max_value=1, max_denominator=8),
        seed=st.integers(0, 10_000))
 def test_weak_partition_equals_pairwise_argmin(g, frac, seed):
-    D = g.diameter()
+    D = brute_diameter(g)
     r = max(1, frac * D)
     if r >= D:
         r = D - 1 if D > 1 else Fraction(1, 2)
@@ -374,6 +369,44 @@ def test_measured_parameters_equal_oracles(graph, mode):
                           brute_intersection_count(graph, hier, u, i))
     assert hier.overlap == overlap
     assert hier.sigma == sigma
+
+
+# -- the one build-time pass against the two-pass reference -------------------
+
+
+def assert_pre_check_is_two_pass(hier):
+    sigma, overlap, report = two_pass_pre_check(hier)
+    assert json.dumps(hier.pre_check) == json.dumps(report)
+    assert hier.pre_check["ok"]
+    assert type(hier.sigma) is Fraction and hier.sigma == sigma
+    assert type(hier.overlap) is int and hier.overlap == overlap
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_pre_check_equals_two_pass_reference_on_goldens(name):
+    sc = golden_scenario(name)
+    hier = build_hierarchy(build_graph(sc["graph"]), rho=sc["rho"],
+                           mode=sc["mode"], seed=sc["seed"])
+    assert_pre_check_is_two_pass(hier)
+    assert hier.pre_check["levels"][0]["level"] == -1
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=GRAPHS, mode=st.sampled_from(["weak", "strong"]),
+       rho=st.integers(2, 3), seed=st.integers(0, 10_000))
+def test_pre_check_equals_two_pass_reference(g, mode, rho, seed):
+    assert_pre_check_is_two_pass(build_hierarchy(g, rho=rho, mode=mode,
+                                                 seed=seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=GRAPHS, mode=st.sampled_from(["weak", "strong"]))
+def test_diameter_and_root_match_brute_force(g, mode):
+    hier = build_hierarchy(g, rho=2, mode=mode, seed=0)
+    assert hier.diameter0 == brute_diameter(g)
+    assert hier.root == brute_center(g)
+    top = hier.clusters_at(hier.top)[0]
+    assert top.diameter(g, mode) == hier.diameter0
 
 
 def test_verify_reports_a_disconnected_strong_cluster():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from faultdir.bounds import check_bounds
 from faultdir.cli import _gen_scenario
 from faultdir.scenario import Runtime, run_scenario
 from faultdir.sim import Message
@@ -319,3 +320,37 @@ def test_shortcut_registry_matches_path_membership(name):
     made = {(s, y, lv) for y, ns in nodes.items()
             for lv, s in ns.my_shortcut.items()}
     assert held == made
+
+
+# -- a splice found by the search leaves the branch's up link unset ----------
+
+STUCK_MOVE = ("a splice found by the search never sets the up link of the "
+              "mover's branch node one level below: `_on_search_reply` sends "
+              "no set_up, unlike `_on_move_ack` after a splice made on an add")
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError, reason=STUCK_MOVE)
+def test_move_after_a_search_splice_and_split_finishes():
+    # a later split transaction at the branch node starts with Txn.up None,
+    # so it never repoints the parent's down link: node 2's level-3 down
+    # still points at 7 after 7 left level 2, and move12 never finishes
+    sc = _gen_scenario({"kind": "random", "n": 24, "p": 0.2, "seed": 139},
+                       "weak", 2, 139, ops=40, failures=10, horizon=3000,
+                       move_frac=0.5)
+    assert check_bounds(Runtime(sc).run()).ok
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=STUCK_MOVE)
+def test_every_chain_node_points_up_at_its_upper_neighbour():
+    wrong = []
+    for seed in range(4):
+        sc = _gen_scenario({"kind": "grid", "rows": 6, "cols": 6}, "strong",
+                           2, seed, ops=20, failures=0, horizon=2000,
+                           move_frac=0.5)
+        rt = Runtime(sc)
+        rt.run()
+        chain = rt.dir.path_view()
+        wrong += [(seed, level, node)
+                  for (_, upper), (level, node) in zip(chain, chain[1:])
+                  if rt.dir.nodes[node].levels[level].up != upper]
+    assert not wrong
