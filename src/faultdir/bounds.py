@@ -146,7 +146,6 @@ class _Rec:
         self.n = record["n"]
         self.d_alive = _num(record["d_alive"])
         self.c_prime = _num(record["c_prime"])
-        self.delta = record["delta"]
         self.radii = {int(k): _num(v) for k, v in record["radii"].items()}
         self.f_total = len(record["failures"])
         self.led = LedgerView(record["ledger"])
@@ -235,7 +234,8 @@ def _check_partition(rx: _Rec, rep: BoundReport) -> None:
     pre = rx.rec["partition_pre"]
     post = rx.rec["partition_post"]
     ok = pre["ok"] and post["ok"]
-    detail = "cover radius, stretch and overlap hold before and after repairs"
+    detail = ("structure holds before and after failures, diameters "
+              "<= 2*sigma*r_i after failures; overlap reported, not bounded")
     if not ok:
         detail = f"pre={pre.get('problems')} post={post.get('problems')}"
     rep.add("post-partition", ok, "ok" if ok else "violated", "ok", detail)

@@ -62,7 +62,6 @@ class FailureEngine:
         self.verdict_pending: set[int] = set()
         self.detach_log: dict[int, list[dict]] = {}
         self.failures: list[dict] = []
-        self.txns: dict[str, Txn] = {}
         self._txn_seq = 0
         directory.engine = self
         for kind in ("spt_notify", "spt_delta", "cluster_notify", "leader_xfer",
@@ -78,21 +77,16 @@ class FailureEngine:
                 self.edge_roots.setdefault(e, set()).add(root)
 
     def quiet(self) -> bool:
-        if self.verdict_pending:
-            return False
-        if any(self.parked.values()) or any(self.verdict_wait.values()):
-            return False
-        if self.txns:
-            return False
-        return not any(ns.pending_init for ns in self.dir.nodes.values())
+        """No split notice or verdict is held back by the engine; the
+        nodes' transaction state is `Directory.quiescent`'s to check."""
+        return not (self.verdict_pending or any(self.parked.values())
+                    or any(self.verdict_wait.values()))
 
     # -- per-failure message shape accounting -------------------------------------
     # Counts and worst distances per repair category, kept out of the cost
     # ledger so the shape checks see message counts rather than hop counts.
 
     def _recluster_row(self, fid, cid, level):
-        if fid >= len(self.failures):
-            return None
         return self.failures[fid]["stats"]["recluster"].setdefault(
             str(cid), {"level": level, "msgs": 0, "max_dist": 0,
                        "xfer_msgs": 0, "xfer_dist": 0,
@@ -101,8 +95,6 @@ class FailureEngine:
 
     def _stat_recluster(self, fid, cid, level, kind, dist, n=1):
         row = self._recluster_row(fid, cid, level)
-        if row is None:
-            return
         if kind == "xfer":
             row["xfer_msgs"] += n
             row["xfer_dist"] = max(row["xfer_dist"], dist)
@@ -114,15 +106,11 @@ class FailureEngine:
             row["max_dist"] = max(row["max_dist"], dist)
 
     def _stat_path(self, fid, dist):
-        if fid >= len(self.failures):
-            return
         row = self.failures[fid]["stats"]["path_update"]
         row["msgs"] += 1
         row["max_dist"] = max(row["max_dist"], dist)
 
     def _stat_preproc(self, fid, fan_r, dist):
-        if fid >= len(self.failures):
-            return
         pre = self.failures[fid]["stats"]["preprocess"]
         pre["msgs"] += 1
         row = pre["rows"].setdefault(str(fan_r), {"msgs": 0, "max_dist": 0})
@@ -130,8 +118,6 @@ class FailureEngine:
         row["max_dist"] = max(row["max_dist"], dist)
 
     def stat_sc_update(self, fid, level, clamp, dist):
-        if fid >= len(self.failures):
-            return
         self.failures[fid]["stats"]["sc_update"].append(
             {"level": level, "clamp": clamp, "dist": dist})
 
@@ -162,9 +148,9 @@ class FailureEngine:
                 child = child_endpoint(c.tree_parent, e)
                 if child is None:
                     continue
-                self._notify_along_tree(a if child == b else b, c,
-                                        {"cluster": c.id, "level": level,
-                                         "edge": list(e), "fid": fid})
+                self._notify(a if child == b else b, c,
+                             {"cluster": c.id, "level": level,
+                              "edge": list(e), "fid": fid}, along_tree=True)
         # the endpoints patch their own trees at zero message cost
         for x in (a, b):
             self._repair_tree(x, e, fid)
@@ -270,8 +256,7 @@ class FailureEngine:
                              cluster=p["cluster"])
             return
         if c.leader != y:
-            self.dir._send("cluster_notify", y, c.leader, p, "logn",
-                           f"repair:recluster:f{fid}:c{c.id}")
+            self._notify(y, c, p)
             return
         if c.id in self.verdict_pending:
             self.verdict_wait.setdefault(c.id, []).append(p)
@@ -286,21 +271,21 @@ class FailureEngine:
                                      edge=list(e))
                     return
                 child = self.hier.levels[level][entry["child"]]
-                p2 = dict(p)
-                p2["cluster"] = child.id
-                self.dir._send("cluster_notify", y, child.leader, p2, "logn",
-                               f"repair:recluster:f{fid}:c{child.id}")
+                self._notify(y, child, dict(p, cluster=child.id))
                 return
         self.dir.finding("notify_no_target", level=level, edge=list(e),
                          cluster=c.id)
 
-    def _notify_along_tree(self, y, c, p):
-        """Send split notice `p` from y to c's leader along c's tree; it
-        parks where that tree is cut again rather than detour."""
+    def _notify(self, y, c, p, along_tree=False):
+        """Send split notice `p` from y to c's leader: routed, or along
+        c's tree, where it parks at a second cut rather than detour."""
         msg = Message("cluster_notify", y, c.leader, p, size="logn",
                       bucket=f"repair:recluster:f{p['fid']}:c{c.id}")
-        msg.no_reroute = True
-        self.sim.send_on_path(msg, root_path(c.tree_parent, y))
+        if along_tree:
+            msg.no_reroute = True
+            self.sim.send(msg, root_path(c.tree_parent, y))
+        else:
+            self.sim.send(msg)
 
     def _wake_parked(self, level):
         waiting = self.parked.pop(level, [])
@@ -314,16 +299,12 @@ class FailureEngine:
             if target is None:
                 self.dir.finding("notify_obsolete", level=level, edge=list(e))
                 continue
-            p2 = dict(p)
-            p2["cluster"] = target.id
+            p2 = dict(p, cluster=target.id)
             if target.leader == y:
                 self._process_notify(y, p2)
-                continue
-            if y in target.tree_parent:
-                self._notify_along_tree(y, target, p2)
             else:
-                self.dir._send("cluster_notify", y, target.leader, p2, "logn",
-                               f"repair:recluster:f{p['fid']}:c{target.id}")
+                self._notify(y, target, p2,
+                             along_tree=y in target.tree_parent)
 
     def _apply_split(self, c, e, fid):
         level = c.level
@@ -358,8 +339,7 @@ class FailureEngine:
             # capture the v-to-w walk before pruning can drop v itself
             xfer_path = root_path(tree2, v)
         tree2 = prune(tree2, members2, w)
-        c2 = Cluster(self.hier.new_cid(), level, set(members2), w, tree2,
-                     origin=f"split:f{fid}")
+        c2 = Cluster(self.hier.new_cid(), level, set(members2), w, tree2)
         self.hier.add_cluster(c2)
         self.verdict_pending.add(c2.id)
         self.detach_log.setdefault(c.id, []).append(
@@ -377,7 +357,7 @@ class FailureEngine:
                           {"cluster": c2.id, "level": level, "fid": fid},
                           size="nlogn",
                           bucket=f"repair:recluster:f{fid}:c{c2.id}")
-            self.sim.send_on_path(msg, xfer_path)
+            self.sim.send(msg, xfer_path)
         if on_path:
             self.queue_txn(y, {"level": level, "bcast": c2.id, "fid": fid})
         else:
@@ -422,8 +402,7 @@ class FailureEngine:
         payload = {"entries": entries, "fid": fid, "extension": extension,
                    "fan_r": fan_r}
         row = self._recluster_row(fid, c.id, c.level)
-        if row is not None:
-            row["extension"] = row["extension"] or extension
+        row["extension"] = row["extension"] or extension
         for x in sorted(c.members):
             if x == lead:
                 self._apply_bcast(lead, payload)
@@ -539,7 +518,6 @@ class FailureEngine:
         txn.needed = {n for n in (up, down) if n is not None and n != y}
         txn.clear_needed = {n for n in (up, down) if n is not None}
         self.dir.nodes[y].busy_txn = txn
-        self.txns[tid] = txn
         level, fid = spec["level"], spec["fid"]
         self.sim.log("txn_start", txn=tid, node=y, level=level,
                      target=spec["target"])
@@ -597,7 +575,6 @@ class FailureEngine:
                 self._release(z, n, txn.id, txn.spec["fid"])
         ns.pending_init.insert(0, txn.spec)
         ns.busy_txn = None
-        self.txns.pop(txn.id, None)
         self.sim.log("txn_abort", txn=txn.id, node=z)
 
     def _on_lock_release(self, msg):
@@ -729,7 +706,6 @@ class FailureEngine:
                           txn.added_by)
             self.dir.re_register(y, fid)
         ns.busy_txn = None
-        self.txns.pop(txn.id, None)
         self.sim.log("txn_done", txn=txn.id, node=y, level=level)
         self._maintenance(y)
 
@@ -802,10 +778,8 @@ class FailureEngine:
         band_c2_ids = []
         c1_first = None
         for j in range(h_old, h_new):
-            c1 = Cluster(self.hier.new_cid(), j, set(V1), root, v1_parent,
-                         origin=f"ext:f{fid}")
-            c2 = Cluster(self.hier.new_cid(), j, set(V2), v, v2_parent,
-                         origin=f"ext:f{fid}")
+            c1 = Cluster(self.hier.new_cid(), j, set(V1), root, v1_parent)
+            c2 = Cluster(self.hier.new_cid(), j, set(V2), v, v2_parent)
             if j == h_old:
                 del self.hier.levels[h_old][top_old.id]
                 c1_first = c1
@@ -814,8 +788,7 @@ class FailureEngine:
             band_c2_ids.append(c2.id)
             self.verdict_pending.add(c2.id)
         c_top = Cluster(self.hier.new_cid(), h_new, all_nodes, root,
-                        dict(self.sim.trees[root].parent),
-                        origin=f"ext:f{fid}")
+                        dict(self.sim.trees[root].parent))
         self.hier.top = h_new
         self.hier.add_cluster(c_top)
         entries_v1 = [(j, root) for j in range(h_old, h_new)] + [(h_new, root)]

@@ -37,13 +37,12 @@ class Cluster:
     """
 
     def __init__(self, cid: int, level: int, members: set[int], leader: int,
-                 tree_parent: dict[int, int | None], origin: str = "build"):
+                 tree_parent: dict[int, int | None]):
         self.id = cid
         self.level = level
         self.members = set(members)
         self.leader = leader
         self.tree_parent = dict(tree_parent)
-        self.origin = origin
         # (graph version, diameter); cleared whenever members change
         self._diameter: tuple | None = None
 
@@ -191,11 +190,10 @@ def cluster_tree(g: Graph, leader: int, members: set[int], mode: str) -> dict[in
 class Hierarchy:
     """The level stack of partitions plus the measured quality parameters."""
 
-    def __init__(self, g: Graph, mode: str, rho: int, seed: int):
+    def __init__(self, g: Graph, mode: str, rho: int):
         self.g = g
         self.mode = mode
         self.rho = rho
-        self.seed = seed
         self.levels: dict[int, dict[int, Cluster]] = {}
         self.assign: dict[tuple[int, int], int] = {}
         self._next_cid = 0
@@ -302,7 +300,7 @@ def build_hierarchy(g: Graph, rho: int = 2, mode: str = "strong", seed: int = 0)
         raise ValueError("need at least two nodes")
     if not g.is_connected():
         raise ValueError("graph is disconnected")
-    hier = Hierarchy(g, mode, rho, seed)
+    hier = Hierarchy(g, mode, rho)
     # the whole node set: its eccentricities give D, the root and the top
     # cluster's diameter
     ecc_all = eccentricities(g, set(g.nodes()), mode)

@@ -135,7 +135,6 @@ class Directory:
         self.findings: list[dict] = []
         self.failure_count = 0
         self.engine = None  # failure engine attaches itself
-        self.on_op_complete = None  # runtime callback for sequential drivers
         for kind in ("pub_set", "ack", "search", "search_reply", "move_add",
                      "move_ack", "set_up", "down_fix", "del_walk", "lookup_walk",
                      "lookup_reply", "walk_fail", "token", "reg_sc", "unreg_sc"):
@@ -816,8 +815,6 @@ class Directory:
         op.t_complete = self.sim.now
         op.f_at_complete = self.failure_count
         self.sim.log("op_done", op=op.id, kind=op.kind, node=op.issuer)
-        if self.on_op_complete is not None:
-            self.on_op_complete(op)
 
     # -- reactions to knowledge changes ---------------------------------------------
 

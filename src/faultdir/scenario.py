@@ -120,7 +120,6 @@ class Runtime:
         self.engine = FailureEngine(self.dir)
         self.engine.setup_index()
         self.sim.timers["inject_fail"] = self._inject_fail
-        self.issued = []
         # issue-time geometry the bound checks need: distance from the
         # previous request source, and the path right after publish
         self._last_source = None
@@ -148,7 +147,6 @@ class Runtime:
                            "lookup": self.dir.start_lookup,
                            "move": self.dir.start_move}[do]
                 op = starter(ev["node"])
-                self.issued.append(op)
                 if do in ("publish", "move") and op.phase != "rejected":
                     # distance between consecutive request sources on the
                     # graph alive at issue (starting an op kills no edge);
@@ -163,7 +161,7 @@ class Runtime:
                                         ev["fail_during"])
             self._settle(f"event {k} ({do})")
             if do == "publish" and self._publish_snap is None \
-                    and self.issued[-1].phase == "done":
+                    and op.phase == "done":
                 self._publish_snap = {
                     "len": q(self._chain_length()),
                     "top": self.hier.top,
@@ -181,7 +179,7 @@ class Runtime:
     def record(self) -> dict:
         led = self.sim.ledger
         ops = []
-        for op in self.issued:
+        for op in self.dir.ops.values():
             msgs, cost = led.total(f"op:{op.id}")
             _, reply_cost = led.total(f"op:{op.id}:reply")
             transient = (op.f_at_complete is not None

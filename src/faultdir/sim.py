@@ -9,12 +9,16 @@ Two transport classes:
   event per edge traversal, FIFO per edge direction. Messages in flight
   on an edge when it dies are lost; if the edge ever carried traffic,
   the endpoints run a resend exchange and the sender-side endpoint
-  resends the lost messages over a fresh route (duplicate delivery is
-  suppressed by message id).
+  resends the lost messages over a fresh route.
 * bulk: direct delivery after an explicit cost/latency, used for fanouts
   whose delivery is guaranteed by the resend machinery anyway
   (broadcasts, belief refreshes, tree-delta notices). The full cost and
   message count still hit the ledger.
+
+Every message reaches exactly one terminal event, so nothing filters
+duplicates: a send starts one chain of pending events (hops, then one
+delivery), relays and resends build new messages with new ids, and a
+message lost on a dead edge is never delivered.
 """
 
 from __future__ import annotations
@@ -150,7 +154,6 @@ class Simulator:
         # triggers the resend exchange
         self.used_edges: set[EdgeId] = set()
         self.in_flight: dict[EdgeId, list[Message]] = {}
-        self._delivered: set[tuple[int, int]] = set()
         self.events: list[dict] = []
         self.event_limit = 5_000_000
         self._processed = 0
@@ -179,33 +182,26 @@ class Simulator:
 
     def _admit(self, msg: Message) -> None:
         """Number a message the first time it enters this simulator; ids
-        order messages by send and key duplicate suppression."""
+        order messages by send."""
         if msg.id is None:
             msg.id = self._next_msg_id
             self._next_msg_id += 1
 
-    def send(self, msg: Message) -> None:
-        """Routed transport along the sender's current tree."""
+    def send(self, msg: Message, path: list[int] | None = None) -> None:
+        """Routed transport from msg.src to msg.dst: along `path`, an
+        explicit node path from src to dst (e.g. a cluster spanning tree
+        path), if one is given, else along the sender's current tree. A
+        path that breaks falls back to tree routing."""
+        assert path is None or (path[0] == msg.src and path[-1] == msg.dst)
         self._admit(msg)
-        if msg.src == msg.dst:
-            msg.at = msg.dst
-            self.schedule(0, "deliver", msg)
-            return
         msg.at = msg.src
-        self._forward(msg)
-
-    def send_on_path(self, msg: Message, path: list[int]) -> None:
-        """Routed transport along an explicit node path (e.g. a cluster
-        spanning tree path). Falls back to tree routing on breakage."""
-        assert path[0] == msg.src and path[-1] == msg.dst
-        self._admit(msg)
         if msg.src == msg.dst:
-            msg.at = msg.dst
             self.schedule(0, "deliver", msg)
-            return
-        msg.at = msg.src
-        msg.route = list(path[1:])
-        self._hop(msg)
+        elif path is None:
+            self._forward(msg)
+        else:
+            msg.route = list(path[1:])
+            self._hop(msg)
 
     def _route_from(self, x: int, msg: Message) -> list[int] | None:
         """Next route from x to msg.dst: x's tree path, unless it crosses
@@ -319,10 +315,6 @@ class Simulator:
             self._forward(msg)
 
     def _deliver(self, msg: Message) -> None:
-        key = (msg.dst, msg.id)
-        if key in self._delivered:
-            return
-        self._delivered.add(key)
         handler = self.handlers.get(msg.kind)
         if handler is None:
             raise RuntimeError(f"no handler for message kind {msg.kind}")

@@ -36,7 +36,7 @@ def test_lookup_returns_current_version_and_owner():
     rt = stack({"kind": "grid", "rows": 3, "cols": 4},
                events=[{"t": 0, "do": "publish", "node": 0},
                        {"t": 100, "do": "lookup", "node": 11}])
-    op = rt.issued[-1]
+    op = [*rt.dir.ops.values()][-1]
     assert op.phase == "done"
     assert op.version == 0
     assert op.value == 42
@@ -54,7 +54,7 @@ def test_move_transfers_token_and_relinks_chain():
     assert rt.dir.current_owner() == 6
     chain = rt.dir.path_view()
     assert chain[-1] == (-1, 6)
-    look = rt.issued[-1]
+    look = [*rt.dir.ops.values()][-1]
     assert look.phase == "done" and look.version == 1
     assert [iv["version"] for iv in rt.dir.token_intervals] == [0, 1]
     iv0, iv1 = rt.dir.token_intervals
@@ -124,7 +124,7 @@ def test_owner_lookup_is_local():
     rt = stack({"kind": "ring", "n": 8},
                events=[{"t": 0, "do": "publish", "node": 3},
                        {"t": 100, "do": "lookup", "node": 3}])
-    op = rt.issued[-1]
+    op = [*rt.dir.ops.values()][-1]
     assert op.phase == "done" and op.version == 0
     msgs, cost = rt.sim.ledger.total(f"op:{op.id}")
     assert cost == 0
@@ -136,7 +136,7 @@ def test_per_level_search_cost_within_fan_out_bound():
                        {"t": 100, "do": "lookup", "node": 17},
                        {"t": 400, "do": "lookup", "node": 9}])
     sigma, overlap = rt.hier.sigma, rt.hier.overlap
-    for op in rt.issued[1:]:
+    for op in [*rt.dir.ops.values()][1:]:
         for lvl in range(0, (op.discovery_level or 0) + 1):
             _m, cost = rt.sim.ledger.total(f"op:{op.id}:L{lvl}:query")
             assert cost <= overlap * (1 + sigma) * rt.hier.radius(lvl)

@@ -1,12 +1,16 @@
 """Transport layer: routing costs, ordering, loss and recovery."""
 
+from collections import Counter
+
 import pytest
 
+from faultdir.cli import _gen_scenario
 from faultdir.graph import (build_spt, edge_id, grid_graph, random_graph,
                             ring_graph)
 from faultdir.scenario import Runtime
 from faultdir.sim import Message, Simulator
 
+from golden.regen import SCENARIOS, scenario
 from oracles import fw_all_pairs
 
 
@@ -21,6 +25,26 @@ def collect(sim, kind="ping"):
     got = []
     sim.handlers[kind] = lambda m: got.append(m)
     return got
+
+
+def watch_deliveries(monkeypatch):
+    """Wrap `Simulator._admit` and `_deliver`; returns the list of messages
+    in the order they were numbered and the list of deliveries made."""
+    admitted, delivered = [], []
+    admit, deliver = Simulator._admit, Simulator._deliver
+
+    def watched_admit(sim, msg):
+        if msg.id is None:
+            admitted.append(msg)
+        admit(sim, msg)
+
+    def watched_deliver(sim, msg):
+        delivered.append(msg)
+        deliver(sim, msg)
+
+    monkeypatch.setattr(Simulator, "_admit", watched_admit)
+    monkeypatch.setattr(Simulator, "_deliver", watched_deliver)
+    return admitted, delivered
 
 
 def test_routed_cost_matches_shortest_distance():
@@ -117,17 +141,6 @@ def test_capture_and_resend_recovers_lost_message():
     assert clone.traveled == 15
 
 
-def test_duplicate_delivery_suppressed():
-    g = ring_graph(4)
-    sim = make_sim(g)
-    got = collect(sim)
-    msg = Message("ping", 0, 1, {}, bucket="t")
-    sim.send(msg)
-    sim.run()
-    sim._deliver(msg)  # replay of the same message id is ignored
-    assert len(got) == 1
-
-
 def test_event_log_deterministic():
     def run_once():
         g = grid_graph(3, 3)
@@ -187,7 +200,7 @@ def test_message_ids_are_numbered_per_simulator():
         assert sorted(m.id for m in got) == [0, 1]
 
 
-def test_two_runtimes_in_one_process_issue_the_same_message_ids():
+def test_two_runtimes_in_one_process_issue_the_same_message_ids(monkeypatch):
     sc = {"name": "ids", "mode": "strong", "rho": 2, "seed": 1,
           "graph": {"kind": "grid", "rows": 4, "cols": 4},
           "events": [{"do": "publish", "node": 5},
@@ -195,9 +208,41 @@ def test_two_runtimes_in_one_process_issue_the_same_message_ids():
                      {"do": "fail", "edge": [5, 6]},
                      {"do": "move", "node": 10},
                      {"do": "lookup", "node": 15}]}
-    delivered = []
+    _admitted, delivered = watch_deliveries(monkeypatch)
+    runs = []
     for _ in range(2):
-        rt = Runtime(sc)
-        rt.run()
-        delivered.append(sorted(rt.sim._delivered))
-    assert delivered[0] and delivered[0] == delivered[1]
+        delivered.clear()
+        Runtime(sc).run()
+        runs.append(sorted((m.dst, m.id) for m in delivered))
+    assert runs[0] and runs[0] == runs[1]
+
+
+# generated runs with failures, some strapped to operations, on three
+# graph families in both modes
+ONCE_RUNS = {
+    "gen-grid": dict(graph_spec={"kind": "grid", "rows": 6, "cols": 6},
+                     mode="strong", seed=2),
+    "gen-ring": dict(graph_spec={"kind": "ring", "n": 14}, mode="strong",
+                     seed=4),
+    "gen-random-weak": dict(graph_spec={"kind": "random", "n": 20, "p": 0.2,
+                                        "seed": 3}, mode="weak", seed=7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + sorted(ONCE_RUNS))
+def test_every_message_is_delivered_exactly_once(name, monkeypatch):
+    if name in SCENARIOS:
+        sc = scenario(name)
+    else:
+        sc = _gen_scenario(rho=2, ops=16, failures=6, horizon=2000,
+                           move_frac=0.4, **ONCE_RUNS[name])
+    admitted, delivered = watch_deliveries(monkeypatch)
+    Runtime(sc).run()
+    times = Counter(map(id, delivered))
+    for m in admitted:
+        # a message lost on a dead edge is never delivered; its resent
+        # copy is a message of its own
+        assert times[id(m)] == (0 if m.lost else 1), m
+    assert len(delivered) == sum(not m.lost for m in admitted)
+    if name == "ring-ext-local":
+        assert any(m.lost for m in admitted)
