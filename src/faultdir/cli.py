@@ -28,20 +28,26 @@ from faultdir.scenario import Runtime, build_graph
 def _graph_spec(text: str) -> dict:
     """Parse compact graph descriptions: ring:12, grid:4x5, path:9,
     random:16:0.3 or random:16:0.3:seed (seed 0 when not given; it is
-    written into the spec so scenario files name their graph fully)"""
-    parts = text.split(":")
-    kind = parts[0]
-    if kind == "ring":
-        return {"kind": "ring", "n": int(parts[1])}
-    if kind == "path":
-        return {"kind": "path", "n": int(parts[1])}
-    if kind == "grid":
-        rows, cols = parts[1].split("x")
-        return {"kind": "grid", "rows": int(rows), "cols": int(cols)}
-    if kind == "random":
-        return {"kind": "random", "n": int(parts[1]), "p": float(parts[2]),
-                "seed": int(parts[3]) if len(parts) > 3 else 0}
-    raise argparse.ArgumentTypeError(f"bad graph spec {text!r}")
+    written into the spec so scenario files name their graph fully)."""
+    kind, *f = text.split(":")
+    try:
+        if kind == "grid" and len(f) == 1:
+            rows, _, cols = f[0].partition("x")
+            spec = {"kind": kind, "rows": int(rows), "cols": int(cols)}
+        elif kind in ("ring", "path") and len(f) == 1:
+            spec = {"kind": kind, "n": int(f[0])}
+        elif kind == "random" and len(f) in (2, 3):
+            spec = {"kind": kind, "n": int(f[0]), "p": float(f[1]),
+                    "seed": int(f[2]) if len(f) > 2 else 0}
+        else:
+            raise ValueError("expected ring:N, path:N, grid:RxC or "
+                             "random:N:P[:SEED]")
+        if build_graph(spec).n < 2:
+            raise ValueError("fewer than two nodes")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad graph spec {text!r}: {exc}") \
+            from None
+    return spec
 
 
 def _write_artifacts(rt: Runtime, record: dict, out_dir: str) -> None:
@@ -103,16 +109,15 @@ def _gen_scenario(graph_spec: dict, mode: str, rho: int, seed: int,
                   concurrent: bool = True, move_frac: float = 0.5) -> dict:
     rng = random.Random(seed)
     g = build_graph(graph_spec)
-    nodes = sorted(g.nodes())
-    scratch = build_graph(graph_spec)
+    nodes = g.nodes()
     kills = []
     attempts = 0
     while len(kills) < failures and attempts < 300:
         attempts += 1
-        e = rng.choice(sorted(scratch.alive_edges()))
-        if scratch.would_disconnect(e):
+        e = rng.choice(sorted(g.alive_edges()))
+        if g.would_disconnect(e):
             continue
-        scratch.kill_edge(e)
+        g.kill_edge(e)
         kills.append(e)
 
     events = [{"t": 0, "do": "publish", "node": rng.choice(nodes)}]
@@ -174,7 +179,7 @@ def cmd_partition_stats(args) -> int:
     hier = build_hierarchy(g, rho=args.rho, mode=args.mode, seed=args.seed)
     chk = hier.pre_check
     out = {
-        "n": len(g.nodes()), "mode": hier.mode, "rho": hier.rho,
+        "n": g.n, "mode": hier.mode, "rho": hier.rho,
         "diameter": str(hier.diameter0), "top": hier.top,
         "sigma": str(hier.sigma), "overlap": hier.overlap,
         "radii": {str(i): str(hier.radius(i))

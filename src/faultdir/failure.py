@@ -480,7 +480,7 @@ class FailureEngine:
                 return None
             c = nxt
             hops += 1
-            if hops > len(self.g.nodes()):
+            if hops > self.g.n:
                 return None
         return c.leader, via if via is not None else c.leader
 

@@ -284,6 +284,10 @@ class ShortestPathTree:
     subtree that hangs below the dead edge is recomputed, and the repair
     reports exactly which tree edges were dropped and added so that edge
     endpoints can keep their membership indexes current.
+
+    A tree from `build_spt` holds the graph's cached maps, not copies. Only
+    `repair` writes them, and only for a dead tree edge, which was alive at
+    build: its `Graph.kill_edge` has already dropped them from the cache.
     """
 
     def __init__(self, root: int, dist: dict, parent: dict):
@@ -332,12 +336,12 @@ class ShortestPathTree:
 
 
 def build_spt(g: Graph, root: int) -> ShortestPathTree:
-    """Fresh tree from root over the alive graph: a private copy of the
-    cached `g.sssp(root)`, since the tree is repaired in place later."""
+    """Fresh tree from root over the alive graph, sharing the cached
+    `g.sssp(root)` maps (see `ShortestPathTree`)."""
     dist, parent = g.sssp(root)
     if len(dist) != g.n:
         raise ValueError(f"root {root} cannot reach every node")
-    return ShortestPathTree(root, dict(dist), dict(parent))
+    return ShortestPathTree(root, dist, parent)
 
 
 # -- parsing and generators ------------------------------------------------
@@ -395,8 +399,6 @@ def grid_graph(rows: int, cols: int, weight=1) -> Graph:
                 g.add_edge(u, u + 1, weight)
             if r + 1 < rows:
                 g.add_edge(u, u + cols, weight)
-    if g.n == 1:
-        g.add_node(0)
     return g
 
 

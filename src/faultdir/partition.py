@@ -435,21 +435,19 @@ class LeaderDirectory:
     `believed_leader(u, x, i)` answers, in this order:
     - the leader u was last told for (x, i) by `set_belief`, if any;
     - else the build-time leader of x at level i, if i is a level at build
-      time (0..top) and x was within radius(i) of u on the build graph;
+      time (0..top);
     - else None.
 
-    The build-time answers are one table {level: {node: leader}} plus the
-    build graph's own cached distance maps, held by reference (nothing
-    mutates them; trees copy theirs). Only the news is kept per node, as
-    {level: {u: {x: leader}}}. Beliefs are refreshed by broadcast fanouts
-    after reclustering, so they can be stale in flight.
+    The build-time answers are one table {level: {node: leader}}; only the
+    news is kept per node, as {level: {u: {x: leader}}}. Beliefs are
+    refreshed by broadcast fanouts after reclustering, so they can be stale
+    in flight. No distance test is needed: callers ask about x = u or an x
+    within radius(i) of u on u's tree, and a tree distance (a path in the
+    build graph) is never below the build-time distance.
     """
 
-    def __init__(self, leaders: dict[int, dict[int, int]], radii: dict,
-                 dist: dict[int, dict]):
+    def __init__(self, leaders: dict[int, dict[int, int]]):
         self.leaders = leaders
-        self.radii = radii
-        self.dist = dist
         self.news: dict[int, dict[int, dict[int, int]]] = {}
 
     def set_belief(self, u: int, x: int, level: int, leader: int) -> None:
@@ -462,10 +460,7 @@ class LeaderDirectory:
             if mine is not None and x in mine:
                 return mine[x]
         leaders = self.leaders.get(level)
-        if leaders is None:
-            return None
-        d = self.dist[u].get(x)
-        return leaders[x] if d is not None and d <= self.radii[level] else None
+        return None if leaders is None else leaders[x]
 
 
 def preprocess_leaders(hier: Hierarchy) -> tuple[LeaderDirectory, tuple[int, object]]:
@@ -478,14 +473,13 @@ def preprocess_leaders(hier: Hierarchy) -> tuple[LeaderDirectory, tuple[int, obj
     levels = range(0, hier.top + 1)
     leaders = {i: {m: c.leader for c in hier.levels[i].values() for m in c.members}
                for i in levels}
-    radii = {i: hier.radius(i) for i in levels}
-    dist = {u: g.sssp(u)[0] for u in g.nodes()}
+    radii = [hier.radius(i) for i in levels]
     messages, cost = 0, 0
-    for du in dist.values():
-        ds = sorted(du.values())
+    for u in g.nodes():
+        ds = sorted(g.sssp(u)[0].values())
         sums = list(accumulate(ds, initial=0))
-        for r in radii.values():
+        for r in radii:
             k = bisect_right(ds, r)
             messages += k - 1  # u itself, at distance 0, sends nothing
             cost += sums[k]
-    return LeaderDirectory(leaders, radii, dist), (messages, cost)
+    return LeaderDirectory(leaders), (messages, cost)

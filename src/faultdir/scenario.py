@@ -111,7 +111,7 @@ class Runtime:
         if not self.hier.pre_check["ok"]:
             raise RuntimeError(f"partition invalid at build: {self.hier.pre_check}")
         self.sim = Simulator(self.g)
-        for x in sorted(self.g.nodes()):
+        for x in self.g.nodes():
             self.sim.trees[x] = build_spt(self.g, x)
         self.ldir, (messages, cost) = preprocess_leaders(self.hier)
         if messages:
@@ -227,7 +227,7 @@ class Runtime:
         return {
             "scenario": self.sc,
             "mode": self.hier.mode, "rho": self.hier.rho,
-            "n": len(self.g.nodes()),
+            "n": self.g.n,
             "diameter": q(self.hier.diameter0),
             "d_alive": q(d_alive),
             "top": self.hier.top, "base_top": self.hier.base_top,

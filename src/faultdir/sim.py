@@ -297,22 +297,20 @@ class Simulator:
                 raise RuntimeError(f"unknown event kind {kind}")
 
     def _process_hop(self, msg: Message) -> None:
+        """A message not lost is in its edge's in-flight list (only
+        `capture_in_flight` takes one out, marking it lost); routes end at dst."""
         if msg.lost:
             return
         nxt = msg.route.pop(0)
         e = edge_id(msg.at, nxt)
-        flights = self.in_flight.get(e)
-        if flights and msg in flights:
-            flights.remove(msg)
+        self.in_flight[e].remove(msg)
         self.ledger.charge(msg.bucket, self.g.weight(e), msg.size)
         msg.traveled += self.g.weight(e)
         msg.at = nxt
         if msg.at == msg.dst:
             self._deliver(msg)
-        elif msg.route:
-            self._hop(msg)
         else:
-            self._forward(msg)
+            self._hop(msg)
 
     def _deliver(self, msg: Message) -> None:
         handler = self.handlers.get(msg.kind)

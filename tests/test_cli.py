@@ -20,6 +20,25 @@ def test_graph_spec_parsing():
                                               "p": 0.3, "seed": 7}
 
 
+BAD_SPECS = ["random:16", "ring", "ring:2", "path:1", "grid:1x1",
+             "random:16:0.3:1:9", "grid:3", "ring:x", "torus:4",
+             "random:16:0.01"]
+
+
+@pytest.mark.parametrize("cmd", ["gen", "partition-stats"])
+@pytest.mark.parametrize("spec", BAD_SPECS)
+def test_bad_graph_spec_is_a_usage_error(spec, cmd, capsys):
+    # missing or extra fields, a graph build_graph refuses (ring:2, a
+    # random graph it cannot draw connected) or one under two nodes
+    with pytest.raises(SystemExit) as exc:
+        console([cmd, "--graph", spec])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: faultdir")
+    assert f"argument --graph: bad graph spec {spec!r}" in err
+    assert "Traceback" not in err
+
+
 def test_readme_random_spec_without_seed(tmp_path, capsys):
     # the exact spec the README documents; the seed defaults to 0
     spec = _graph_spec("random:16:0.3")

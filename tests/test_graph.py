@@ -133,16 +133,20 @@ def test_spt_tie_breaks_to_smaller_parent():
     check_spt(g, t)
 
 
-def test_spt_is_a_private_copy_of_the_cached_sssp():
+def test_spt_shares_the_cached_sssp_until_a_repair():
     g = grid_graph(3, 3)
-    dist, parent = g.sssp(0)
-    t = build_spt(g, 0)
-    assert (t.dist, t.parent) == (dist, parent)
-    assert t.dist is not dist and t.parent is not parent
-    cached = (dict(dist), dict(parent))
+    trees = {x: build_spt(g, x) for x in g.nodes()}
+    for x, t in trees.items():
+        dist, parent = g.sssp(x)
+        assert t.dist is dist and t.parent is parent
+    # the death clears the cache before any repair writes a shared map
     g.kill_edge((0, 1))
-    t.repair(g, edge_id(0, 1))
-    assert t.dist[1] == 3 and (dist, parent) == cached
+    for t in trees.values():
+        t.repair(g, edge_id(0, 1))
+    assert trees[0].dist[1] == 3
+    for x, t in trees.items():
+        assert g.sssp(x) == dijkstra(g._adj, x)
+        check_spt(g, t)
     g2 = Graph()
     g2.add_edge(0, 1, 1)
     g2.add_node(2)

@@ -165,25 +165,47 @@ def test_preprocess_ring_matches_oracle():
     for u in g.nodes():
         for i in range(0, hier.top + 1):
             r = hier.radius(i)
+            # the protocol asks only about nodes within r_i (see
+            # test_build_time_beliefs_are_asked_only_within_radius)
             for x in g.nodes():
-                want = cluster_of(hier, i, x).leader if dist[u][x] <= r else None
-                assert ldir.believed_leader(u, x, i) == want
-                if want is not None and x != u:
+                if dist[u][x] > r:
+                    continue
+                assert ldir.believed_leader(u, x, i) == \
+                    cluster_of(hier, i, x).leader
+                if x != u:
                     messages += 1
                     cost += dist[u][x]
+        for i in (-1, hier.top + 1):
+            assert all(ldir.believed_leader(u, x, i) is None
+                       for x in g.nodes())
     assert setup == (messages, cost)
 
 
 # -- the leader index against the nested per-pair directory ------------------
 
 
-def assert_same_beliefs(ldir, ref, hier):
+def askable(hier):
+    """The (u, x, level) at build levels whose build-time belief the
+    protocol can ask for: x within r_level of u on the build graph, by
+    Floyd-Warshall."""
+    dist = fw_all_pairs(hier.g)
+    return {(u, x, i) for i in range(hier.top + 1) for u, du in dist.items()
+            for x, d in du.items() if d <= hier.radius(i)}
+
+
+def assert_same_beliefs(ldir, ref, hier, asks, told=()):
+    """The leader index answers as the nested reference on every query the
+    protocol can make: any (u, x, level) u was told about, the `asks` at
+    build levels, and every query at a level outside the build range."""
+    build_levels = {i for _, _, i in asks}
     nodes = hier.g.nodes()
     for i in range(-1, hier.top + 2):
         for u in nodes:
             for x in nodes:
-                assert ldir.believed_leader(u, x, i) == \
-                    ref.believed_leader(u, x, i), (u, x, i)
+                q = (u, x, i)
+                if i in build_levels and q not in asks and q not in told:
+                    continue
+                assert ldir.believed_leader(*q) == ref.believed_leader(*q), q
 
 
 def fraction_ring():
@@ -203,7 +225,7 @@ def test_preprocess_matches_nested_reference(graph, mode, kind):
     ref, want = nested_preprocess_leaders(hier)
     assert setup == want
     assert type(setup[0]) is int and type(setup[1]) is type(want[1]) is kind
-    assert_same_beliefs(ldir, ref, hier)
+    assert_same_beliefs(ldir, ref, hier, askable(hier))
 
 
 def test_runtime_holds_one_leader_per_level_and_node():
@@ -216,8 +238,11 @@ def test_runtime_holds_one_leader_per_level_and_node():
         assert sorted(table) == nodes
         assert all(table[x] == cluster_of(rt.hier, i, x).leader for x in nodes)
     assert rt.ldir.news == {}
-    # the build graph's cached distance maps, by reference
-    assert all(rt.ldir.dist[u] is rt.g.sssp(u)[0] for u in nodes)
+    assert set(vars(rt.ldir)) == {"leaders", "news"}
+    # each tree is the build graph's cached maps, not a copy
+    for u in nodes:
+        dist, parent = rt.g.sssp(u)
+        assert rt.sim.trees[u].dist is dist and rt.sim.trees[u].parent is parent
 
 
 GENERATED = {
@@ -226,6 +251,13 @@ GENERATED = {
                                  mode=mode, rho=2, seed=seed, ops=12,
                                  failures=4, horizon=2000, move_frac=0.3)
     for mode in ("strong", "weak") for seed in (1, 2)
+} | {
+    f"{kind}-{mode}": dict(graph_spec=spec, mode=mode, rho=2, seed=3, ops=20,
+                           failures=8, horizon=2000, move_frac=0.4)
+    for kind, spec in (("ring14", {"kind": "ring", "n": 14}),
+                       ("random24", {"kind": "random", "n": 24, "p": 0.2,
+                                     "seed": 5}))
+    for mode in ("strong", "weak")
 }
 
 
@@ -235,25 +267,50 @@ def test_leader_index_answers_as_nested_reference_over_runs(name):
         else _gen_scenario(**GENERATED[name])
     rt = Runtime(sc)
     build_top = rt.hier.top
+    asks = askable(rt.hier)
     ref, setup = nested_preprocess_leaders(rt.hier)
     assert rt.sim.ledger.total("setup") == setup
-    assert_same_beliefs(rt.ldir, ref, rt.hier)
-    told = []
+    assert_same_beliefs(rt.ldir, ref, rt.hier, asks)
+    told = set()
     real = rt.ldir.set_belief
 
     def mirrored(u, x, level, leader):
-        told.append(level)
+        told.add((u, x, level))
         real(u, x, level, leader)
         ref.set_belief(u, x, level, leader)
 
     rt.ldir.set_belief = mirrored
     rt.run()
-    assert_same_beliefs(rt.ldir, ref, rt.hier)
+    assert_same_beliefs(rt.ldir, ref, rt.hier, asks, told)
     if any(s["child"] is not None for f in rt.engine.failures
            for s in f["splits"]):
         assert told  # a split announces its new leader
     if name.startswith("ring-ext"):
-        assert max(told) > build_top
+        assert max(level for _, _, level in told) > build_top
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN) + sorted(GENERATED))
+def test_build_time_beliefs_are_asked_only_within_radius(name):
+    # why `LeaderDirectory` needs no distance test: every answer the run
+    # takes from the build table is about an x within r_i of u on the
+    # build graph, the only x that u learned of at build time
+    sc = golden_scenario(name) if name in GOLDEN \
+        else _gen_scenario(**GENERATED[name])
+    rt = Runtime(sc)
+    asks = askable(rt.hier)
+    ldir = rt.ldir
+    real = ldir.believed_leader
+    from_table = set()
+
+    def watched(u, x, level):
+        if level in ldir.leaders and x not in ldir.news.get(level, {}).get(u, {}):
+            from_table.add((u, x, level))
+        return real(u, x, level)
+
+    ldir.believed_leader = watched
+    rt.run()
+    assert from_table
+    assert not from_table - asks
 
 
 def test_shortcut_constants_exact():
