@@ -98,6 +98,7 @@ class OpState:
         self.outstanding = None
         self.contacted: dict[int, set[int]] = {}
         self.stale_of: dict[int, dict[int, int]] = {}
+        self.ball = None  # (level, *grouped ball) while searching
         self.pending_add = None
         self.acks_needed: set = set()
         self.discovery_level = None
@@ -340,35 +341,59 @@ class Directory:
 
     # -- upward search machinery ---------------------------------------------
 
+    def _ball(self, u: int, i: int):
+        """u's r_i-ball on its tree, grouped by believed leader: the nodes
+        whose leader u does not know, in id order, and (leader, xs, far)
+        per known leader, in leader order, with xs in id order and `far`
+        when the leader sits beyond the farthest a cluster's current
+        leader can be from u."""
+        r = self.hier.radius(i)
+        reach = r + 2 * self.hier.sigma * r
+        dist = self.sim.trees[u].dist
+        unknown = []
+        groups: dict[int, list[int]] = {}
+        for x in sorted(x for x, d in dist.items() if d <= r):
+            led = self.ldir.believed_leader(u, x, i)
+            if led is None:
+                unknown.append(x)
+            else:
+                groups.setdefault(led, []).append(x)
+        return (tuple(unknown),
+                tuple((led, tuple(xs), dist[led] > reach)
+                      for led, xs in sorted(groups.items())))
+
     def _candidates(self, op: OpState):
         """(sort_key, leader, witnesses) not yet contacted at op.level, plus
-        the set of witnesses the op is currently waiting on."""
+        the set of witnesses the op is currently waiting on. The grouped
+        ball (see `_ball`) is held in `op.ball` for the op's current level;
+        `reevaluate` is the one place that drops it while the op is open.
+        The op's stale reports and contacted leaders are applied per call.
+        Witnesses are the ball's tuples, or new lists where stale reports
+        thinned a group."""
         u = op.issuer
         i = op.level
-        r = self.hier.radius(i)
-        # farthest a cluster's current leader can sit from u
-        reach = r + 2 * self.hier.sigma * r
-        tree = self.sim.trees[u]
+        if op.ball is None or op.ball[0] != i:
+            op.ball = (i, *self._ball(u, i))
+        _, unknown, groups = op.ball
+        dist = self.sim.trees[u].dist
         contacted = op.contacted.setdefault(i, set())
         stale_of = op.stale_of.setdefault(i, {})
-        groups: dict[int, list[int]] = {}
-        waits: set[int] = set()
-        for x in sorted(x for x, d in tree.dist.items() if d <= r):
-            led = self.ldir.believed_leader(u, x, i)
-            if led is None or stale_of.get(x) == led:
-                waits.add(x)
-                continue
-            groups.setdefault(led, []).append(x)
+        waits: set[int] = set(unknown)
         ready = []
-        for led in sorted(groups):
+        for led, xs, far in groups:
+            if stale_of:
+                # the leader said these left its cluster; wait for news
+                waits.update(x for x in xs if stale_of.get(x) == led)
+                xs = [x for x in xs if stale_of.get(x) != led]
+                if not xs:
+                    continue
             if led in contacted:
                 continue
-            if tree.dist[led] > reach:
+            if far:
                 # too far to be this cluster's current leader; wait for news
-                waits.update(groups[led])
+                waits.update(xs)
                 continue
-            key = (min(tree.dist[x] for x in groups[led]), led)
-            ready.append((key, led, sorted(groups[led])))
+            ready.append(((min(dist[x] for x in xs), led), led, xs))
         ready.sort()
         return ready, waits
 
@@ -382,7 +407,7 @@ class Directory:
                 op.contacted[op.level].add(leader)
                 op.outstanding = leader
                 payload = {"op": op.id, "kind": op.kind, "level": op.level,
-                           "issuer": op.issuer, "members": witnesses}
+                           "issuer": op.issuer, "members": list(witnesses)}
                 if op.kind == "move":
                     payload["new_down"] = self._move_branch_node(op, op.level - 1)
                 size = "logn" if len(witnesses) <= 4 else "nlogn"
@@ -812,6 +837,7 @@ class Directory:
 
     def _complete(self, op: OpState) -> None:
         op.phase = "done"
+        op.ball = None
         op.t_complete = self.sim.now
         op.f_at_complete = self.failure_count
         self.sim.log("op_done", op=op.id, kind=op.kind, node=op.issuer)
@@ -823,12 +849,16 @@ class Directory:
         self.reevaluate(u)
 
     def reevaluate(self, u: int) -> None:
-        """Something u knows changed (belief refresh or tree repair); poke
-        u's parked searches."""
+        """Something u knows changed (belief refresh or tree repair): drop
+        the search balls of u's ops and poke u's parked searches. The two
+        writers, `refresh_belief` and `FailureEngine._repair_tree`, call
+        this right after their write."""
         for oid in sorted(self.ops):
             op = self.ops[oid]
-            if op.issuer == u and op.phase == "up":
-                self._advance(op)
+            if op.issuer == u:
+                op.ball = None
+                if op.phase == "up":
+                    self._advance(op)
 
     def re_register(self, y: int, fid: int) -> None:
         """After a layer extension the shortcut level clamp moves; every

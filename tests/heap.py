@@ -3,23 +3,29 @@
 Builds the runtime for one graph spec and partition mode (no events) under
 stdlib `tracemalloc`, then prints the traced heap that stays allocated
 after `Runtime()` returns, the peak while building, and the five source
-lines holding the most of it. The module is named so that pytest does not
-collect it.
+lines holding the most of it. With `--ops N` it then runs a publish and N
+generated lookups and moves (half each, no failures, generator seed 0),
+prints the heap again, and the part of it still held by search balls
+(the allocations made in `Directory._ball`), which only open ops keep.
+The module is named so that pytest does not collect it.
 
     PYTHONPATH=src python tests/heap.py grid:32x32 weak
     PYTHONPATH=src python tests/heap.py grid:12x12 strong
+    PYTHONPATH=src python tests/heap.py grid:32x32 weak --ops 200
 
 The graph spec is the one `faultdir gen --graph` takes; rho is 2 and the
-partition seed 0. Tracing makes the build several times slower.
+partition seed 0. Tracing makes the build and the run several times slower.
 """
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 import tracemalloc
 
-from faultdir.cli import _graph_spec
+from faultdir.cli import _gen_scenario, _graph_spec
+from faultdir.protocol import Directory
 from faultdir.scenario import Runtime
 
 MB = 1024 * 1024
@@ -30,21 +36,41 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(prog="heap.py", description=__doc__.split("\n")[0])
     ap.add_argument("graph", type=_graph_spec)
     ap.add_argument("mode", nargs="?", choices=("strong", "weak"), default="weak")
+    ap.add_argument("--ops", type=int, default=0,
+                    help="then run N generated lookups and moves")
     args = ap.parse_args(argv)
-    sc = {"name": "heap", "mode": args.mode, "rho": 2, "seed": 0,
-          "graph": args.graph, "events": []}
+    sc = _gen_scenario(args.graph, args.mode, 2, 0, ops=args.ops, failures=0,
+                       horizon=2000) if args.ops else \
+        {"name": "heap", "mode": args.mode, "rho": 2, "seed": 0,
+         "graph": args.graph, "events": []}
     tracemalloc.start()
     rt = Runtime(sc)
+    print(f"{args.mode} {rt.g.n} nodes, {rt.hier.top + 1} levels: "
+          f"heap after Runtime() {report()}")
+    if args.ops:
+        tracemalloc.reset_peak()
+        rt.run()
+        lines, start = inspect.getsourcelines(Directory._ball)
+        ball = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(
+            True, inspect.getsourcefile(Directory), lineno)
+            for lineno in range(start, start + len(lines))]).statistics("filename")
+        print(f"after {args.ops} ops: heap {report()}")
+        print(f"  search balls of open ops: {sum(s.size for s in ball) / MB:.2f}"
+              f" MB in {sum(s.count for s in ball)} blocks")
+    tracemalloc.stop()
+    return 0
+
+
+def report() -> str:
+    """The traced heap and peak, then the five largest allocation sites."""
     held, peak = tracemalloc.get_traced_memory()
     sites = tracemalloc.take_snapshot().statistics("lineno")
-    tracemalloc.stop()
-    print(f"{args.mode} {rt.g.n} nodes, {rt.hier.top + 1} levels: "
-          f"heap after Runtime() {held / MB:.2f} MB (peak {peak / MB:.2f} MB)")
+    out = [f"{held / MB:.2f} MB (peak {peak / MB:.2f} MB)"]
     for stat in sites[:5]:
         frame = stat.traceback[0]
-        print(f"  {stat.size / MB:8.2f} MB  {stat.count:9d} blocks  "
-              f"{os.path.relpath(frame.filename, ROOT)}:{frame.lineno}")
-    return 0
+        out.append(f"  {stat.size / MB:8.2f} MB  {stat.count:9d} blocks  "
+                   f"{os.path.relpath(frame.filename, ROOT)}:{frame.lineno}")
+    return "\n".join(out)
 
 
 if __name__ == "__main__":

@@ -471,3 +471,41 @@ def two_pass_pre_check(hier):
     if len(tops) != 1 or tops[0].members != nodes:
         problem("top level is not the whole node set")
     return sigma, overlap, report
+
+
+# -- search candidates: the r-ball rebuilt on every call -----------------------
+
+
+def brute_candidates(dir, op):
+    """Reference `Directory._candidates`: (sort_key, leader, witnesses) not
+    yet contacted at op.level, plus the set of witnesses the op is
+    currently waiting on, with u's r-ball filtered, sorted and grouped by
+    believed leader afresh on every call."""
+    u = op.issuer
+    i = op.level
+    r = dir.hier.radius(i)
+    # farthest a cluster's current leader can sit from u
+    reach = r + 2 * dir.hier.sigma * r
+    tree = dir.sim.trees[u]
+    contacted = op.contacted.setdefault(i, set())
+    stale_of = op.stale_of.setdefault(i, {})
+    groups: dict[int, list[int]] = {}
+    waits: set[int] = set()
+    for x in sorted(x for x, d in tree.dist.items() if d <= r):
+        led = dir.ldir.believed_leader(u, x, i)
+        if led is None or stale_of.get(x) == led:
+            waits.add(x)
+            continue
+        groups.setdefault(led, []).append(x)
+    ready = []
+    for led in sorted(groups):
+        if led in contacted:
+            continue
+        if tree.dist[led] > reach:
+            # too far to be this cluster's current leader; wait for news
+            waits.update(groups[led])
+            continue
+        key = (min(tree.dist[x] for x in groups[led]), led)
+        ready.append((key, led, sorted(groups[led])))
+    ready.sort()
+    return ready, waits
