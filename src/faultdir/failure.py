@@ -1,13 +1,13 @@
 """Edge failure handling: tree repair, cluster splits and layer extension.
 
 When an edge dies its endpoints notice instantly and patch their own
-shortest path trees; every other tree owner is told by a routed notice
-from the surviving side, repairs on arrival, and pushes tree-delta
-notices to the endpoints of every edge that entered or left its tree.
-A repair adopts only alive edges, but an adopted edge can die before its
-endpoints hear of the adoption; such an endpoint answers with another
-notice, so all trees converge to true shortest path trees at quiescence
-even though every owner works from its own partial knowledge.
+shortest path trees; every other owner whose tree holds the edge is told
+by a routed notice from the surviving side, repairs on arrival, and sends
+tree-delta notices to the endpoints of every edge that entered or left
+its tree. A repair adopts only alive edges, and each failure's repairs
+settle before the next edge dies, so the owners to notify are read from
+the trees themselves and all trees are true shortest path trees at
+quiescence.
 
 Clusters whose spanning tree lost an edge split: the detached part
 becomes a new cluster led by the member closest to the cut. The old
@@ -55,8 +55,6 @@ class FailureEngine:
         self.sim = directory.sim
         self.hier = directory.hier
         self.g = directory.sim.g
-        # which node trees use each edge, as known at the endpoints
-        self.edge_roots: dict[tuple, set[int]] = {}
         self.parked: dict[int, list[tuple[int, dict]]] = {}
         self.verdict_wait: dict[int, list[dict]] = {}
         self.verdict_pending: set[int] = set()
@@ -72,9 +70,9 @@ class FailureEngine:
         self.sim.timers["resend_exchange"] = self._resend_exchange
 
     def setup_index(self) -> None:
-        for root in sorted(self.sim.trees):
-            for e in self.sim.trees[root].tree_edges():
-                self.edge_roots.setdefault(e, set()).add(root)
+        """Nothing to build: `fail_edge` reads tree membership from the
+        trees. Nothing calls this; the name stays only because the
+        benchmark's tracer (`perfbench/tracing.py`) patches it."""
 
     def quiet(self) -> bool:
         """No split notice or verdict is held back by the engine; the
@@ -154,10 +152,11 @@ class FailureEngine:
         # the endpoints patch their own trees at zero message cost
         for x in (a, b):
             self._repair_tree(x, e, fid)
-        # remote tree owners are notified by the surviving endpoint
-        for w in sorted(self.edge_roots.get(e, set()) - {a, b}):
-            surv = b if child_endpoint(self.sim.trees[w].parent, e) == a else a
-            self._spt_notify(surv, w, e, fid)
+        # every other tree still holding e is told by the surviving endpoint
+        for w in sorted(self.sim.trees):
+            child = child_endpoint(self.sim.trees[w].parent, e)
+            if child is not None:
+                self._spt_notify(b if child == a else a, w, e, fid)
         # log reconciliation across the surviving network recovers messages
         # that died on the edge
         dist_a, _ = self.g.sssp(a)
@@ -202,30 +201,16 @@ class FailureEngine:
         entries = [("remove", ed) for ed in sorted(removed)]
         entries += [("add", ed) for ed in sorted(added)]
         for op, ed in entries:
-            for z in sorted(set(ed)):
+            for z in sorted(set(ed) - {owner}):
                 payload = {"root": owner, "edge": list(ed), "op": op, "fid": fid}
-                if z == owner:
-                    self._apply_delta(z, payload)
-                else:
-                    self.sim.bulk(Message("spt_delta", owner, z, payload,
-                                          size="logn",
-                                          bucket=f"repair:spt_update:f{fid}"),
-                                  cost=t.dist[z])
-
-    def _apply_delta(self, z, payload):
-        ed = edge_id(*payload["edge"])
-        root = payload["root"]
-        if payload["op"] == "remove":
-            self.edge_roots.get(ed, set()).discard(root)
-            return
-        self.edge_roots.setdefault(ed, set()).add(root)
-        # z is an endpoint of ed; if that edge died after the repair
-        # adopted it, the owner needs to hear about the failure
-        if not self.g.is_alive(ed):
-            self._spt_notify(z, root, ed, payload["fid"])
+                self.sim.bulk(Message("spt_delta", owner, z, payload,
+                                      size="logn",
+                                      bucket=f"repair:spt_update:f{fid}"),
+                              cost=t.dist[z])
 
     def _on_spt_delta(self, msg):
-        self._apply_delta(msg.dst, msg.payload)
+        """A tree delta is charged traffic only: the endpoint keeps no
+        index, since `fail_edge` reads tree membership from the trees."""
 
     def _on_spt_notify(self, msg):
         self._repair_tree(msg.dst, edge_id(*msg.payload["edge"]),

@@ -282,8 +282,8 @@ class ShortestPathTree:
 
     The tree supports incremental repair after an edge death: only the
     subtree that hangs below the dead edge is recomputed, and the repair
-    reports exactly which tree edges were dropped and added so that edge
-    endpoints can keep their membership indexes current.
+    reports exactly which tree edges were dropped and added, so that the
+    owner can tell those edges' endpoints.
 
     A tree from `build_spt` holds the graph's cached maps, not copies. Only
     `repair` writes them, and only for a dead tree edge, which was alive at
@@ -301,8 +301,7 @@ class ShortestPathTree:
     def repair(self, g: Graph, e: EdgeId) -> tuple[list[EdgeId], list[EdgeId]]:
         """Reattach the subtree cut off by dead edge e, over the alive
         graph. The tree may keep other dead edges its owner has not heard
-        of yet; it never adopts one. An edge it adopts can still die before
-        the endpoints hear of the adoption; the endpoint index flags that.
+        of yet; it never adopts one, as it reads only the alive adjacency.
 
         Every lost node is seeded with its least (distance, id) attachment
         to a kept node, then Dijkstra runs inside the lost part. Only lost

@@ -836,8 +836,12 @@ class Directory:
     # -- completion ---------------------------------------------------------------
 
     def _complete(self, op: OpState) -> None:
+        """Close the op. Its search state goes with it: every reader of
+        the ball, contacted leaders and stale reports checks the phase."""
         op.phase = "done"
         op.ball = None
+        op.contacted.clear()
+        op.stale_of.clear()
         op.t_complete = self.sim.now
         op.f_at_complete = self.failure_count
         self.sim.log("op_done", op=op.id, kind=op.kind, node=op.issuer)

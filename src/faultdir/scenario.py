@@ -118,7 +118,6 @@ class Runtime:
             self.sim.charge_only("setup", cost, size="logn", count=messages)
         self.dir = Directory(self.sim, self.hier, self.ldir)
         self.engine = FailureEngine(self.dir)
-        self.engine.setup_index()
         self.sim.timers["inject_fail"] = self._inject_fail
         # issue-time geometry the bound checks need: distance from the
         # previous request source, and the path right after publish

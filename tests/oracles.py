@@ -509,3 +509,44 @@ def brute_candidates(dir, op):
         ready.append((key, led, sorted(groups[led])))
     ready.sort()
     return ready, waits
+
+
+# -- tree membership: the per-edge owner index that fail_edge once read --------
+
+
+class EdgeRootIndex:
+    """Reference tree membership: the owners whose trees use each edge, as
+    the edge's endpoints know it. Built from every tree's edges; an owner's
+    own tree deltas apply at once, and the other endpoint's on `spt_delta`
+    delivery. `dead_adds` lists every add delta that named an edge already
+    dead when it applied, as (root, edge, fid)."""
+
+    def __init__(self, g, trees):
+        self.g = g
+        self.edge_roots = {}
+        for root in sorted(trees):
+            for e in trees[root].tree_edges():
+                self.edge_roots.setdefault(e, set()).add(root)
+        self.dead_adds = []
+
+    def owners(self, e):
+        return self.edge_roots.get(edge_id(*e), set())
+
+    def send_deltas(self, owner, removed, added, fid):
+        """The deltas of one repair of owner's tree, as far as they apply
+        at the owner itself: the edges of its own it gained or lost."""
+        for op, eds in (("remove", sorted(removed)), ("add", sorted(added))):
+            for ed in eds:
+                if owner in ed:
+                    self.apply({"root": owner, "edge": list(ed), "op": op,
+                                "fid": fid})
+
+    def apply(self, payload):
+        ed = edge_id(*payload["edge"])
+        root = payload["root"]
+        if payload["op"] == "remove":
+            self.edge_roots.get(ed, set()).discard(root)
+            return
+        self.edge_roots.setdefault(ed, set()).add(root)
+        if not self.g.is_alive(ed):
+            self.dead_adds.append((root, ed, payload["fid"]))

@@ -83,9 +83,9 @@ def test_cached_candidates_equal_the_oracle_on_every_call(name, monkeypatch):
         # made up to there was still checked
         assert str(exc).startswith("path broken"), exc
     assert calls
-    # a finished op lets go of its ball
-    assert all(op.ball is None for op in rt.dir.ops.values()
-               if op.phase == "done")
+    # a finished op lets go of its search state
+    assert all(op.ball is None and not op.contacted and not op.stale_of
+               for op in rt.dir.ops.values() if op.phase == "done")
 
 
 def test_stale_unknown_and_far_witnesses_wait():
