@@ -133,6 +133,13 @@ class _Group:
         rep.add(self.formula, not self.fails, obs, bnd, detail)
 
 
+# the top-level record keys `check_bounds` reads
+RECORD_KEYS = ("mode", "rho", "sigma", "overlap", "top", "n", "d_alive",
+               "c_prime", "radii", "failures", "ledger", "ops", "path",
+               "publish", "partition_pre", "partition_post",
+               "token_intervals", "findings")
+
+
 class _Rec:
     """Parsed view of one run record."""
 

@@ -8,8 +8,9 @@ Subcommands:
 
 `check` exits nonzero when any inequality fails, so it can gate CI. The
 `faultdir` command (`console`) exits 2 with one line on stderr when `run`
-is given a scenario file it cannot read or that is invalid; `main` is the
-same front end for in-process callers and raises instead.
+is given a scenario file it cannot read or that is invalid, or `check` a
+record it cannot read or that lacks a top-level key; `main` is the same
+front end for in-process callers and raises instead.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import os
 import random
 import sys
 
-from faultdir.bounds import check_bounds
+from faultdir.bounds import RECORD_KEYS, check_bounds
 from faultdir.partition import build_hierarchy
 from faultdir.scenario import Runtime, build_graph
 
@@ -65,15 +66,19 @@ def _write_artifacts(rt: Runtime, record: dict, out_dir: str) -> None:
             w.writerow(row)
 
 
+def _bad_input(exc, args, path: str) -> None:
+    """Mark `exc` as bad input, not a program defect, for `console`."""
+    what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    exc.bad_input = f"faultdir {args.cmd}: {path}: {what}"
+
+
 def cmd_run(args) -> int:
     try:
         with open(args.scenario) as fh:
             sc = json.load(fh)
         rt = Runtime(sc)
     except (OSError, ValueError, KeyError) as exc:
-        # bad input rather than a program defect: `console` reports it
-        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        exc.bad_input = f"{args.scenario}: {what}"
+        _bad_input(exc, args, args.scenario)
         raise
     record = rt.run()
     _write_artifacts(rt, record, args.out_dir)
@@ -88,8 +93,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    with open(args.record) as fh:
-        record = json.load(fh)
+    try:
+        with open(args.record) as fh:
+            record = json.load(fh)
+        if not isinstance(record, dict):
+            raise ValueError("not a JSON object")
+        for key in RECORD_KEYS:
+            if key not in record:
+                raise KeyError(key)
+    except (OSError, ValueError, KeyError) as exc:
+        _bad_input(exc, args, args.record)
+        raise
     rep = check_bounds(record)
     out_path = args.out or os.path.join(os.path.dirname(args.record) or ".",
                                         "bound_report.json")
@@ -237,15 +251,16 @@ def main(argv=None) -> int:
 
 
 def console(argv=None) -> int:
-    """The `faultdir` command: `main`, but a scenario file that cannot be
+    """The `faultdir` command: `main`, but an input file that cannot be
     read or is invalid gets one line on stderr and exit code 2, not a
-    traceback. Errors from running a valid scenario still propagate."""
+    traceback. Errors from running a valid scenario or checking a
+    complete record still propagate."""
     try:
         return main(argv)
     except (OSError, ValueError, KeyError) as exc:
         if not hasattr(exc, "bad_input"):
             raise
-        print(f"faultdir run: {exc.bad_input}", file=sys.stderr)
+        print(exc.bad_input, file=sys.stderr)
         return 2
 
 

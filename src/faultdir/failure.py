@@ -331,9 +331,10 @@ class FailureEngine:
             {"child": c2.id, "members": frozenset(members2),
              "nodes": frozenset(det_nodes), "v": v})
         st = self.dir.nodes[y].levels.get(level)
-        on_path = st is not None and st.on_path and st.added_by in c2.members
+        # the path must follow the detached part when its adder went there
+        follow = st is not None and st.added_by in c2.members
         rec["splits"].append({"level": level, "parent": c.id, "child": c2.id,
-                              "size": len(members2), "on_path": on_path})
+                              "size": len(members2), "on_path": follow})
         self.sim.log("split", level=level, cluster=c.id, child=c2.id,
                      leader=w, size=len(members2))
         if w != v:
@@ -343,7 +344,7 @@ class FailureEngine:
                           size="nlogn",
                           bucket=f"repair:recluster:f{fid}:c{c2.id}")
             self.sim.send(msg, xfer_path)
-        if on_path:
+        if follow:
             self.queue_txn(y, {"level": level, "bcast": c2.id, "fid": fid})
         else:
             self._split_verdict(y, v, c2.id, level, fid, w)
@@ -431,7 +432,7 @@ class FailureEngine:
             return
         ns = self.dir.nodes[y]
         st = ns.levels.get(level)
-        if st is None or not st.on_path or st.added_by is None:
+        if st is None or st.added_by is None:
             return
         c = self.hier.led_by(level, y)
         if c is None:
@@ -483,7 +484,7 @@ class FailureEngine:
                 self._init_extension_txn(y, spec)
                 continue
             st = ns.levels.get(spec["level"])
-            if st is None or not st.on_path:
+            if st is None:
                 self._orphan_verdict(y, spec)
                 continue
             resolved = self._resolve_adder(y, spec["level"], st.added_by)
@@ -617,7 +618,7 @@ class FailureEngine:
         if p["bands"] is not None:
             self._apply_band_install(w, p)
         else:
-            if self.dir.nodes[w].level(p["level"]).on_path:
+            if p["level"] in self.dir.nodes[w].levels:
                 self.dir.finding("install_collision", node=w, level=p["level"])
             self.dir.join(w, p["level"], p["up"], p["down"], p["added_by"],
                           bucket)
@@ -647,9 +648,8 @@ class FailureEngine:
         """Put y on the path at every extension band: the lowest band
         points down at `down`, the highest up at `top_up`, and the bands
         in between at y itself."""
-        ns = self.dir.nodes[y]
         for j in bands:
-            self.dir.link(ns.level(j), y if j < bands[-1] else top_up,
+            self.dir.link(y, j, y if j < bands[-1] else top_up,
                           down if j == bands[0] else y, added_by)
 
     def _on_txn_repoint(self, msg):
@@ -658,7 +658,7 @@ class FailureEngine:
         self._stat_path(p["fid"], msg.traveled)
         ns = self.dir.nodes[z]
         st = ns.levels.get(p["at_level"])
-        if st is not None and st.on_path:
+        if st is not None:
             if p["set"] == "down":
                 self.dir.set_down(st, p["new_node"])
             else:
@@ -687,7 +687,7 @@ class FailureEngine:
         level = spec["level"]
         self.dir.leave(y, level, (spec["target"], level), bucket)
         if spec.get("ext"):
-            self.dir.link(ns.level(spec["top_level"]), None, spec["target"],
+            self.dir.link(y, spec["top_level"], None, spec["target"],
                           txn.added_by)
             self.dir.re_register(y, fid)
         ns.busy_txn = None
@@ -780,7 +780,7 @@ class FailureEngine:
         entries_v2 = [(j, v) for j in range(h_old, h_new)] + [(h_new, root)]
         ns_root = self.dir.nodes[root]
         st_old = ns_root.levels.get(h_old)
-        if st_old is None or not st_old.on_path:
+        if st_old is None:
             raise RuntimeError("root lost its top path state")
         adder = st_old.added_by
         old_down = st_old.down
@@ -802,8 +802,7 @@ class FailureEngine:
         clusters."""
         fid = spec["fid"]
         self._link_bands(y, spec["bands"], down, y, added_by)
-        self.dir.link(self.dir.nodes[y].level(spec["top_level"]), None, y,
-                      added_by)
+        self.dir.link(y, spec["top_level"], None, y, added_by)
         self.dir.re_register(y, fid)
         self.dir._send("ext_verdict", y, spec["target"],
                        {"bands": spec["bcast_bands"], "level": spec["level"],
@@ -813,7 +812,7 @@ class FailureEngine:
     def _init_extension_txn(self, y, spec):
         ns = self.dir.nodes[y]
         st = ns.levels.get(spec["level"])
-        if st is None or not st.on_path:
+        if st is None:
             raise RuntimeError("extension lost the top path state")
         band = self.hier.levels[spec["level"]][spec["bcast_bands"][0]]
         if st.added_by in band.members:

@@ -17,14 +17,15 @@ deletion walker down the abandoned segment; the walker finishes by
 handing the token to the new owner. Every node that leaves the path
 records where it went, so late walkers converge instead of getting lost.
 
-Path state (`LevelState`, the forwarding hints and the shortcut
+A node holds a `LevelState` for a level exactly while it is on the path
+there. Path state (`LevelState`, the forwarding hints and the shortcut
 registrations) is written only by these `Directory` methods, here and in
 the failure engine alike: `join` puts a node on the path and registers
-its shortcut, `leave` takes it off, leaves a hint and unregisters, `link`
-puts a node on the path without registering (the extension bands, which
-re-register afterwards), `set_down` repoints a down link and `set_up` an
-up link. `link` and `set_down` stamp the state with the time and failure
-count of the write; `set_up` and leaving keep the stamp.
+its shortcut, `leave` drops the state, leaves a hint and unregisters,
+`link` puts a node on the path without registering (the extension bands,
+which re-register afterwards), `set_down` repoints a down link and
+`set_up` an up link. `link` and `set_down` stamp the state with the time
+and failure count of the write; `set_up` keeps the stamp.
 """
 
 from __future__ import annotations
@@ -35,37 +36,28 @@ OPEN_PHASES = ("up", "walk", "await_token")
 
 
 class LevelState:
-    """Per-(node, level) directory path membership."""
+    """A node's place on the path at one level: links, adder, the stamp of
+    the last link write, and where its shortcut is registered (or None)."""
 
-    __slots__ = ("on_path", "up", "down", "added_by", "built_t", "built_f")
+    __slots__ = ("up", "down", "added_by", "built_t", "built_f", "shortcut")
 
     def __init__(self):
-        self.on_path = False
-        self.up = None
-        self.down = None
-        self.added_by = None
-        self.built_t = None
-        self.built_f = None
-
-    def clear(self) -> None:
-        """Leave the path; the build stamp stays."""
-        self.on_path = False
-        self.up = self.down = self.added_by = None
+        self.shortcut = None
 
 
 class NodeState:
     def __init__(self, nid: int):
         self.id = nid
+        # the levels where this node is on the path
         self.levels: dict[int, LevelState] = {}
-        # shortcut registry held at this node: (target, target_level) keys
-        self.shortcuts: dict[tuple[int, int], bool] = {}
-        # where this node registered its own shortcut, per path level
-        self.my_shortcut: dict[int, int] = {}
-        # token machinery
+        # shortcut registry held at this node: (target, target_level)
+        self.shortcuts: set[tuple[int, int]] = set()
+        # token machinery: this node's open move waits for the token
         self.has_token = False
-        self.expecting_token = False
-        # (next_owner, op_id) once a later mover overtakes this one
-        self.pending_transfer: tuple[int, str] | None = None
+        self.move: OpState | None = None
+        # once a later mover overtakes: its op id, to go with the token
+        # to `token_forward`
+        self.pending_transfer: str | None = None
         self.token_forward: int | None = None
         self.waiting_lookups: list = []
         # forwarding hints for nodes that left the path: level -> (node, level)
@@ -76,11 +68,6 @@ class NodeState:
         self.queued_locks: list = []
         self.pending_init: list = []  # levels waiting to (re)start a txn
         self.deferred: list = []      # parked write messages while locked
-
-    def level(self, i: int) -> LevelState:
-        if i not in self.levels:
-            self.levels[i] = LevelState()
-        return self.levels[i]
 
     def locked(self) -> bool:
         return bool(self.grants) or self.busy_txn is not None
@@ -176,9 +163,13 @@ class Directory:
     def _send(self, kind, src, dst, payload, size, bucket) -> None:
         self.sim.send(Message(kind, src, dst, payload, size=size, bucket=bucket))
 
-    def link(self, st: LevelState, up, down, added_by) -> None:
-        """Put a node on the path at one level, stamped now."""
-        st.on_path = True
+    def link(self, y: int, level: int, up, down, added_by) -> None:
+        """Put y on the path at `level`, stamped now: a new state, or the
+        one y holds there rewritten in place."""
+        levels = self.nodes[y].levels
+        st = levels.get(level)
+        if st is None:
+            st = levels[level] = LevelState()
         st.up = up
         st.added_by = added_by
         self.set_down(st, down)
@@ -196,16 +187,17 @@ class Directory:
 
     def join(self, y: int, level: int, up, down, added_by, bucket: str) -> None:
         """Put y on the path at `level` and register its shortcut."""
-        self.link(self.nodes[y].level(level), up, down, added_by)
+        self.link(y, level, up, down, added_by)
         self._register_shortcut(y, level, bucket)
 
     def leave(self, y: int, level: int, hint, bucket: str) -> None:
-        """Take y off the path at `level`, leave the hint `hint` (node,
-        level) for late walkers and unregister y's shortcut."""
+        """Take y off the path at `level` (it must be on it), leave the
+        hint `hint` (node, level) for late walkers and unregister y's
+        shortcut."""
         ns = self.nodes[y]
-        ns.level(level).clear()
+        st = ns.levels.pop(level)
         ns.hints[level] = hint
-        self._unregister_shortcut(y, level, bucket)
+        self._unregister_shortcut(y, level, st.shortcut, bucket)
 
     def believed_own_leader(self, u: int, level: int) -> int | None:
         if level == -1:
@@ -220,24 +212,22 @@ class Directory:
         if s is None:
             self.finding("shortcut_target_unknown", node=y, level=level)
             return
-        self.nodes[y].my_shortcut[level] = s
+        self.nodes[y].levels[level].shortcut = s
         self._send("reg_sc", y, s, {"target": y, "tlevel": level},
                    "const", bucket)
 
-    def _unregister_shortcut(self, y: int, level: int, bucket: str) -> None:
-        s = self.nodes[y].my_shortcut.pop(level, None)
-        if s is None:
-            return
-        self._send("unreg_sc", y, s, {"target": y, "tlevel": level},
-                   "const", bucket)
+    def _unregister_shortcut(self, y: int, level: int, s, bucket: str) -> None:
+        if s is not None:
+            self._send("unreg_sc", y, s, {"target": y, "tlevel": level},
+                       "const", bucket)
 
     def _on_reg_sc(self, msg):
         self._note_sc_traffic(msg)
-        self.nodes[msg.dst].shortcuts[(msg.payload["target"], msg.payload["tlevel"])] = True
+        self.nodes[msg.dst].shortcuts.add((msg.payload["target"], msg.payload["tlevel"]))
 
     def _on_unreg_sc(self, msg):
         self._note_sc_traffic(msg)
-        self.nodes[msg.dst].shortcuts.pop((msg.payload["target"], msg.payload["tlevel"]), None)
+        self.nodes[msg.dst].shortcuts.discard((msg.payload["target"], msg.payload["tlevel"]))
 
     def _note_sc_traffic(self, msg):
         """Special parent updates made during repairs feed the shape report."""
@@ -257,14 +247,6 @@ class Directory:
         self.ops[oid] = op
         self.sim.log("op_issue", op=oid, kind=kind, node=issuer)
         return op
-
-    def _open_move(self, y: int) -> OpState | None:
-        """y's oldest open move, if any. A node has at most one once
-        `start_move` has rejected a second."""
-        for op in self.ops.values():
-            if op.kind == "move" and op.issuer == y and op.open():
-                return op
-        return None
 
     def current_owner(self) -> int | None:
         return self.token_intervals[-1]["holder"] if self.token_intervals else None
@@ -305,8 +287,7 @@ class Directory:
             return op
         op.owner_at_issue = self.current_owner()
         op.dist_at_issue = self.sim.g.distance(u, op.owner_at_issue)
-        ns = self.nodes[u]
-        if ns.levels.get(-1) and ns.levels[-1].on_path:
+        if -1 in self.nodes[u].levels:
             # issuer already on the owner chain at level -1: local read or wait
             self._walk_arrived_at_owner(op, u)
             return op
@@ -320,21 +301,20 @@ class Directory:
             self.finding("move_before_publish", node=v)
             op.phase = "rejected"
             return op
-        # ops are kept in issue order, so an older open move comes first
-        if self._open_move(v) is not op:
+        ns = self.nodes[v]
+        if ns.move is not None:
             self.finding("concurrent_move_same_node", node=v)
             op.phase = "rejected"
             return op
         op.owner_at_issue = self.current_owner()
         op.dist_at_issue = self.sim.g.distance(v, op.owner_at_issue)
-        ns = self.nodes[v]
-        if ns.level(-1).on_path and (ns.has_token or ns.expecting_token):
-            # already the owner (or about to be): nothing to do
+        if -1 in ns.levels and ns.has_token:
+            # already the owner: nothing to do
             op.discovery_level = -1
             self._complete(op)
             return op
         self.join(v, -1, None, None, v, f"op:{op.id}:L-1:sc")
-        ns.expecting_token = True
+        ns.move = op
         op.level = 0
         self._advance(op)
         return op
@@ -467,13 +447,12 @@ class Directory:
         reply = {"op": op_id, "level": level, "found": False, "stale": stale}
         st = ns.levels.get(level)
         if p["kind"] == "move":
-            if st is not None and st.on_path:
+            if st is not None:
                 reply["found"] = True
                 self._splice(y, st, level, op_id, p["issuer"], p["new_down"],
                              "splice")
         else:
-            on_levels = sorted(l for l, s in ns.levels.items()
-                               if s.on_path and l <= level)
+            on_levels = sorted(l for l in ns.levels if l <= level)
             sc = sorted((t[1], t[0]) for t in ns.shortcuts if t[1] < level)
             if on_levels:
                 reply["found"] = True
@@ -489,11 +468,11 @@ class Directory:
                    f"op:{op_id}:L{level}:reply")
 
     def _splice(self, y, st, level, op_id, new_owner, down, event):
-        """A move meets the path at y's on-path state `st`: repoint it down
-        at the mover's branch node `down`, log `event`, and send a delete
-        walk down the old branch."""
+        """A move meets the path at y's state `st`: repoint it down at the
+        mover's branch node `down`, log `event`, and send a delete walk
+        down the old branch."""
         old_down = st.down
-        self.link(st, st.up, down, new_owner)
+        self.link(y, level, st.up, down, new_owner)
         self.sim.log(event, op=op_id, node=y, level=level)
         if old_down is None:
             self.finding("splice_without_down", op=op_id, node=y, level=level)
@@ -535,8 +514,8 @@ class Directory:
         ns = self.nodes[y]
         p = msg.payload
         level = p["level"]
-        st = ns.level(level)
-        spliced = st.on_path
+        st = ns.levels.get(level)
+        spliced = st is not None
         if spliced:
             # a concurrent path update put y on the path after the search
             # missed it; treat the add as the discovery splice
@@ -580,7 +559,7 @@ class Directory:
         ns = self.nodes[y]
         level = msg.payload["level"]
         st = ns.levels.get(level)
-        if st is None or not st.on_path:
+        if st is None:
             hint = ns.hints.get(level)
             if hint is not None and hint[1] == level:
                 # this node was replaced mid-move; hand the link to the
@@ -607,7 +586,7 @@ class Directory:
         if self._parked(msg):
             return
         st = self.nodes[msg.dst].levels.get(msg.payload["at_level"])
-        if st is None or not st.on_path:
+        if st is None:
             self.finding("down_fix_off_path", node=msg.dst,
                          level=msg.payload["at_level"])
             return
@@ -625,7 +604,7 @@ class Directory:
 
     def _apply_path_state(self, y: int, p: dict) -> None:
         level = p["level"]
-        if self.nodes[y].level(level).on_path:
+        if level in self.nodes[y].levels:
             self.finding("path_state_overwrite", node=y, level=level)
         self.join(y, level, p["up"], p["down"], p["added_by"],
                   f"op:{p['op']}:L{level}:sc")
@@ -673,8 +652,8 @@ class Directory:
         ns = self.nodes[y]
         st = ns.levels.get(level)
         op = self.ops.get(op_id)
-        if st is not None and st.on_path:
-            if min_f is None or (st.built_f is not None and st.built_f < min_f):
+        if st is not None:
+            if min_f is None or st.built_f < min_f:
                 min_f = st.built_f
             if op is not None:
                 op.walk_min_built_f = min_f
@@ -714,7 +693,7 @@ class Directory:
                             "version": self.token_version},
                            "const", f"op:{op.id}:reply")
             return
-        if ns.expecting_token:
+        if ns.move is not None:
             ns.waiting_lookups.append(op.id)
             return
         if ns.token_forward is not None:
@@ -760,7 +739,7 @@ class Directory:
         op_id, level = p["op"], p["expect_level"]
         new_owner, min_f = p["new_owner"], p["min_built_f"]
         st = ns.levels.get(level)
-        if st is not None and st.on_path:
+        if st is not None:
             nxt = st.down
             self.leave(y, level, (new_owner, -1), f"op:{op_id}:L{level}:sc")
             if level == -1:
@@ -792,10 +771,10 @@ class Directory:
         ns = self.nodes[y]
         if ns.has_token:
             self._hand_token(y, p["new_owner"], p["op"])
-        elif ns.expecting_token:
+        elif ns.move is not None:
             if ns.pending_transfer is not None:
                 self.finding("double_pending_transfer", node=y)
-            ns.pending_transfer = (p["new_owner"], p["op"])
+            ns.pending_transfer = p["op"]
             ns.token_forward = p["new_owner"]
         else:
             self.finding("transfer_at_tokenless_node", node=y, op=p["op"])
@@ -812,10 +791,9 @@ class Directory:
         self.token_intervals.append({"version": self.token_version, "holder": y,
                                      "t_from": now})
         ns.has_token = True
-        ns.expecting_token = False
         # whatever op id rode along, the receiver's own open move is the
         # one this arrival completes
-        mover_op = self._open_move(y)
+        mover_op, ns.move = ns.move, None
         if mover_op is not None:
             mover_op.read_t = now
             mover_op.version = self.token_version
@@ -829,9 +807,8 @@ class Directory:
         if ns.pending_transfer is not None:
             # y left level -1 when the transfer was parked, and cannot
             # have rejoined: its own move stayed open until now
-            nxt, nxt_op = ns.pending_transfer
-            ns.pending_transfer = None
-            self._hand_token(y, nxt, nxt_op)
+            nxt_op, ns.pending_transfer = ns.pending_transfer, None
+            self._hand_token(y, ns.token_forward, nxt_op)
 
     # -- completion ---------------------------------------------------------------
 
@@ -869,14 +846,14 @@ class Directory:
         path node re-registers where needed."""
         ns = self.nodes[y]
         bucket = f"repair:path_update:f{fid}"
-        for i in sorted(l for l, s in ns.levels.items() if s.on_path):
+        for i in sorted(ns.levels):
+            st = ns.levels[i]
             want = self.believed_own_leader(y, self.hier.shortcut_level(i))
-            cur = ns.my_shortcut.get(i)
             if want is None:
                 self.finding("shortcut_target_unknown", node=y, level=i)
                 continue
-            if cur != want:
-                self._unregister_shortcut(y, i, bucket)
+            if st.shortcut != want:
+                self._unregister_shortcut(y, i, st.shortcut, bucket)
                 self._register_shortcut(y, i, bucket)
 
     def drain_deferred(self, y: int) -> None:
@@ -902,7 +879,7 @@ class Directory:
         seen = set()
         while level >= -1:
             st = self.nodes[node].levels.get(level)
-            if st is None or not st.on_path:
+            if st is None:
                 raise RuntimeError(f"path broken at level {level} node {node}")
             chain.append((level, node))
             seen.add((level, node))
@@ -914,8 +891,8 @@ class Directory:
             level -= 1
         stray = []
         for u in sorted(self.nodes):
-            for lv, st in sorted(self.nodes[u].levels.items()):
-                if st.on_path and (lv, u) not in seen:
+            for lv in sorted(self.nodes[u].levels):
+                if (lv, u) not in seen:
                     stray.append((lv, u))
         if stray:
             raise RuntimeError(f"stray path states: {stray}")

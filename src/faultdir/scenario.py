@@ -130,11 +130,12 @@ class Runtime:
 
     def _settle(self, context: str) -> None:
         self.sim.run()
+        if self.dir.quiescent():
+            return
         stuck = [op.id for op in self.dir.open_ops()]
         if stuck:
             raise RuntimeError(f"{context}: operations never finished: {stuck}")
-        if not self.dir.quiescent():
-            raise RuntimeError(f"{context}: system not quiescent after drain")
+        raise RuntimeError(f"{context}: system not quiescent after drain")
 
     def run(self) -> dict:
         for k, ev in enumerate(self.sc.get("events", [])):
@@ -261,15 +262,13 @@ class Runtime:
         out = []
         for idx, (level, node) in enumerate(chain):
             st = self.dir.nodes[node].levels[level]
-            built_f = st.built_f if st.built_f is not None else 0
-            row = {"level": level, "node": node, "built_f": built_f,
-                   "built_t": q(st.built_t) if st.built_t is not None else None,
+            row = {"level": level, "node": node, "built_f": st.built_f,
+                   "built_t": q(st.built_t),
                    "dist_next": None, "dist_next_now": None, "pair_f": None}
             if idx + 1 < len(chain):
                 up_level, up_node = chain[idx + 1]
-                up_st = self.dir.nodes[up_node].levels[up_level]
-                up_f = up_st.built_f if up_st.built_f is not None else 0
-                pair_f = max(built_f, up_f)
+                up_f = self.dir.nodes[up_node].levels[up_level].built_f
+                pair_f = max(st.built_f, up_f)
                 g_then = epochs.get(pair_f)
                 if g_then is None:
                     g_then = build_graph(self.sc["graph"])

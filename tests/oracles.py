@@ -511,6 +511,19 @@ def brute_candidates(dir, op):
     return ready, waits
 
 
+# -- open moves: the scan over every op that `NodeState.move` replaced --------
+
+
+def open_moves(dir):
+    """Each issuer's oldest open move, from a scan over every op in issue
+    order."""
+    moves = {}
+    for op in dir.ops.values():
+        if op.kind == "move" and op.open():
+            moves.setdefault(op.issuer, op)
+    return moves
+
+
 # -- tree membership: the per-edge owner index that fail_edge once read --------
 
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from faultdir.bounds import RECORD_KEYS
 from faultdir.cli import _gen_scenario, _graph_spec, console, main
 from faultdir.scenario import Runtime, validate_scenario
 
@@ -166,6 +167,50 @@ def test_run_rejects_unreadable_file(tmp_path):
         assert proc.returncode == 2
         assert proc.stderr.startswith("faultdir run: ")
         assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
+BAD_RECORDS = {
+    "missing": (None, "No such file"),
+    "not json": ("{not json", "Expecting property name"),
+    "not an object": ("[1, 2]", "not a JSON object"),
+    "no mode": ('{"ops": []}', "missing key 'mode'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_check_rejects_bad_record_in_one_line(case, tmp_path, capsys):
+    text, message = BAD_RECORDS[case]
+    rec_path = tmp_path / "record.json"
+    if text is not None:
+        rec_path.write_text(text)
+    argv = ["check", str(rec_path)]
+    assert console(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"faultdir check: {rec_path}: ")
+    assert err.count("\n") == 1 and message in err
+    assert not (tmp_path / "bound_report.json").exists()
+    with pytest.raises((OSError, ValueError, KeyError)):
+        main(argv)
+
+
+def test_check_names_every_top_level_key_it_reads(tmp_path, capsys):
+    # a record without one of its top-level keys is either refused as bad
+    # input or checked without it; it never reaches check as a KeyError
+    scen_path = tmp_path / "scen.json"
+    main(["gen", "--graph", "ring:8", "--seed", "1", "--ops", "3",
+          "--failures", "1", "--out", str(scen_path)])
+    main(["run", str(scen_path), "--out-dir", str(tmp_path)])
+    record = json.loads((tmp_path / "record.json").read_text())
+    refused = set()
+    for key in sorted(record):
+        rec_path = tmp_path / f"no-{key}.json"
+        rec_path.write_text(json.dumps({k: v for k, v in record.items()
+                                        if k != key}))
+        if console(["check", str(rec_path), "--out",
+                    str(tmp_path / "rep.json")]) == 2:
+            refused.add(key)
+    capsys.readouterr()
+    assert refused == set(RECORD_KEYS)
 
 
 def test_run_defects_still_propagate(tmp_path, monkeypatch):

@@ -361,14 +361,14 @@ def test_queued_extension_installs_locally_when_adder_stayed_home():
         "fid": 0, "bands": bands, "top_level": h_new,
         "bcast_bands": band_ids, "entries": entries})
     assert ns.busy_txn is None
+    assert set(bands) | {h_new} <= set(ns.levels)
     for j in bands:
         st = ns.levels[j]
-        assert (st.on_path, st.up, st.added_by) == (True, root, adder)
+        assert (st.up, st.added_by) == (root, adder)
         assert st.down == (old_down if j == h_old else root)
         assert (st.built_t, st.built_f) == (777, 4)
     top = ns.levels[h_new]
-    assert (top.on_path, top.up, top.down, top.added_by) == \
-        (True, None, root, adder)
+    assert (top.up, top.down, top.added_by) == (None, root, adder)
     assert (top.built_t, top.built_f) == (777, 4)
     verdicts = [d for _t, _s, kind, d in rt.sim._heap
                 if kind in ("hop", "deliver") and d.kind == "ext_verdict"]

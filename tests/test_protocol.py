@@ -10,7 +10,7 @@ from faultdir.scenario import Runtime, run_scenario
 from faultdir.sim import Message
 from golden.regen import SCENARIOS as GOLDEN, scenario as golden_scenario
 
-from oracles import fw_all_pairs
+from oracles import fw_all_pairs, open_moves
 
 
 def stack(graph, mode="strong", rho=2, seed=0, events=()):
@@ -191,8 +191,9 @@ def test_move_add_onto_path_node_splices_and_walks_old_segment():
     rt.dir._on_move_add(Message("move_add", mover, y,
                                 {"op": "move9", "level": 1, "down": mover,
                                  "added_by": mover}))
-    assert (st.on_path, st.up, st.down, st.added_by) == \
-        (True, old_up, mover, mover)
+    # the splice rewrites y's level-1 state in place
+    assert rt.dir.nodes[y].levels[1] is st
+    assert (st.up, st.down, st.added_by) == (old_up, mover, mover)
     assert (st.built_t, st.built_f) == (777, 3)
     assert rt.sim.events[-1]["type"] == "splice_on_add"
     walk, ack = pending(rt.sim)
@@ -213,10 +214,131 @@ def test_down_fix_with_newer_stamp_repoints_down():
     rt.dir._on_down_fix(Message("down_fix", new_node, y,
                                 {"at_level": 2, "new_node": new_node,
                                  "stamp": st.built_t + 1}))
-    assert (st.on_path, st.up, st.down, st.added_by) == \
-        (True, old_up, new_node, adder)
+    assert rt.dir.nodes[y].levels[2] is st
+    assert (st.up, st.down, st.added_by) == (old_up, new_node, adder)
     assert (st.built_t, st.built_f) == (777, 2)
     assert not pending(rt.sim)
+
+
+# -- the token at a node with an open move ----------------------------------
+
+
+def open_mover(rt, chain):
+    """Start a move at a node off the chain; it joins level -1 and waits
+    for the token. Returns (mover, its op)."""
+    m = next(u for u in rt.g.nodes() if u not in chain.values())
+    op = rt.dir.start_move(m)
+    assert rt.dir.nodes[m].move is op and -1 in rt.dir.nodes[m].levels
+    return m, op
+
+
+def token_to(rt, y, op_id):
+    rt.dir._on_token(Message("token", rt.hier.root, y,
+                             {"op": op_id, "value": 42}))
+
+
+def test_lookup_at_an_open_mover_waits_for_the_token():
+    rt, chain = settled_chain()
+    m, move = open_mover(rt, chain)
+    reader = chain[-1]
+    look = rt.dir._new_op("look", reader)
+    look.phase = "walk"
+    rt.dir._deliver_walk_step(m, -1, look.id, reader, None, None)
+    ns = rt.dir.nodes[m]
+    assert ns.waiting_lookups == [look.id] and look.open()
+
+    rt.sim.now = 500
+    token_to(rt, m, "move9")
+    assert ns.move is None and ns.has_token and not ns.waiting_lookups
+    assert (move.phase, move.version, move.read_t) == ("done", 1, 500)
+    assert (look.value, look.version, look.read_t) == (42, 1, 500)
+    replies = [msg for msg in pending(rt.sim) if msg.kind == "lookup_reply"]
+    assert [(r.dst, r.payload) for r in replies] == \
+        [(reader, {"op": look.id, "value": 42, "version": 1})]
+
+
+def overtake(rt, y, op_id, new_owner):
+    """A later mover's delete walk reaches y's level -1 state."""
+    rt.dir._on_del_walk(Message("del_walk", rt.hier.root, y,
+                                {"op": op_id, "expect_level": -1,
+                                 "new_owner": new_owner, "min_built_f": 0}))
+
+
+def test_overtaken_mover_passes_the_token_on_with_the_parked_op():
+    rt, chain = settled_chain()
+    m, move = open_mover(rt, chain)
+    later = next(u for u in rt.g.nodes() if u not in chain.values() and u != m)
+    overtake(rt, m, "move9", later)
+    ns = rt.dir.nodes[m]
+    assert -1 not in ns.levels and ns.hints[-1] == (later, -1)
+    assert (ns.pending_transfer, ns.token_forward) == ("move9", later)
+    assert move.open()
+
+    token_to(rt, m, move.id)
+    assert move.phase == "done" and ns.move is None
+    assert (ns.has_token, ns.pending_transfer, ns.token_forward) == \
+        (False, None, later)
+    tokens = [msg for msg in pending(rt.sim) if msg.kind == "token"]
+    assert [(t.src, t.dst, t.payload["op"]) for t in tokens] == \
+        [(m, later, "move9")]
+    assert not any(f["what"] == "double_pending_transfer"
+                   for f in rt.dir.findings)
+
+
+def test_second_overtake_replaces_the_pending_transfer():
+    rt, chain = settled_chain()
+    m, move = open_mover(rt, chain)
+    first, second = [u for u in rt.g.nodes()
+                     if u not in chain.values() and u != m][:2]
+    overtake(rt, m, "move9", first)
+    # m left level -1 and cannot rejoin while its move is open, so no walk
+    # reaches the transfer a second time; drive it directly
+    rt.dir._owner_end_transfer(m, {"op": "move10", "new_owner": second})
+    ns = rt.dir.nodes[m]
+    assert [f["node"] for f in rt.dir.findings
+            if f["what"] == "double_pending_transfer"] == [m]
+    assert (ns.pending_transfer, ns.token_forward) == ("move10", second)
+
+    token_to(rt, m, move.id)
+    tokens = [msg for msg in pending(rt.sim) if msg.kind == "token"]
+    assert [(t.dst, t.payload["op"]) for t in tokens] == [(second, "move10")]
+
+
+@pytest.mark.parametrize("forward", [None, 0])
+def test_transfer_at_a_tokenless_node_keeps_a_known_forward(forward):
+    rt, chain = settled_chain()
+    z = next(u for u in rt.g.nodes() if u not in chain.values())
+    later = next(u for u in rt.g.nodes() if u not in chain.values() and u != z)
+    rt.dir.link(z, -1, None, None, z)
+    ns = rt.dir.nodes[z]
+    ns.token_forward = forward
+    overtake(rt, z, "move9", later)
+    assert -1 not in ns.levels and ns.pending_transfer is None
+    assert ns.token_forward == (later if forward is None else forward)
+    assert [f["what"] for f in rt.dir.findings] == \
+        ["transfer_at_tokenless_node"]
+    assert not [msg for msg in pending(rt.sim) if msg.kind == "token"]
+
+
+@pytest.mark.parametrize("forward", [None, 0])
+def test_lookup_at_a_tokenless_owner_follows_the_forward_or_fails(forward):
+    rt, chain = settled_chain()
+    z = next(u for u in rt.g.nodes() if u not in chain.values())
+    rt.dir.link(z, -1, None, None, z)
+    rt.dir.nodes[z].token_forward = forward
+    reader = chain[-1]
+    look = rt.dir._new_op("look", reader)
+    look.phase = "walk"
+    rt.dir._deliver_walk_step(z, -1, look.id, reader, None, None)
+    (msg,) = pending(rt.sim)
+    if forward is None:
+        assert [f["what"] for f in rt.dir.findings] == ["owner_without_token"]
+        assert (msg.kind, msg.dst, msg.payload) == \
+            ("walk_fail", reader, {"op": look.id, "resume_level": 0})
+    else:
+        assert not rt.dir.findings
+        assert (msg.kind, msg.dst, msg.payload["at_level"]) == \
+            ("lookup_walk", forward, -1)
 
 
 # -- the deferral gate: write messages park at a locked node -----------------
@@ -228,11 +350,10 @@ def node_view(rt):
     nodes = {}
     for u, ns in rt.dir.nodes.items():
         nodes[u] = (
-            sorted((lv, st.on_path, st.up, st.down, st.added_by, st.built_t,
-                    st.built_f) for lv, st in ns.levels.items()),
-            sorted(ns.shortcuts), sorted(ns.my_shortcut.items()),
-            sorted(ns.hints.items()), ns.has_token, ns.expecting_token,
-            ns.token_forward, ns.pending_transfer)
+            sorted((lv, st.up, st.down, st.added_by, st.built_t, st.built_f,
+                    st.shortcut) for lv, st in ns.levels.items()),
+            sorted(ns.shortcuts), sorted(ns.hints.items()), ns.has_token,
+            ns.move and ns.move.id, ns.token_forward, ns.pending_transfer)
     return nodes, list(rt.dir.findings), list(rt.sim.events)
 
 
@@ -300,9 +421,8 @@ REGISTRY_RUNS = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN) + sorted(REGISTRY_RUNS))
 def test_shortcut_registry_matches_path_membership(name):
-    """At quiescence every node holds a shortcut registration for exactly
-    the levels where it is on the path, and the registries held at the
-    targets are exactly those registrations."""
+    """At quiescence every path state holds a shortcut registration, and
+    the registries held at the targets are exactly those registrations."""
     sc = golden_scenario(name) if name in GOLDEN \
         else _gen_scenario(**REGISTRY_RUNS[name])
     rt = Runtime(sc)
@@ -314,12 +434,39 @@ def test_shortcut_registry_matches_path_membership(name):
         return
     nodes = rt.dir.nodes
     for y, ns in nodes.items():
-        on = {lv for lv, st in ns.levels.items() if st.on_path}
-        assert on == set(ns.my_shortcut), y
+        assert all(st.shortcut is not None for st in ns.levels.values()), y
     held = {(s, t, lv) for s, ns in nodes.items() for t, lv in ns.shortcuts}
-    made = {(s, y, lv) for y, ns in nodes.items()
-            for lv, s in ns.my_shortcut.items()}
+    made = {(st.shortcut, y, lv) for y, ns in nodes.items()
+            for lv, st in ns.levels.items()}
     assert held == made
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN) + sorted(REGISTRY_RUNS))
+def test_each_node_holds_its_open_move(name):
+    """After every handled message, each node's `move` is its open move as
+    a scan over all ops finds it."""
+    sc = golden_scenario(name) if name in GOLDEN \
+        else _gen_scenario(**REGISTRY_RUNS[name])
+    rt = Runtime(sc)
+    deliver = rt.sim._deliver
+    seen = []
+
+    def checked(msg):
+        deliver(msg)
+        moves = open_moves(rt.dir)
+        for y, ns in rt.dir.nodes.items():
+            assert ns.move is moves.get(y), (msg.kind, y)
+        seen.append(len(moves))
+
+    rt.sim._deliver = checked
+    try:
+        rt.run()
+    except RuntimeError as exc:
+        # the known path-state defect ends some runs before the end
+        assert str(exc).startswith("path broken"), exc
+    assert seen
+    if any(ev["do"] == "move" for ev in sc["events"]):
+        assert max(seen) > 0
 
 
 # -- a splice found by the search leaves the branch's up link unset ----------
