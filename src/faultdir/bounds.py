@@ -138,6 +138,10 @@ RECORD_KEYS = ("mode", "rho", "sigma", "overlap", "top", "n", "d_alive",
                "c_prime", "radii", "failures", "ledger", "ops", "path",
                "publish", "partition_pre", "partition_post",
                "token_intervals", "findings")
+# the keys of each op in `ops` that `check_bounds` reads
+OP_KEYS = ("id", "kind", "phase", "t_issue", "t_complete", "f_at_issue",
+           "f_at_complete", "transient", "stale_walk", "discovery_level",
+           "dist_at_issue", "dist_prev_source", "version", "read_t")
 
 
 class _Rec:

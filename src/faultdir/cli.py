@@ -21,7 +21,7 @@ import os
 import random
 import sys
 
-from faultdir.bounds import RECORD_KEYS, check_bounds
+from faultdir.bounds import OP_KEYS, RECORD_KEYS, check_bounds
 from faultdir.partition import build_hierarchy
 from faultdir.scenario import Runtime, build_graph
 
@@ -101,6 +101,10 @@ def cmd_check(args) -> int:
         for key in RECORD_KEYS:
             if key not in record:
                 raise KeyError(key)
+        for k, op in enumerate(record["ops"]):
+            for key in OP_KEYS:
+                if not isinstance(op, dict) or key not in op:
+                    raise KeyError(f"ops[{k}].{key}")
     except (OSError, ValueError, KeyError) as exc:
         _bad_input(exc, args, args.record)
         raise

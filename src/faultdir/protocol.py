@@ -26,13 +26,16 @@ its shortcut, `leave` drops the state, leaves a hint and unregisters,
 which re-register afterwards), `set_down` repoints a down link and
 `set_up` an up link. `link` and `set_down` stamp the state with the time
 and failure count of the write; `set_up` keeps the stamp.
+
+An op is open exactly while it is in `Directory.open`, the open ops in
+issue order. Only `_new_op` and `_close` change that: `_new_op` adds each
+op, and `_close` (through `_complete` or `_reject`) is the one writer of
+the phases "done" and "rejected"; it drops the op's search state too.
 """
 
 from __future__ import annotations
 
 from faultdir.sim import Message, Simulator
-
-OPEN_PHASES = ("up", "walk", "await_token")
 
 
 class LevelState:
@@ -103,9 +106,6 @@ class OpState:
         # beliefs that moved underneath us
         self.branch: dict[int, int] = {-1: issuer}
 
-    def open(self) -> bool:
-        return self.phase in OPEN_PHASES
-
 
 class Directory:
     """Wires node state machines into the simulator and drives operations."""
@@ -116,6 +116,7 @@ class Directory:
         self.ldir = ldir
         self.nodes = {u: NodeState(u) for u in sim.g.nodes()}
         self.ops: dict[str, OpState] = {}
+        self.open: dict[str, OpState] = {}  # in issue order
         self._op_seq = 0
         self.token_value = None
         self.token_version = None
@@ -136,19 +137,12 @@ class Directory:
         self.findings.append(rec)
         self.sim.log("finding", what=what, **{k: str(v) for k, v in info.items()})
 
-    def open_ops(self) -> list[OpState]:
-        return [op for op in self.ops.values() if op.open()]
-
     def quiescent(self) -> bool:
-        if not self.sim.idle() or self.open_ops():
-            return False
-        for ns in self.nodes.values():
-            if ns.busy_txn or ns.grants or ns.deferred or ns.pending_init \
-                    or ns.queued_locks or ns.waiting_lookups:
-                return False
-        if self.engine is not None and not self.engine.quiet():
-            return False
-        return True
+        return (self.sim.idle() and not self.open
+                and not any(ns.locked() or ns.deferred or ns.pending_init
+                            or ns.queued_locks or ns.waiting_lookups
+                            for ns in self.nodes.values())
+                and (self.engine is None or self.engine.quiet()))
 
     def _parked(self, msg, txn=None) -> bool:
         """Park a write message at a locked destination; `drain_deferred`
@@ -244,7 +238,7 @@ class Directory:
         oid = f"{kind}{self._op_seq}"
         self._op_seq += 1
         op = OpState(oid, kind, issuer, self.sim.now, self.failure_count)
-        self.ops[oid] = op
+        self.ops[oid] = self.open[oid] = op
         self.sim.log("op_issue", op=oid, kind=kind, node=issuer)
         return op
 
@@ -254,8 +248,7 @@ class Directory:
     def start_publish(self, v: int) -> OpState:
         op = self._new_op("pub", v)
         if self.token_value is not None:
-            self.finding("duplicate_publish", node=v)
-            op.phase = "rejected"
+            self._reject(op, "duplicate_publish", node=v)
             return op
         self.token_value = 42
         self.token_version = 0
@@ -282,8 +275,7 @@ class Directory:
     def start_lookup(self, u: int) -> OpState:
         op = self._new_op("look", u)
         if self.token_value is None:
-            self.finding("lookup_before_publish", node=u)
-            op.phase = "rejected"
+            self._reject(op, "lookup_before_publish", node=u)
             return op
         op.owner_at_issue = self.current_owner()
         op.dist_at_issue = self.sim.g.distance(u, op.owner_at_issue)
@@ -298,13 +290,11 @@ class Directory:
     def start_move(self, v: int) -> OpState:
         op = self._new_op("move", v)
         if self.token_value is None:
-            self.finding("move_before_publish", node=v)
-            op.phase = "rejected"
+            self._reject(op, "move_before_publish", node=v)
             return op
         ns = self.nodes[v]
         if ns.move is not None:
-            self.finding("concurrent_move_same_node", node=v)
-            op.phase = "rejected"
+            self._reject(op, "concurrent_move_same_node", node=v)
             return op
         op.owner_at_issue = self.current_owner()
         op.dist_at_issue = self.sim.g.distance(v, op.owner_at_issue)
@@ -346,7 +336,8 @@ class Directory:
         """(sort_key, leader, witnesses) not yet contacted at op.level, plus
         the set of witnesses the op is currently waiting on. The grouped
         ball (see `_ball`) is held in `op.ball` for the op's current level;
-        `reevaluate` is the one place that drops it while the op is open.
+        `reevaluate` drops it when u's knowledge changes, and `_close`
+        when the op closes.
         The op's stale reports and contacted leaders are applied per call.
         Witnesses are the ball's tuples, or new lists where stale reports
         thinned a group."""
@@ -425,8 +416,7 @@ class Directory:
             return False
         if op.level >= self.hier.top:
             # the root is always on the path; the top search must have hit it
-            self.finding("search_passed_top", op=op.id)
-            op.phase = "rejected"
+            self._reject(op, "search_passed_top", op=op.id)
             return False
         op.level += 1
         return True
@@ -481,15 +471,11 @@ class Directory:
 
     def _on_search_reply(self, msg):
         p = msg.payload
-        op = self.ops.get(p["op"])
-        if op is None:
-            return
+        op = self.ops[p["op"]]
         if p["found"] and op.discovery_level is None:
             # the walk can outrun this reply; keep the books right anyway
             op.discovery_level = p["level"]
             op.via_shortcut = bool(p.get("via_shortcut"))
-        if not op.open():
-            return
         if op.phase != "up" or p["level"] != op.level or op.outstanding != msg.src:
             return
         op.outstanding = None
@@ -498,10 +484,7 @@ class Directory:
         if p["found"]:
             op.discovery_level = op.level
             op.via_shortcut = bool(p.get("via_shortcut"))
-            if op.kind == "move":
-                op.phase = "await_token"
-            else:
-                op.phase = "walk"
+            op.phase = "await_token" if op.kind == "move" else "walk"
             return
         self._advance(op)
 
@@ -531,10 +514,10 @@ class Directory:
 
     def _on_move_ack(self, msg):
         p = msg.payload
-        op = self.ops.get(p["op"])
+        op = self.ops[p["op"]]
         # the token can outrun this ack; finish the pointer work even for a
         # move that already completed
-        if op is None or op.pending_add != p["level"]:
+        if op.pending_add != p["level"]:
             return
         op.pending_add = None
         level = p["level"]
@@ -543,7 +526,7 @@ class Directory:
         self._send("set_up", op.issuer, below,
                    {"level": level - 1, "up": msg.src},
                    "const", f"op:{op.id}:L{level}:link")
-        if not op.open():
+        if op.id not in self.open:
             return
         if p["spliced"]:
             op.discovery_level = level
@@ -617,8 +600,8 @@ class Directory:
                    "const", f"op:{msg.payload['op']}:L{msg.payload['level']}:link")
 
     def _on_ack(self, msg):
-        op = self.ops.get(msg.payload["op"])
-        if op is None or not op.open():
+        op = self.open.get(msg.payload["op"])
+        if op is None:
             return
         op.acks_needed.discard((msg.src, msg.payload["level"]))
         if not op.acks_needed and op.phase == "up":
@@ -651,17 +634,18 @@ class Directory:
     def _deliver_walk_step(self, y, level, op_id, issuer, via_shortcut, min_f):
         ns = self.nodes[y]
         st = ns.levels.get(level)
-        op = self.ops.get(op_id)
         if st is not None:
             if min_f is None or st.built_f < min_f:
                 min_f = st.built_f
+            # a lookup has one walk in flight and closes only after that
+            # walk reached the owner, so no step meets a closed op
+            op = self.open.get(op_id)
             if op is not None:
                 op.walk_min_built_f = min_f
-            if level == -1:
-                if op is not None and op.open():
+                if level == -1:
                     self._walk_arrived_at_owner(op, y)
-                return
-            self._walk(y, st.down, op_id, issuer, level - 1, None, min_f)
+            if level != -1:
+                self._walk(y, st.down, op_id, issuer, level - 1, None, min_f)
             return
         # not on the path here (anymore)
         if via_shortcut is not None:
@@ -704,16 +688,16 @@ class Directory:
         self._walk_fail(y, op.issuer, op.id, 0)
 
     def _on_lookup_reply(self, msg):
-        op = self.ops.get(msg.payload["op"])
-        if op is None or not op.open():
+        op = self.open.get(msg.payload["op"])
+        if op is None:
             return
         op.value = msg.payload["value"]
         op.version = msg.payload["version"]
         self._complete(op)
 
     def _on_walk_fail(self, msg):
-        op = self.ops.get(msg.payload["op"])
-        if op is None or not op.open() or op.phase != "walk":
+        op = self.open.get(msg.payload["op"])
+        if op is None or op.phase != "walk":
             return
         op.flags.append("walk_failed")
         op.phase = "up"
@@ -772,8 +756,8 @@ class Directory:
         if ns.has_token:
             self._hand_token(y, p["new_owner"], p["op"])
         elif ns.move is not None:
-            if ns.pending_transfer is not None:
-                self.finding("double_pending_transfer", node=y)
+            # this walk took y off level -1, not to rejoin while its move is open
+            assert ns.pending_transfer is None
             ns.pending_transfer = p["op"]
             ns.token_forward = p["new_owner"]
         else:
@@ -801,8 +785,8 @@ class Directory:
             self._complete(mover_op)
         served, ns.waiting_lookups = ns.waiting_lookups, []
         for oid in served:
-            wop = self.ops.get(oid)
-            if wop is not None and wop.open():
+            wop = self.open.get(oid)
+            if wop is not None:
                 self._walk_arrived_at_owner(wop, y)
         if ns.pending_transfer is not None:
             # y left level -1 when the transfer was parked, and cannot
@@ -812,13 +796,21 @@ class Directory:
 
     # -- completion ---------------------------------------------------------------
 
-    def _complete(self, op: OpState) -> None:
-        """Close the op. Its search state goes with it: every reader of
-        the ball, contacted leaders and stale reports checks the phase."""
-        op.phase = "done"
+    def _close(self, op: OpState, phase: str) -> None:
+        """Close the op as "done" or "rejected" and drop its search state."""
+        op.phase = phase
+        self.open.pop(op.id)
         op.ball = None
         op.contacted.clear()
         op.stale_of.clear()
+
+    def _reject(self, op: OpState, what: str, **info) -> None:
+        """Log the finding `what` and close the op unfinished."""
+        self.finding(what, **info)
+        self._close(op, "rejected")
+
+    def _complete(self, op: OpState) -> None:
+        self._close(op, "done")
         op.t_complete = self.sim.now
         op.f_at_complete = self.failure_count
         self.sim.log("op_done", op=op.id, kind=op.kind, node=op.issuer)
@@ -831,11 +823,10 @@ class Directory:
 
     def reevaluate(self, u: int) -> None:
         """Something u knows changed (belief refresh or tree repair): drop
-        the search balls of u's ops and poke u's parked searches. The two
-        writers, `refresh_belief` and `FailureEngine._repair_tree`, call
-        this right after their write."""
-        for oid in sorted(self.ops):
-            op = self.ops[oid]
+        the search balls of u's open ops and poke its parked searches, in
+        op-id order. The two writers, `refresh_belief` and
+        `FailureEngine._repair_tree`, call this right after their write."""
+        for _, op in sorted(self.open.items()):
             if op.issuer == u:
                 op.ball = None
                 if op.phase == "up":

@@ -130,12 +130,11 @@ class Runtime:
 
     def _settle(self, context: str) -> None:
         self.sim.run()
-        if self.dir.quiescent():
-            return
-        stuck = [op.id for op in self.dir.open_ops()]
-        if stuck:
-            raise RuntimeError(f"{context}: operations never finished: {stuck}")
-        raise RuntimeError(f"{context}: system not quiescent after drain")
+        if self.dir.open:
+            raise RuntimeError(f"{context}: operations never finished: "
+                               f"{list(self.dir.open)}")
+        if not self.dir.quiescent():
+            raise RuntimeError(f"{context}: system not quiescent after drain")
 
     def run(self) -> dict:
         for k, ev in enumerate(self.sc.get("events", [])):

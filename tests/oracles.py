@@ -511,15 +511,21 @@ def brute_candidates(dir, op):
     return ready, waits
 
 
-# -- open moves: the scan over every op that `NodeState.move` replaced --------
+# -- open ops: the scans that `Directory.open` and `NodeState.move` replaced ---
+
+OPEN_PHASES = ("up", "walk", "await_token")
+
+
+def open_ops(dir):
+    """The open ops in issue order, from a scan over every op ever issued."""
+    return [op for op in dir.ops.values() if op.phase in OPEN_PHASES]
 
 
 def open_moves(dir):
-    """Each issuer's oldest open move, from a scan over every op in issue
-    order."""
+    """Each issuer's oldest open move, from the same scan."""
     moves = {}
-    for op in dir.ops.values():
-        if op.kind == "move" and op.open():
+    for op in open_ops(dir):
+        if op.kind == "move":
             moves.setdefault(op.issuer, op)
     return moves
 

@@ -20,7 +20,7 @@ from faultdir.protocol import Directory, OpState
 from faultdir.scenario import Runtime
 from golden.regen import SCENARIOS as GOLDEN, scenario as golden_scenario
 
-from oracles import brute_candidates
+from oracles import OPEN_PHASES, brute_candidates
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "faultdir")
@@ -42,13 +42,13 @@ def built(graph, mode="strong"):
 
 
 def probe(d, u, level):
-    """An op of u searching at `level`. It is registered with the directory,
-    so `reevaluate(u)` drops its ball, but not in the "up" phase, so belief
-    refreshes do not advance it."""
+    """An op of u searching at `level`. It is registered with the directory
+    as open, so `reevaluate(u)` drops its ball, but not in the "up" phase,
+    so belief refreshes do not advance it."""
     op = OpState(f"probe:{u}:{level}", "look", u, 0, 0)
     op.level = level
     op.phase = "probe"
-    d.ops[op.id] = op
+    d.ops[op.id] = d.open[op.id] = op
     return op
 
 
@@ -217,3 +217,43 @@ def test_beliefs_and_tree_distances_have_one_writer_each():
     assert sites("set_belief", calls=True) == {("protocol.py",
                                                 "refresh_belief")}
     assert sites("repair", calls=True) == {("failure.py", "_repair_tree")}
+
+
+def literals(expr):
+    """The values `expr` can take when it picks among literals (a constant
+    or a conditional over constants); otherwise [None]."""
+    if isinstance(expr, ast.Constant):
+        return [expr.value]
+    if isinstance(expr, ast.IfExp):
+        return literals(expr.body) + literals(expr.orelse)
+    return [None]
+
+
+def test_op_lifecycle_has_one_closer():
+    """Only `_close` closes an op: it is the one writer of the closed
+    phases and, with `_new_op`, of the open-op index that `reevaluate`
+    and quiescence read."""
+    # the writes of `.phase` that may write a phase other than an open
+    # one; `_close` writes its argument
+    closers = set()
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name)) as fh:
+            tree = ast.parse(fh.read())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Attribute) and t.attr == "phase"
+                        for t in node.targets)):
+                    continue
+                if not set(literals(node.value)) <= set(OPEN_PHASES):
+                    closers.add((name, fn.name))
+    assert closers == {("protocol.py", "_close")}
+    assert sites("_close", calls=True) == {("protocol.py", "_complete"),
+                                           ("protocol.py", "_reject")}
+    assert sites("open") == {("protocol.py", "__init__"),
+                             ("protocol.py", "_new_op"),
+                             ("protocol.py", "_close")}

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from faultdir.bounds import RECORD_KEYS
+from faultdir.bounds import OP_KEYS, RECORD_KEYS
 from faultdir.cli import _gen_scenario, _graph_spec, console, main
 from faultdir.scenario import Runtime, validate_scenario
 
@@ -194,8 +194,9 @@ def test_check_rejects_bad_record_in_one_line(case, tmp_path, capsys):
 
 
 def test_check_names_every_top_level_key_it_reads(tmp_path, capsys):
-    # a record without one of its top-level keys is either refused as bad
-    # input or checked without it; it never reaches check as a KeyError
+    # a record without one of its top-level keys, or with an op without
+    # one of its keys, is either refused as bad input or checked without
+    # it; it never reaches check as a KeyError
     scen_path = tmp_path / "scen.json"
     main(["gen", "--graph", "ring:8", "--seed", "1", "--ops", "3",
           "--failures", "1", "--out", str(scen_path)])
@@ -209,8 +210,26 @@ def test_check_names_every_top_level_key_it_reads(tmp_path, capsys):
         if console(["check", str(rec_path), "--out",
                     str(tmp_path / "rep.json")]) == 2:
             refused.add(key)
-    capsys.readouterr()
     assert refused == set(RECORD_KEYS)
+    # the same for each key of the first op of each kind
+    first = {}
+    for k, op in enumerate(record["ops"]):
+        first.setdefault(op["kind"], k)
+    assert sorted(first) == ["look", "move", "pub"]
+    for k in first.values():
+        refused = set()
+        for key in sorted(record["ops"][k]):
+            ops = [dict(op) for op in record["ops"]]
+            del ops[k][key]
+            rec_path = tmp_path / f"no-op-{key}.json"
+            rec_path.write_text(json.dumps(dict(record, ops=ops)))
+            if console(["check", str(rec_path), "--out",
+                        str(tmp_path / "rep.json")]) == 2:
+                refused.add(key)
+                assert f"missing key 'ops[{k}].{key}'" in \
+                    capsys.readouterr().err
+        assert refused == set(OP_KEYS), record["ops"][k]["kind"]
+    capsys.readouterr()
 
 
 def test_run_defects_still_propagate(tmp_path, monkeypatch):

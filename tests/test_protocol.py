@@ -10,7 +10,7 @@ from faultdir.scenario import Runtime, run_scenario
 from faultdir.sim import Message
 from golden.regen import SCENARIOS as GOLDEN, scenario as golden_scenario
 
-from oracles import fw_all_pairs, open_moves
+from oracles import fw_all_pairs, open_moves, open_ops
 
 
 def stack(graph, mode="strong", rho=2, seed=0, events=()):
@@ -245,7 +245,7 @@ def test_lookup_at_an_open_mover_waits_for_the_token():
     look.phase = "walk"
     rt.dir._deliver_walk_step(m, -1, look.id, reader, None, None)
     ns = rt.dir.nodes[m]
-    assert ns.waiting_lookups == [look.id] and look.open()
+    assert ns.waiting_lookups == [look.id] and look.id in rt.dir.open
 
     rt.sim.now = 500
     token_to(rt, m, "move9")
@@ -272,7 +272,7 @@ def test_overtaken_mover_passes_the_token_on_with_the_parked_op():
     ns = rt.dir.nodes[m]
     assert -1 not in ns.levels and ns.hints[-1] == (later, -1)
     assert (ns.pending_transfer, ns.token_forward) == ("move9", later)
-    assert move.open()
+    assert move.id in rt.dir.open
 
     token_to(rt, m, move.id)
     assert move.phase == "done" and ns.move is None
@@ -285,23 +285,22 @@ def test_overtaken_mover_passes_the_token_on_with_the_parked_op():
                    for f in rt.dir.findings)
 
 
-def test_second_overtake_replaces_the_pending_transfer():
+def test_a_second_transfer_at_an_open_mover_trips_the_assertion():
     rt, chain = settled_chain()
-    m, move = open_mover(rt, chain)
+    m, _ = open_mover(rt, chain)
     first, second = [u for u in rt.g.nodes()
                      if u not in chain.values() and u != m][:2]
     overtake(rt, m, "move9", first)
-    # m left level -1 and cannot rejoin while its move is open, so no walk
-    # reaches the transfer a second time; drive it directly
-    rt.dir._owner_end_transfer(m, {"op": "move10", "new_owner": second})
+    # m left level -1 and cannot rejoin while its move is open, so a second
+    # walk is forwarded to the first overtaker; only a direct call reaches
+    # the transfer again
+    overtake(rt, m, "move10", second)
     ns = rt.dir.nodes[m]
-    assert [f["node"] for f in rt.dir.findings
-            if f["what"] == "double_pending_transfer"] == [m]
-    assert (ns.pending_transfer, ns.token_forward) == ("move10", second)
-
-    token_to(rt, m, move.id)
-    tokens = [msg for msg in pending(rt.sim) if msg.kind == "token"]
-    assert [(t.dst, t.payload["op"]) for t in tokens] == [(second, "move10")]
+    assert (ns.pending_transfer, ns.token_forward) == ("move9", first)
+    walks = [msg for msg in pending(rt.sim) if msg.kind == "del_walk"]
+    assert [(w.dst, w.payload["op"]) for w in walks] == [(first, "move10")]
+    with pytest.raises(AssertionError):
+        rt.dir._owner_end_transfer(m, {"op": "move10", "new_owner": second})
 
 
 @pytest.mark.parametrize("forward", [None, 0])
@@ -443,8 +442,9 @@ def test_shortcut_registry_matches_path_membership(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN) + sorted(REGISTRY_RUNS))
 def test_each_node_holds_its_open_move(name):
-    """After every handled message, each node's `move` is its open move as
-    a scan over all ops finds it."""
+    """After every handled message, the open-op index holds, in issue
+    order, the ops a scan over all ops finds open, and each node's `move`
+    is its open move as that scan finds it."""
     sc = golden_scenario(name) if name in GOLDEN \
         else _gen_scenario(**REGISTRY_RUNS[name])
     rt = Runtime(sc)
@@ -453,6 +453,7 @@ def test_each_node_holds_its_open_move(name):
 
     def checked(msg):
         deliver(msg)
+        assert list(rt.dir.open.values()) == open_ops(rt.dir), msg.kind
         moves = open_moves(rt.dir)
         for y, ns in rt.dir.nodes.items():
             assert ns.move is moves.get(y), (msg.kind, y)
