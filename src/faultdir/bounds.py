@@ -138,6 +138,12 @@ RECORD_KEYS = ("mode", "rho", "sigma", "overlap", "top", "n", "d_alive",
                "c_prime", "radii", "failures", "ledger", "ops", "path",
                "publish", "partition_pre", "partition_post",
                "token_intervals", "findings")
+# the top-level keys `check_bounds` reads as containers, with their type;
+# it reads each element of a list as an object
+RECORD_CONTAINERS = {"failures": list, "ledger": list, "ops": list,
+                     "path": list, "token_intervals": list, "findings": list,
+                     "radii": dict, "partition_pre": dict,
+                     "partition_post": dict}
 # the keys of each op in `ops` that `check_bounds` reads
 OP_KEYS = ("id", "kind", "phase", "t_issue", "t_complete", "f_at_issue",
            "f_at_complete", "transient", "stale_walk", "discovery_level",

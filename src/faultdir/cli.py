@@ -21,7 +21,7 @@ import os
 import random
 import sys
 
-from faultdir.bounds import OP_KEYS, RECORD_KEYS, check_bounds
+from faultdir.bounds import OP_KEYS, RECORD_CONTAINERS, RECORD_KEYS, check_bounds
 from faultdir.partition import build_hierarchy
 from faultdir.scenario import Runtime, build_graph
 
@@ -101,9 +101,17 @@ def cmd_check(args) -> int:
         for key in RECORD_KEYS:
             if key not in record:
                 raise KeyError(key)
+        for key, kind in RECORD_CONTAINERS.items():
+            if not isinstance(record[key], kind):
+                what = "array" if kind is list else "object"
+                raise ValueError(f"{key} is not a JSON {what}")
+            if kind is list:
+                for k, item in enumerate(record[key]):
+                    if not isinstance(item, dict):
+                        raise ValueError(f"{key}[{k}] is not a JSON object")
         for k, op in enumerate(record["ops"]):
             for key in OP_KEYS:
-                if not isinstance(op, dict) or key not in op:
+                if key not in op:
                     raise KeyError(f"ops[{k}].{key}")
     except (OSError, ValueError, KeyError) as exc:
         _bad_input(exc, args, args.record)
@@ -202,7 +210,7 @@ def cmd_partition_stats(args) -> int:
         "sigma": str(hier.sigma), "overlap": hier.overlap,
         "radii": {str(i): str(hier.radius(i))
                   for i in range(-1, hier.top + 1)},
-        "shortcut_offset": hier.shortcut_offset(),
+        "shortcut_offset": hier.shortcut_offset,
         "valid": chk["ok"],
         "levels": [
             {"level": lvl,

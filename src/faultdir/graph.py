@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
+from numbers import Rational
 
 EdgeId = tuple[int, int]
 
@@ -63,6 +64,10 @@ class Graph:
     def add_edge(self, u: int, v: int, w) -> None:
         if u == v:
             raise ValueError(f"self-loop at node {u}")
+        if not isinstance(w, Rational):
+            # distances must stay exact: a float weight would round them
+            raise ValueError(f"edge weight {w!r} on edge {u}-{v} is not "
+                             "an int or a fraction")
         if w < 1:
             raise ValueError(f"edge weight {w} below 1 on edge {u}-{v}")
         e = edge_id(u, v)
@@ -157,7 +162,8 @@ class Graph:
 
     def sssp(self, source: int) -> tuple[dict[int, object], dict[int, int | None]]:
         """Single-source distances and parents on the alive graph, cached
-        until the next mutation. Parent ties go to the smaller node id."""
+        until the next mutation. Parent ties go to the smaller node id;
+        the distances iterate in settle order (see `dijkstra`)."""
         hit = self._sssp_cache.get(source)
         if hit is not None:
             return hit
@@ -180,11 +186,16 @@ def dijkstra(adj, source=None, targets=None, skip=None, start=None):
     """Dijkstra over an adjacency dict; returns (dist, parent).
 
     Deterministic: nodes settle in (distance, id) order and the parent
-    of a node is the smallest-id optimal predecessor. Stops once every
-    node in `targets` has settled. `skip(u, v)`, if given, hides the edge
-    u-v when relaxed from u: the result is Dijkstra over the adjacency
-    with those edges filtered out, without copying it. `start`, if
-    given, replaces the single source by seeds {node: (dist, parent)}.
+    of a node is the smallest-id optimal predecessor. `dist` holds the
+    settled nodes in that order, so an r-ball is the prefix of its items
+    up to the first distance beyond r. (A tree map that
+    `ShortestPathTree.repair` has written is not in settle order.) With
+    `targets` it stops once every target has settled, so `dist` holds
+    only the nodes settled by then. `skip(u, v)`, if given, hides the
+    edge u-v when relaxed from u: the result is Dijkstra over the
+    adjacency with those edges filtered out, without copying it.
+    `start`, if given, replaces the single source by seeds
+    {node: (dist, parent)}.
     """
     if start is None:
         dist, parent, heap = {source: 0}, {source: None}, [(0, source)]
@@ -192,13 +203,13 @@ def dijkstra(adj, source=None, targets=None, skip=None, start=None):
         dist = {x: d for x, (d, _) in start.items()}
         parent = {x: p for x, (_, p) in start.items()}
         heap = sorted((d, x) for x, d in dist.items())  # a sorted list is a heap
-    done: set[int] = set()
+    settled: dict[int, object] = {}
     remaining = set(targets) if targets is not None else None
     while heap:
         d, u = heapq.heappop(heap)
-        if u in done:
+        if u in settled:
             continue
-        done.add(u)
+        settled[u] = d
         if remaining is not None:
             remaining.discard(u)
             if not remaining:
@@ -211,9 +222,9 @@ def dijkstra(adj, source=None, targets=None, skip=None, start=None):
                 dist[v] = nd
                 parent[v] = u
                 heapq.heappush(heap, (nd, v))
-            elif nd == dist[v] and v not in done and u < parent[v]:
+            elif nd == dist[v] and v not in settled and u < parent[v]:
                 parent[v] = u
-    return dist, parent
+    return settled, parent
 
 
 # -- parent maps: {node: parent}, the root maps to None ----------------------
@@ -288,6 +299,8 @@ class ShortestPathTree:
     A tree from `build_spt` holds the graph's cached maps, not copies. Only
     `repair` writes them, and only for a dead tree edge, which was alive at
     build: its `Graph.kill_edge` has already dropped them from the cache.
+    It writes them in place, so a repaired tree's `dist` is no longer in
+    settle order: no reader may take a tree's map as ordered.
     """
 
     def __init__(self, root: int, dist: dict, parent: dict):

@@ -27,6 +27,10 @@ from fractions import Fraction
 
 from faultdir.graph import Graph, edge_id, dijkstra
 
+# Largest denominator of a random shift. `build_partition`'s integer wave
+# keys are exact because every shift's denominator is at most this.
+SHIFT_DENOMINATOR = 1 << 30
+
 
 class Cluster:
     """One cluster: members, leader and a spanning tree rooted at the leader.
@@ -97,7 +101,7 @@ def _rational_exp_shift(rng: random.Random, rate: float, cap: float) -> Fraction
             continue
         val = -math.log(u) / rate
         if val < cap:
-            return Fraction(val).limit_denominator(1 << 30)
+            return Fraction(val).limit_denominator(SHIFT_DENOMINATOR)
 
 
 def build_partition(g: Graph, r, mode: str, rng: random.Random) -> list[tuple[int, set[int]]]:
@@ -119,27 +123,52 @@ def build_partition(g: Graph, r, mode: str, rng: random.Random) -> list[tuple[in
     settles every node with exactly its lexicographic minimum. The same
     argument makes every cluster connected in its induced subgraph, as
     strong mode needs.
+
+    The heap compares ints only, and orders them exactly as the rational
+    keys. Every shift has a denominator of at most Q = SHIFT_DENOMINATOR,
+    and every distance is a multiple of 1/W, W the lcm of the edge weights'
+    denominators (1 on integer weights). Two keys start_c + d and
+    start_c' + d' differ by shift_c' - shift_c + d - d', a multiple of
+    1 / lcm(q, q', W) for the shifts' denominators q and q'. That lcm is
+    at most q * q' * W <= Q^2 * W, so distinct keys differ by at least
+    1 / (Q^2 * W).
+    `_wave_starts` scales by S = 2 * Q^2 * W and floors each start:
+    start_c + d becomes floor((start_c - top) * S) + d * S, which is
+    floor((start_c + d - top) * S) because d * S is an int. Distinct keys
+    lie at least 2 apart once scaled, so their floors keep the order, and
+    equal keys stay equal, so ties still go to the smaller center id.
     """
     if mode not in ("weak", "strong"):
         raise ValueError(f"unknown mode {mode!r}")
     nodes = g.nodes()
     rate = math.log(len(nodes)) / float(r)
     shifts = {u: _rational_exp_shift(rng, rate, float(r)) for u in nodes}
-    top = max(shifts.values())
-    starts = {u: top - shifts[u] for u in nodes}
     groups: dict[int, set[int]] = {}
-    for v, c in _grow_waves(g, nodes, starts).items():
+    for v, c in _grow_waves(g, nodes, *_wave_starts(g, shifts)).items():
         groups.setdefault(c, set()).add(v)
     return sorted(groups.items())
 
 
-def _grow_waves(g: Graph, nodes, starts) -> dict[int, int]:
-    """Node -> center of the lexicographically least (start_c + d(c, v), c).
+def _wave_starts(g: Graph, shifts: dict) -> tuple[dict[int, int], int]:
+    """Integer wave starts and the edge scale S for `_grow_waves`, from
+    rational shifts with denominators of at most SHIFT_DENOMINATOR:
+    start_c = floor(-shift_c * S), which is floor((start_c - top) * S) for
+    the rational start top - shift_c (see `build_partition`)."""
+    w = math.lcm(*(g.weight(e).denominator for e in g.alive_edges()))
+    scale = 2 * w * SHIFT_DENOMINATOR ** 2
+    return ({u: -s.numerator * scale // s.denominator for u, s in shifts.items()},
+            scale)
 
-    Multi-source Dijkstra with heap keys (start_c + d, c, x) where each
-    wave only expands through nodes it already owns. It is not `dijkstra`
-    with seeds: its keys are lexicographic (start_c + d, c), not additive
-    distances."""
+
+def _grow_waves(g: Graph, nodes, starts, scale) -> dict[int, int]:
+    """Node -> center of the lexicographically least
+    (start_c + scale * d(c, v), c), for int starts and a `scale` that
+    makes every edge weight an int, so that every key is an int.
+
+    Multi-source Dijkstra with heap keys (start_c + scale * d, c, x) where
+    each wave only expands through nodes it already owns. It is not
+    `dijkstra` with seeds: its keys are lexicographic (start_c + d, c),
+    not additive distances."""
     assign: dict[int, int] = {}
     heap = [(starts[c], c, c) for c in nodes]
     heapq.heapify(heap)
@@ -150,7 +179,7 @@ def _grow_waves(g: Graph, nodes, starts) -> dict[int, int]:
         assign[x] = c
         for y, w in g.neighbors(x).items():
             if y not in assign:
-                heapq.heappush(heap, (p + w, c, y))
+                heapq.heappush(heap, (p + int(w * scale), c, y))
     return assign
 
 
@@ -203,6 +232,8 @@ class Hierarchy:
         self.sigma = None
         self.overlap = None
         self.pre_check = None
+        self.shortcut_factor = None
+        self.shortcut_offset = None
 
     # -- structure accessors ---------------------------------------------
 
@@ -245,10 +276,17 @@ class Hierarchy:
     def overlap_at(self, v: int, i: int) -> int:
         """How many level-i clusters meet N(v, r_i) on the alive graph.
         Counts distinct owners of the neighborhood's nodes, so it relies
-        on `assign` matching the cluster members (a valid partition)."""
+        on `assign` matching the cluster members (a valid partition). The
+        neighborhood is the prefix of v's settle-ordered distance map up
+        to the first node beyond r_i."""
         r = self.radius(i)
-        dist, _ = self.g.sssp(v)
-        return len({self.assign[(i, x)] for x, d in dist.items() if d <= r})
+        assign = self.assign
+        owners = set()
+        for x, d in self.g.sssp(v)[0].items():
+            if d > r:
+                break
+            owners.add(assign[(i, x)])
+        return len(owners)
 
     # -- measured parameters ----------------------------------------------
 
@@ -256,19 +294,19 @@ class Hierarchy:
         """The one build-time pass: check the stack with `verify_partition`,
         keep its report as `pre_check`, and take sigma and overlap as the
         largest diameter-to-radius ratio and overlap in its rows for the
-        levels with r > 0."""
+        levels with r > 0.
+
+        Sigma and rho never change after this, so the shortcut constants
+        are set here once: `shortcut_factor`, the smallest power of rho
+        large enough that a shortcut registered `shortcut_offset` levels
+        up is always inside the searcher's neighborhood, both before and
+        after failures, and `shortcut_offset`, the fewest levels k with
+        rho^k >= shortcut_factor * sigma."""
         self.pre_check = verify_partition(self)
         rows = [(Fraction(row["r"]), row) for row in self.pre_check["levels"]]
         self.sigma = max(Fraction(row["max_diameter"]) / r
                          for r, row in rows if r > 0)
         self.overlap = max(row["max_overlap"] for r, row in rows if r > 0)
-
-    # -- derived constants -------------------------------------------------
-
-    def shortcut_factor(self):
-        """Smallest power of rho large enough that a shortcut registered
-        `shortcut_offset` levels up is always inside the searcher's
-        neighborhood, both before and after failures."""
         s, p = self.sigma, self.rho
         need1 = 2 + Fraction(2 * (s * p + p + s), (p - 1) * p)
         need2 = (1 + Fraction(2 * s * (p + 1) + p, p - 1)) / s
@@ -276,19 +314,18 @@ class Hierarchy:
         c = 1
         while c < need:
             c *= p
-        return c
-
-    def shortcut_offset(self) -> int:
-        target = self.shortcut_factor() * self.sigma
+        self.shortcut_factor = c
         k = 0
         power = 1
-        while power < target:
-            power *= self.rho
+        while power < c * s:
+            power *= p
             k += 1
-        return k
+        self.shortcut_offset = k
+
+    # -- derived constants -------------------------------------------------
 
     def shortcut_level(self, i: int) -> int:
-        return min(i + self.shortcut_offset(), self.top)
+        return min(i + self.shortcut_offset, self.top)
 
 
 def build_hierarchy(g: Graph, rho: int = 2, mode: str = "strong", seed: int = 0) -> Hierarchy:
@@ -468,7 +505,8 @@ def preprocess_leaders(hier: Hierarchy) -> tuple[LeaderDirectory, tuple[int, obj
     of every node within r_i. Returns the directory plus the number and
     summed distance of the (u, x != u, level) exchanges, which the runtime
     charges to the setup ledger. The sum starts from 0, so it stays an
-    int when every distance is one."""
+    int when every distance is one. Each `g.sssp(u)` map is in settle
+    order, so its distances are already sorted for the bisection."""
     g = hier.g
     levels = range(0, hier.top + 1)
     leaders = {i: {m: c.leader for c in hier.levels[i].values() for m in c.members}
@@ -476,7 +514,7 @@ def preprocess_leaders(hier: Hierarchy) -> tuple[LeaderDirectory, tuple[int, obj
     radii = [hier.radius(i) for i in levels]
     messages, cost = 0, 0
     for u in g.nodes():
-        ds = sorted(g.sssp(u)[0].values())
+        ds = list(g.sssp(u)[0].values())
         sums = list(accumulate(ds, initial=0))
         for r in radii:
             k = bisect_right(ds, r)

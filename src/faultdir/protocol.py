@@ -313,10 +313,10 @@ class Directory:
 
     def _ball(self, u: int, i: int):
         """u's r_i-ball on its tree, grouped by believed leader: the nodes
-        whose leader u does not know, in id order, and (leader, xs, far)
-        per known leader, in leader order, with xs in id order and `far`
+        whose leader u does not know, in id order, and (leader, xs, far,
+        near) per known leader, in leader order, with xs in id order, `far`
         when the leader sits beyond the farthest a cluster's current
-        leader can be from u."""
+        leader can be from u, and `near` the least distance of an x."""
         r = self.hier.radius(i)
         reach = r + 2 * self.hier.sigma * r
         dist = self.sim.trees[u].dist
@@ -329,7 +329,8 @@ class Directory:
             else:
                 groups.setdefault(led, []).append(x)
         return (tuple(unknown),
-                tuple((led, tuple(xs), dist[led] > reach)
+                tuple((led, tuple(xs), dist[led] > reach,
+                       min(dist[x] for x in xs))
                       for led, xs in sorted(groups.items())))
 
     def _candidates(self, op: OpState):
@@ -340,7 +341,8 @@ class Directory:
         when the op closes.
         The op's stale reports and contacted leaders are applied per call.
         Witnesses are the ball's tuples, or new lists where stale reports
-        thinned a group."""
+        thinned a group; only a thinned group's least distance is
+        recomputed."""
         u = op.issuer
         i = op.level
         if op.ball is None or op.ball[0] != i:
@@ -351,20 +353,23 @@ class Directory:
         stale_of = op.stale_of.setdefault(i, {})
         waits: set[int] = set(unknown)
         ready = []
-        for led, xs, far in groups:
+        for led, xs, far, near in groups:
             if stale_of:
                 # the leader said these left its cluster; wait for news
-                waits.update(x for x in xs if stale_of.get(x) == led)
-                xs = [x for x in xs if stale_of.get(x) != led]
-                if not xs:
-                    continue
+                kept = [x for x in xs if stale_of.get(x) != led]
+                if len(kept) < len(xs):
+                    waits.update(x for x in xs if stale_of.get(x) == led)
+                    if not kept:
+                        continue
+                    xs = kept
+                    near = min(dist[x] for x in xs)
             if led in contacted:
                 continue
             if far:
                 # too far to be this cluster's current leader; wait for news
                 waits.update(xs)
                 continue
-            ready.append(((min(dist[x] for x in xs), led), led, xs))
+            ready.append(((near, led), led, xs))
         ready.sort()
         return ready, waits
 

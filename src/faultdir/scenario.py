@@ -233,8 +233,8 @@ class Runtime:
             "sigma": q(self.hier.sigma), "overlap": self.hier.overlap,
             "radii": {str(i): q(self.hier.radius(i))
                       for i in range(-1, self.hier.top + 1)},
-            "delta": self.hier.shortcut_offset(),
-            "c_prime": q(self.hier.shortcut_factor()),
+            "delta": self.hier.shortcut_offset,
+            "c_prime": q(self.hier.shortcut_factor),
             "setup": {"messages": setup_msgs, "cost": q(setup_cost)},
             "publish": self._publish_snap,
             "path": self._path_geometry(),

@@ -10,7 +10,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from faultdir.graph import edge_id, subtree
+from faultdir.graph import edge_id, load_graph, subtree
 from faultdir.partition import _check_tree, _rational_exp_shift, eccentricities
 
 INF = None
@@ -173,6 +173,13 @@ def dump_graph(g):
     """The alive edges as 'u v w' lines, the format `load_graph` reads."""
     lines = [f"{u} {v} {g.weight((u, v))}" for u, v in g.alive_edges()]
     return "\n".join(lines) + "\n"
+
+
+def with_weights(g, weights):
+    """A graph with g's alive edges and the given weight texts, in edge
+    order, read back by `load_graph`."""
+    return load_graph("".join(f"{u} {v} {w}\n"
+                              for (u, v), w in zip(g.alive_edges(), weights)))
 
 
 def brute_weak_assign(g, starts):

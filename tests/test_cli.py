@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from faultdir.bounds import OP_KEYS, RECORD_KEYS
+from faultdir.bounds import OP_KEYS, RECORD_CONTAINERS, RECORD_KEYS
 from faultdir.cli import _gen_scenario, _graph_spec, console, main
 from faultdir.scenario import Runtime, validate_scenario
 
@@ -154,6 +154,28 @@ def test_run_rejects_invalid_scenario_in_one_line(message, tmp_path, capsys):
         main(argv)
 
 
+FLOAT_WEIGHT_GRAPHS = [
+    {"kind": "grid", "rows": 3, "cols": 3, "weight": 1.5},
+    {"kind": "ring", "n": 4, "weights": [1, 1.5, 1, 1]},
+    {"kind": "edges", "edges": [[0, 1, 1], [1, 2, 2.5], [0, 2, 1]]},
+]
+
+
+@pytest.mark.parametrize("graph", FLOAT_WEIGHT_GRAPHS,
+                         ids=[g["kind"] for g in FLOAT_WEIGHT_GRAPHS])
+def test_run_rejects_float_weights_in_one_line(graph, tmp_path, capsys):
+    # JSON has no rationals, and a float weight would make distances inexact
+    sc = {"name": "bad", "mode": "weak", "rho": 2, "seed": 0, "graph": graph,
+          "events": [{"t": 0, "do": "publish", "node": 1}]}
+    scen_path = tmp_path / "scen.json"
+    scen_path.write_text(json.dumps(sc))
+    argv = ["run", str(scen_path), "--out-dir", str(tmp_path / "a")]
+    assert console(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not an int or a fraction" in err
+    assert not (tmp_path / "a").exists()
+
+
 def test_run_rejects_unreadable_file(tmp_path):
     for text in (None, "{not json"):
         scen_path = tmp_path / "scen.json"
@@ -230,6 +252,33 @@ def test_check_names_every_top_level_key_it_reads(tmp_path, capsys):
                     capsys.readouterr().err
         assert refused == set(OP_KEYS), record["ops"][k]["kind"]
     capsys.readouterr()
+
+
+def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
+    # every container `check_bounds` reads is type-checked first: a wrong
+    # container or list element is bad input, never a TypeError
+    scen_path = tmp_path / "scen.json"
+    main(["gen", "--graph", "ring:8", "--seed", "1", "--ops", "3",
+          "--failures", "1", "--out", str(scen_path)])
+    main(["run", str(scen_path), "--out-dir", str(tmp_path)])
+    record = json.loads((tmp_path / "record.json").read_text())
+    capsys.readouterr()
+    cases = [("ops", 5, "ops is not a JSON array"),
+             ("failures", 3, "failures is not a JSON array"),
+             ("ledger", "x", "ledger is not a JSON array")]
+    for key, kind in RECORD_CONTAINERS.items():
+        cases.append((key, None, f"{key} is not a JSON "
+                      f"{'array' if kind is list else 'object'}"))
+        if kind is list:
+            cases.append((key, [{}, 7], f"{key}[1] is not a JSON object"))
+    for key, value, message in cases:
+        rec_path = tmp_path / "bad.json"
+        rec_path.write_text(json.dumps(dict(record, **{key: value})))
+        argv = ["check", str(rec_path), "--out", str(tmp_path / "rep.json")]
+        assert console(argv) == 2, key
+        err = capsys.readouterr().err
+        assert err == f"faultdir check: {rec_path}: {message}\n"
+        assert not (tmp_path / "rep.json").exists()
 
 
 def test_run_defects_still_propagate(tmp_path, monkeypatch):

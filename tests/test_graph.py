@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,8 @@ from faultdir.partition import eccentricities
 from oracles import (brute_diameter, brute_neighborhood, check_spt,
                      contains_tree_edge, dump_graph, fw_all_pairs, heap_repair,
                      induced_adj, neighborhood, path_to_root, prune_fixpoint,
-                     reroot_walk, split_leader, tree_child_endpoint)
+                     reroot_walk, split_leader, tree_child_endpoint,
+                     with_weights)
 
 
 def test_load_unit_path():
@@ -282,6 +284,41 @@ def test_dijkstra_skip_equals_induced_copy(g, data):
     src = data.draw(st.sampled_from(sorted(members)))
     assert dijkstra(g._adj, src, skip=lambda u, v: v not in members) == \
         dijkstra(induced_adj(g, members), src)
+
+
+# -- settle order: a full Dijkstra map lists an r-ball as its prefix --------
+
+SETTLE_GRAPHS = st.one_of(
+    FILTER_GRAPHS,
+    st.builds(grid_graph, st.integers(1, 5), st.integers(2, 5)),
+    st.builds(with_weights,
+              st.builds(random_graph, st.integers(2, 12),
+                        st.sampled_from([0.3, 0.6]), st.integers(0, 10_000)),
+              st.lists(st.sampled_from(["1", "3/2", "5/2", "4/3"]),
+                       min_size=66, max_size=66)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=SETTLE_GRAPHS, data=st.data())
+def test_full_dijkstra_maps_are_settle_ordered_r_balls(g, data):
+    for _ in range(3):
+        fw = fw_all_pairs(g)
+        for u in g.nodes():
+            dist = g.sssp(u)[0]
+            keys = [(d, x) for x, d in dist.items()]
+            assert keys == sorted(keys)
+            assert dist == {x: d for x, d in fw[u].items() if d is not None}
+        u = data.draw(st.sampled_from(g.nodes()))
+        r = data.draw(st.sampled_from(sorted({d for d in fw[u].values()
+                                              if d is not None})))
+        r += data.draw(st.sampled_from([0, Fraction(1, 3)]))
+        prefix = dict(takewhile(lambda xd: xd[1] <= r, g.sssp(u)[0].items()))
+        assert prefix == brute_neighborhood(g, u, r)
+        # the maps after a failure, the graph possibly disconnected
+        if not g.alive_edges():
+            break
+        g.kill_edge(data.draw(st.sampled_from(g.alive_edges())))
 
 
 # -- SPT repair against the heap loop it replaced ---------------------------

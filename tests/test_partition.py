@@ -11,8 +11,9 @@ from faultdir.cli import _gen_scenario
 from faultdir.graph import (grid_graph, load_graph, path_graph, random_graph,
                             ring_graph, root_path)
 from faultdir.partition import (
-    Hierarchy, _grow_waves, build_hierarchy, build_partition, choose_leader,
-    cluster_tree, eccentricities, preprocess_leaders, verify_partition,
+    SHIFT_DENOMINATOR, Hierarchy, _grow_waves, _wave_starts, build_hierarchy,
+    build_partition, choose_leader, cluster_tree, eccentricities,
+    preprocess_leaders, verify_partition,
 )
 from faultdir.scenario import Runtime, build_graph
 from golden.regen import SCENARIOS as GOLDEN, scenario as golden_scenario
@@ -20,7 +21,8 @@ from oracles import (brute_center, brute_cluster_diameter, brute_diameter,
                      brute_intersection_count, brute_weak_assign,
                      brute_weak_partition, cluster_of, clusters_intersecting,
                      fw_all_pairs, neighborhood_clusters,
-                     nested_preprocess_leaders, two_pass_pre_check)
+                     nested_preprocess_leaders, two_pass_pre_check,
+                     with_weights)
 
 
 def test_r_below_min_weight_singletons():
@@ -316,7 +318,7 @@ def test_build_time_beliefs_are_asked_only_within_radius(name):
 def test_shortcut_constants_exact():
     g = grid_graph(6, 6)
     hier = build_hierarchy(g, rho=2, mode="strong", seed=9)
-    c = hier.shortcut_factor()
+    c = hier.shortcut_factor
     s, p = hier.sigma, hier.rho
     assert c >= 2 + Fraction(2 * (s * p + p + s), (p - 1) * p)
     assert c * s >= 1 + Fraction(2 * s * (p + 1) + p, p - 1)
@@ -325,7 +327,7 @@ def test_shortcut_constants_exact():
     while k > 1:
         assert k % p == 0
         k //= p
-    off = hier.shortcut_offset()
+    off = hier.shortcut_offset
     assert p ** off >= c * s > p ** (off - 1)
     assert hier.shortcut_level(hier.top) == hier.top
 
@@ -383,7 +385,7 @@ def test_waves_equal_pairwise_argmin_under_forced_ties(g, data):
     # small integer starts make equal keys from different centers common
     nodes = g.nodes()
     starts = {u: data.draw(st.integers(0, 3)) for u in nodes}
-    assign = _grow_waves(g, nodes, starts)
+    assign = _grow_waves(g, nodes, starts, 1)
     assert assign == brute_weak_assign(g, starts)
     for c in set(assign.values()):
         members = {v for v, cc in assign.items() if cc == c}
@@ -397,16 +399,79 @@ def test_waves_break_key_ties_by_center_id():
     g = path_graph(6)
     starts = {0: 9, 1: 2, 2: 9, 3: 9, 4: 9, 5: 0}
     want = {0: 1, 1: 1, 2: 1, 3: 5, 4: 5, 5: 5}
-    assert _grow_waves(g, g.nodes(), starts) == want
+    assert _grow_waves(g, g.nodes(), starts, 1) == want
     assert brute_weak_assign(g, starts) == want
     # equal starts everywhere: every node keeps itself
     flat = {u: 0 for u in g.nodes()}
-    assert _grow_waves(g, g.nodes(), flat) == {u: u for u in g.nodes()}
+    assert _grow_waves(g, g.nodes(), flat, 1) == {u: u for u in g.nodes()}
     # a 4-cycle with opposite centers tied: both middle nodes go to 0
     ring = ring_graph(4)
     tied = {0: 0, 1: 5, 2: 0, 3: 5}
-    assert _grow_waves(ring, ring.nodes(), tied) == {0: 0, 1: 0, 2: 2, 3: 0}
+    assert _grow_waves(ring, ring.nodes(), tied, 1) == {0: 0, 1: 0, 2: 2, 3: 0}
     assert brute_weak_assign(ring, tied) == {0: 0, 1: 0, 2: 2, 3: 0}
+
+
+# -- integer wave keys against the rational pairwise argmin -----------------
+
+def near_tie():
+    """Fractions a/q < b/q' in [0, 1), with q and q' just below
+    SHIFT_DENOMINATOR and b/q' - a/q = 1/(q q') < 2^-59. q is a multiple
+    of 6, so a/q plus any multiple of 1/6 keeps a denominator within q."""
+    q, q2 = SHIFT_DENOMINATOR - 4, SHIFT_DENOMINATOR - 3
+    assert q % 6 == 0
+    b = pow(q, -1, q2)
+    a = (b * q - 1) // q2
+    lo, hi = Fraction(a, q), Fraction(b, q2)
+    assert 0 < hi - lo < Fraction(1, 2 ** 59)
+    return lo, hi
+
+
+def int_key_assign(g, shifts):
+    """`build_partition`'s assignment for the given shifts, which must
+    have denominators within SHIFT_DENOMINATOR."""
+    assert all(s.denominator <= SHIFT_DENOMINATOR for s in shifts.values())
+    return _grow_waves(g, g.nodes(), *_wave_starts(g, shifts))
+
+
+def rational_assign(g, shifts):
+    """The pairwise argmin over the rational keys top - shift_c + d(c, v)."""
+    top = max(shifts.values())
+    return brute_weak_assign(g, {u: top - s for u, s in shifts.items()})
+
+
+def test_int_keys_split_near_ties_and_keep_exact_ties():
+    lo, hi = near_tie()
+    # path 0-1-2: node 1 is reached from 0 and from 2 with keys 1/(q q')
+    # apart; the larger shift, at center 2, wins it
+    g = path_graph(3)
+    near = {0: 5 + lo, 1: Fraction(0), 2: 5 + hi}
+    assert int_key_assign(g, near) == rational_assign(g, near) == {0: 0, 1: 2, 2: 2}
+    # an exact tie goes to the smaller center id
+    tied = {0: 5 + hi, 1: Fraction(0), 2: 5 + hi}
+    assert int_key_assign(g, tied) == rational_assign(g, tied) == {0: 0, 1: 0, 2: 2}
+    # weights 3/2: node 1's own start is 1/(q q') either side of 0's wave
+    h = load_graph("0 1 3/2\n1 2 3/2\n")
+    near = {0: 7 + hi, 1: Fraction(11, 2) + lo, 2: Fraction(0)}
+    assert int_key_assign(h, near) == rational_assign(h, near) == {0: 0, 1: 0, 2: 0}
+    near = {0: Fraction(15, 2) + lo, 1: 6 + hi, 2: Fraction(0)}
+    assert int_key_assign(h, near) == rational_assign(h, near) == {0: 0, 1: 1, 2: 1}
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=st.one_of(GRAPHS, st.builds(
+           with_weights,
+           st.builds(random_graph, st.integers(2, 12), st.sampled_from([0.3, 0.6]),
+                     st.integers(0, 10_000)),
+           st.lists(st.sampled_from(["1", "3/2", "5/2", "4/3"]),
+                    min_size=66, max_size=66))),
+       data=st.data())
+def test_int_wave_keys_equal_rational_argmin_near_ties(g, data):
+    # shifts from a small pool: equal keys and keys 1/(q q') apart are
+    # common, also across weights with denominators 2 and 3
+    lo, hi = near_tie()
+    pool = [Fraction(m, 6) + lo for m in range(12)] + [m + hi for m in range(4)]
+    shifts = {u: data.draw(st.sampled_from(pool)) for u in g.nodes()}
+    assert int_key_assign(g, shifts) == rational_assign(g, shifts)
 
 
 @pytest.mark.parametrize("mode", ["weak", "strong"])
