@@ -144,6 +144,9 @@ RECORD_CONTAINERS = {"failures": list, "ledger": list, "ops": list,
                      "path": list, "token_intervals": list, "findings": list,
                      "radii": dict, "partition_pre": dict,
                      "partition_post": dict}
+# the top-level scalars `check_bounds` reads: ints, and exact numbers
+RECORD_INTS = ("top", "n")
+RECORD_NUMBERS = ("rho", "sigma", "overlap", "d_alive", "c_prime")
 # the keys of each op in `ops` that `check_bounds` reads
 OP_KEYS = ("id", "kind", "phase", "t_issue", "t_complete", "f_at_issue",
            "f_at_complete", "transient", "stale_walk", "discovery_level",

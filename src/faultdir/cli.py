@@ -9,8 +9,8 @@ Subcommands:
 `check` exits nonzero when any inequality fails, so it can gate CI. The
 `faultdir` command (`console`) exits 2 with one line on stderr when `run`
 is given a scenario file it cannot read or that is invalid, or `check` a
-record it cannot read or that lacks a top-level key; `main` is the same
-front end for in-process callers and raises instead.
+record it cannot read or that lacks or garbles a top-level key; `main`
+is the same front end for in-process callers and raises instead.
 """
 from __future__ import annotations
 
@@ -20,8 +20,10 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
 
-from faultdir.bounds import OP_KEYS, RECORD_CONTAINERS, RECORD_KEYS, check_bounds
+from faultdir.bounds import (OP_KEYS, RECORD_CONTAINERS, RECORD_INTS, RECORD_KEYS,
+                             RECORD_NUMBERS, check_bounds)
 from faultdir.partition import build_hierarchy
 from faultdir.scenario import Runtime, build_graph
 
@@ -72,6 +74,17 @@ def _bad_input(exc, args, path: str) -> None:
     exc.bad_input = f"faultdir {args.cmd}: {path}: {what}"
 
 
+def _is_exact(value) -> bool:
+    """An int, or a string such as "3/2" that Fraction parses."""
+    if isinstance(value, str):
+        try:
+            Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+    return type(value) is int
+
+
 def cmd_run(args) -> int:
     try:
         with open(args.scenario) as fh:
@@ -109,6 +122,16 @@ def cmd_check(args) -> int:
                 for k, item in enumerate(record[key]):
                     if not isinstance(item, dict):
                         raise ValueError(f"{key}[{k}] is not a JSON object")
+        for key in RECORD_INTS:
+            if type(record[key]) is not int:
+                raise ValueError(f"{key} is not a JSON integer")
+        radii = record["radii"]
+        if not radii or not all(k.lstrip("-").isdigit() for k in radii):
+            raise ValueError(f"radii is not keyed by levels: {sorted(radii)}")
+        numbers = [(key, record[key]) for key in RECORD_NUMBERS]
+        for key, value in numbers + [(f"radii[{k!r}]", v) for k, v in radii.items()]:
+            if not _is_exact(value):
+                raise ValueError(f"{key} is not an exact number")
         for k, op in enumerate(record["ops"]):
             for key in OP_KEYS:
                 if key not in op:

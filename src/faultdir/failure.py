@@ -91,16 +91,16 @@ class FailureEngine:
                        "bcast_msgs": 0, "bcast_max_dist": 0,
                        "extension": False})
 
-    def _stat_recluster(self, fid, cid, level, kind, dist, n=1):
+    def _stat_recluster(self, fid, cid, level, kind, dist):
         row = self._recluster_row(fid, cid, level)
         if kind == "xfer":
-            row["xfer_msgs"] += n
+            row["xfer_msgs"] += 1
             row["xfer_dist"] = max(row["xfer_dist"], dist)
         elif kind == "bcast":
-            row["bcast_msgs"] += n
+            row["bcast_msgs"] += 1
             row["bcast_max_dist"] = max(row["bcast_max_dist"], dist)
         else:
-            row["msgs"] += n
+            row["msgs"] += 1
             row["max_dist"] = max(row["max_dist"], dist)
 
     def _stat_path(self, fid, dist):

@@ -2,8 +2,8 @@
 
 Weights are ints or fractions.Fraction, never floats, so every distance
 comparison made by the simulator is exact and runs are reproducible.
-Deleted edges are tombstoned rather than forgotten: message logs and
-repair bookkeeping still need to refer to them.
+An edge is alive iff it is in the adjacency; a deleted edge keeps only
+its weight, which message logs and repair bookkeeping still refer to.
 
 This module holds the one Dijkstra (`dijkstra`, with an edge filter and
 optional seeds) and every operation on a parent map `{node: parent}`,
@@ -47,12 +47,12 @@ def parse_weight(text: str):
 
 
 class Graph:
-    """Undirected weighted graph with tombstoned edge deletion."""
+    """Undirected weighted graph: `_adj` holds the alive edges both ways,
+    `_weights` every edge ever added."""
 
     def __init__(self):
         self._adj: dict[int, dict[int, object]] = {}
         self._weights: dict[EdgeId, object] = {}
-        self._dead: set[EdgeId] = set()
         self._version = 0
         self._sssp_cache: dict[int, tuple[dict, dict]] = {}
 
@@ -102,27 +102,26 @@ class Graph:
         return self._adj[u]
 
     def alive_edges(self) -> list[EdgeId]:
-        return sorted(e for e in self._weights if e not in self._dead)
+        return sorted((u, v) for u, v in self._weights if v in self._adj[u])
 
     def weight(self, e: EdgeId):
         """Weight of an edge, dead or alive."""
         return self._weights[edge_id(*e)]
 
     def is_alive(self, e: EdgeId) -> bool:
-        e = edge_id(*e)
-        return e in self._weights and e not in self._dead
+        u, v = e
+        return v in self._adj.get(u, ())
 
     # -- mutation ----------------------------------------------------------
 
     def kill_edge(self, e: EdgeId) -> None:
-        """Tombstone an edge. The weight stays queryable."""
+        """Take an edge out of the adjacency. The weight stays queryable."""
         e = edge_id(*e)
         if e not in self._weights:
             raise KeyError(f"unknown edge {e}")
-        if e in self._dead:
-            raise ValueError(f"edge {e} already deleted")
-        self._dead.add(e)
         u, v = e
+        if v not in self._adj[u]:
+            raise ValueError(f"edge {e} already deleted")
         del self._adj[u][v]
         del self._adj[v][u]
         self._bump()
@@ -182,20 +181,18 @@ class Graph:
         return sum(self.weight((a, b)) for a, b in zip(path, path[1:]))
 
 
-def dijkstra(adj, source=None, targets=None, skip=None, start=None):
+def dijkstra(adj, source=None, skip=None, start=None):
     """Dijkstra over an adjacency dict; returns (dist, parent).
 
     Deterministic: nodes settle in (distance, id) order and the parent
     of a node is the smallest-id optimal predecessor. `dist` holds the
     settled nodes in that order, so an r-ball is the prefix of its items
     up to the first distance beyond r. (A tree map that
-    `ShortestPathTree.repair` has written is not in settle order.) With
-    `targets` it stops once every target has settled, so `dist` holds
-    only the nodes settled by then. `skip(u, v)`, if given, hides the
-    edge u-v when relaxed from u: the result is Dijkstra over the
-    adjacency with those edges filtered out, without copying it.
-    `start`, if given, replaces the single source by seeds
-    {node: (dist, parent)}.
+    `ShortestPathTree.repair` has written is not in settle order.)
+    `skip(u, v)`, if given, hides the edge u-v when relaxed from u: the
+    result is Dijkstra over the adjacency with those edges filtered out,
+    without copying it. `start`, if given, replaces the single source by
+    seeds {node: (dist, parent)}.
     """
     if start is None:
         dist, parent, heap = {source: 0}, {source: None}, [(0, source)]
@@ -204,16 +201,11 @@ def dijkstra(adj, source=None, targets=None, skip=None, start=None):
         parent = {x: p for x, (_, p) in start.items()}
         heap = sorted((d, x) for x, d in dist.items())  # a sorted list is a heap
     settled: dict[int, object] = {}
-    remaining = set(targets) if targets is not None else None
     while heap:
         d, u = heapq.heappop(heap)
         if u in settled:
             continue
         settled[u] = d
-        if remaining is not None:
-            remaining.discard(u)
-            if not remaining:
-                break
         for v, w in adj[u].items():
             if skip is not None and skip(u, v):
                 continue
@@ -307,9 +299,6 @@ class ShortestPathTree:
         self.root = root
         self.dist = dist
         self.parent = parent
-
-    def tree_edges(self) -> set[EdgeId]:
-        return {edge_id(u, p) for u, p in self.parent.items() if p is not None}
 
     def repair(self, g: Graph, e: EdgeId) -> tuple[list[EdgeId], list[EdgeId]]:
         """Reattach the subtree cut off by dead edge e, over the alive

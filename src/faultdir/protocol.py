@@ -123,7 +123,7 @@ class Directory:
         self.token_intervals: list[dict] = []
         self.findings: list[dict] = []
         self.failure_count = 0
-        self.engine = None  # failure engine attaches itself
+        self.engine = None  # set by the FailureEngine `Runtime` always builds
         for kind in ("pub_set", "ack", "search", "search_reply", "move_add",
                      "move_ack", "set_up", "down_fix", "del_walk", "lookup_walk",
                      "lookup_reply", "walk_fail", "token", "reg_sc", "unreg_sc"):
@@ -142,7 +142,7 @@ class Directory:
                 and not any(ns.locked() or ns.deferred or ns.pending_init
                             or ns.queued_locks or ns.waiting_lookups
                             for ns in self.nodes.values())
-                and (self.engine is None or self.engine.quiet()))
+                and self.engine.quiet())
 
     def _parked(self, msg, txn=None) -> bool:
         """Park a write message at a locked destination; `drain_deferred`
@@ -225,7 +225,7 @@ class Directory:
 
     def _note_sc_traffic(self, msg):
         """Special parent updates made during repairs feed the shape report."""
-        if self.engine is None or not msg.bucket.startswith("repair:path_update:f"):
+        if not msg.bucket.startswith("repair:path_update:f"):
             return
         fid = int(msg.bucket.rsplit(":f", 1)[1])
         tlevel = msg.payload["tlevel"]
@@ -615,8 +615,7 @@ class Directory:
     def _stale_adder_check(self, y: int, level: int) -> None:
         """After a split, a freshly written path node may reference an adder
         that already sits in a detached descendant; the path must follow."""
-        if self.engine is not None:
-            self.engine.maybe_fix_adder(y, level)
+        self.engine.maybe_fix_adder(y, level)
 
     # -- lookup walks -----------------------------------------------------------
 

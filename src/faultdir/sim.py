@@ -135,8 +135,9 @@ class Simulator:
     """Owns the clock, the event heap, links, logs and the ledger.
 
     Protocol layers register one handler per message kind and may also
-    register named timer callbacks. The simulator knows nothing about
-    directory semantics; it moves messages and keeps accounts.
+    register named timer callbacks; a timer's callback is looked up when
+    it is scheduled. The simulator knows nothing about directory
+    semantics; it moves messages and keeps accounts.
     """
 
     def __init__(self, g: Graph):
@@ -153,7 +154,6 @@ class Simulator:
         # edges that ever carried a routed hop; a failed edge among them
         # triggers the resend exchange
         self.used_edges: set[EdgeId] = set()
-        self.in_flight: dict[EdgeId, list[Message]] = {}
         self.events: list[dict] = []
         self.event_limit = 5_000_000
         self._processed = 0
@@ -170,13 +170,13 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def schedule(self, delay, kind: str, data) -> None:
-        heapq.heappush(self._heap, (self.now + delay, self._seq, kind, data))
+    def schedule(self, delay, fn, data) -> None:
+        """Call fn(data) after delay; no two entries share (time, seq)."""
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, data))
         self._seq += 1
 
     def call_later(self, delay, timer_name: str, data=None) -> None:
-        assert timer_name in self.timers, timer_name
-        self.schedule(delay, "timer:" + timer_name, data)
+        self.schedule(delay, self.timers[timer_name], data)
 
     # -- transport -----------------------------------------------------------
 
@@ -196,7 +196,7 @@ class Simulator:
         self._admit(msg)
         msg.at = msg.src
         if msg.src == msg.dst:
-            self.schedule(0, "deliver", msg)
+            self.schedule(0, self._deliver, msg)
         elif path is None:
             self._forward(msg)
         else:
@@ -214,7 +214,7 @@ class Simulator:
             path = root_path(tree.parent, msg.dst)
             if all(edge_id(a, b) not in msg.blocked for a, b in zip(path, path[1:])):
                 return path[-2::-1]
-        dist, parent = dijkstra(self.g._adj, x, targets={msg.dst})
+        dist, parent = dijkstra(self.g._adj, x)
         if msg.dst not in dist:
             return None
         return root_path(parent, msg.dst)[-2::-1]
@@ -233,22 +233,21 @@ class Simulator:
             if msg.no_reroute:
                 msg.payload["stuck"] = True
                 msg.dst = msg.at
-                self.schedule(0, "deliver", msg)
+                self.schedule(0, self._deliver, msg)
                 return
             # sender-side endpoint knows instantly; bounce and re-route
             msg.blocked.add(e)
             self._forward(msg)
             return
         self.used_edges.add(e)
-        self.in_flight.setdefault(e, []).append(msg)
-        self.schedule(self.g.weight(e), "hop", msg)
+        self.schedule(self.g.weight(e), self._process_hop, msg)
 
     def bulk(self, msg: Message, cost) -> None:
         """Direct delivery with explicit cost; the latency is the cost."""
         self._admit(msg)
         self.ledger.charge(msg.bucket, cost, msg.size)
         msg.traveled = cost
-        self.schedule(cost, "deliver", msg)
+        self.schedule(cost, self._deliver, msg)
 
     def charge_only(self, bucket: str, cost, size: str = "const", count: int = 1) -> None:
         self.ledger.charge(bucket, cost, size, count=count)
@@ -257,9 +256,11 @@ class Simulator:
 
     def capture_in_flight(self, e: EdgeId) -> list[Message]:
         """Mark every message currently crossing e as lost; the resend
-        exchange recovers them."""
+        exchange recovers them. A message has one pending event, so these
+        are the messages, not yet lost, of the queued hops starting on e."""
         e = edge_id(*e)
-        lost = self.in_flight.pop(e, [])
+        lost = [m for _t, _s, fn, m in self._heap if fn == self._process_hop
+                and not m.lost and edge_id(m.at, m.route[0]) == e]
         for m in lost:
             m.lost = True
         return lost
@@ -282,28 +283,20 @@ class Simulator:
         while self._heap:
             if horizon is not None and self._heap[0][0] > horizon:
                 break
-            t, seq, kind, data = heapq.heappop(self._heap)
+            t, _seq, fn, data = heapq.heappop(self._heap)
             self.now = t
             self._processed += 1
             if self._processed > self.event_limit:
                 raise RuntimeError("event limit exceeded; likely livelock")
-            if kind == "hop":
-                self._process_hop(data)
-            elif kind == "deliver":
-                self._deliver(data)
-            elif kind.startswith("timer:"):
-                self.timers[kind[6:]](data)
-            else:
-                raise RuntimeError(f"unknown event kind {kind}")
+            fn(data)
 
     def _process_hop(self, msg: Message) -> None:
-        """A message not lost is in its edge's in-flight list (only
-        `capture_in_flight` takes one out, marking it lost); routes end at dst."""
+        """A lost message's stale hop is dropped here, not taken off the
+        heap, so it still moves the clock; routes end at dst."""
         if msg.lost:
             return
         nxt = msg.route.pop(0)
         e = edge_id(msg.at, nxt)
-        self.in_flight[e].remove(msg)
         self.ledger.charge(msg.bucket, self.g.weight(e), msg.size)
         msg.traveled += self.g.weight(e)
         msg.at = nxt

@@ -169,6 +169,22 @@ def induced_adj(g, allowed):
             for u in allowed}
 
 
+def induced_connected(g, members):
+    """Whether the members' induced subgraph is connected, by a stack
+    search over its copied adjacency."""
+    if not members:
+        return True
+    adj = induced_adj(g, members)
+    start = min(members)
+    seen, stack = {start}, [start]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen == set(members)
+
+
 def dump_graph(g):
     """The alive edges as 'u v w' lines, the format `load_graph` reads."""
     lines = [f"{u} {v} {g.weight((u, v))}" for u, v in g.alive_edges()]
@@ -250,6 +266,12 @@ def tree_child_endpoint(parent_map, e):
     if parent_map.get(v) == u:
         return v
     raise ValueError(f"edge {e} not in tree")
+
+
+def tree_edges(parent_map):
+    """The edges of a parent map, as `ShortestPathTree.tree_edges` gave
+    them before it left the library."""
+    return {edge_id(u, p) for u, p in parent_map.items() if p is not None}
 
 
 def contains_tree_edge(parent_map, e):
@@ -457,7 +479,7 @@ def two_pass_pre_check(hier):
             seen |= c.members
             if c.leader not in c.members:
                 problem(f"level {i}: leader {c.leader} outside cluster {c.id}")
-            if mode == "strong" and not c.induced_connected(g):
+            if mode == "strong" and not induced_connected(g, c.members):
                 problem(f"level {i}: cluster {c.id} induced subgraph disconnected")
             else:
                 d = diam[c.id]
@@ -518,6 +540,37 @@ def brute_candidates(dir, op):
     return ready, waits
 
 
+# -- the early-stopping Dijkstra that `Simulator._route_from` once ran -------
+
+
+def dijkstra_until(adj, source, targets, skip=None):
+    """`graph.dijkstra` as it was with its `targets` parameter: the same
+    loop, stopped once every target has settled, so `dist` holds only the
+    nodes settled by then. Returns (dist, parent)."""
+    dist, parent, heap = {source: 0}, {source: None}, [(0, source)]
+    settled = {}
+    remaining = set(targets)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled[u] = d
+        remaining.discard(u)
+        if not remaining:
+            break
+        for v, w in adj[u].items():
+            if skip is not None and skip(u, v):
+                continue
+            nd = d + w
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd, v))
+            elif nd == dist[v] and v not in settled and u < parent[v]:
+                parent[v] = u
+    return settled, parent
+
+
 # -- open ops: the scans that `Directory.open` and `NodeState.move` replaced ---
 
 OPEN_PHASES = ("up", "walk", "await_token")
@@ -551,7 +604,7 @@ class EdgeRootIndex:
         self.g = g
         self.edge_roots = {}
         for root in sorted(trees):
-            for e in trees[root].tree_edges():
+            for e in tree_edges(trees[root].parent):
                 self.edge_roots.setdefault(e, set()).add(root)
         self.dead_adds = []
 

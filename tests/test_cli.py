@@ -255,8 +255,9 @@ def test_check_names_every_top_level_key_it_reads(tmp_path, capsys):
 
 
 def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
-    # every container `check_bounds` reads is type-checked first: a wrong
-    # container or list element is bad input, never a TypeError
+    # every container and scalar `check_bounds` reads is type-checked
+    # first: a wrong container, list element or number is bad input, never
+    # a TypeError or a ValueError raised inside check
     scen_path = tmp_path / "scen.json"
     main(["gen", "--graph", "ring:8", "--seed", "1", "--ops", "3",
           "--failures", "1", "--out", str(scen_path)])
@@ -271,6 +272,19 @@ def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
                       f"{'array' if kind is list else 'object'}"))
         if kind is list:
             cases.append((key, [{}, 7], f"{key}[1] is not a JSON object"))
+    cases += [("rho", "x", "rho is not an exact number"),
+              ("top", "x", "top is not a JSON integer"),
+              ("sigma", [1], "sigma is not an exact number"),
+              ("radii", {"0": "q"}, "radii['0'] is not an exact number"),
+              ("n", None, "n is not a JSON integer"),
+              ("top", True, "top is not a JSON integer"),
+              ("n", 8.0, "n is not a JSON integer"),
+              ("overlap", "", "overlap is not an exact number"),
+              ("d_alive", 1.5, "d_alive is not an exact number"),
+              ("c_prime", None, "c_prime is not an exact number"),
+              ("sigma", "1/0", "sigma is not an exact number"),
+              ("radii", {}, "radii is not keyed by levels: []"),
+              ("radii", {"x": 1}, "radii is not keyed by levels: ['x']")]
     for key, value, message in cases:
         rec_path = tmp_path / "bad.json"
         rec_path.write_text(json.dumps(dict(record, **{key: value})))
@@ -279,6 +293,10 @@ def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == f"faultdir check: {rec_path}: {message}\n"
         assert not (tmp_path / "rep.json").exists()
+    # exact numbers as strings are how records write fractions
+    rec_path.write_text(json.dumps(dict(record, sigma="3/2", rho="2")))
+    assert console(["check", str(rec_path), "--out",
+                    str(tmp_path / "rep.json")]) in (0, 1)
 
 
 def test_run_defects_still_propagate(tmp_path, monkeypatch):

@@ -370,8 +370,9 @@ def test_queued_extension_installs_locally_when_adder_stayed_home():
     top = ns.levels[h_new]
     assert (top.up, top.down, top.added_by) == (None, root, adder)
     assert (top.built_t, top.built_f) == (777, 4)
-    verdicts = [d for _t, _s, kind, d in rt.sim._heap
-                if kind in ("hop", "deliver") and d.kind == "ext_verdict"]
+    verdicts = [d for _t, _s, fn, d in rt.sim._heap
+                if fn in (rt.sim._process_hop, rt.sim._deliver)
+                and d.kind == "ext_verdict"]
     assert len(verdicts) == 1 and verdicts[0].dst == v
     assert verdicts[0].payload == {"bands": band_ids, "level": h_old,
                                    "entries": entries, "fid": 0}

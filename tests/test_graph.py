@@ -14,10 +14,10 @@ from faultdir.graph import (
 )
 from faultdir.partition import eccentricities
 from oracles import (brute_diameter, brute_neighborhood, check_spt,
-                     contains_tree_edge, dump_graph, fw_all_pairs, heap_repair,
-                     induced_adj, neighborhood, path_to_root, prune_fixpoint,
-                     reroot_walk, split_leader, tree_child_endpoint,
-                     with_weights)
+                     contains_tree_edge, dijkstra_until, dump_graph,
+                     fw_all_pairs, heap_repair, induced_adj, neighborhood,
+                     path_to_root, prune_fixpoint, reroot_walk, split_leader,
+                     tree_child_endpoint, tree_edges, with_weights)
 
 
 def test_load_unit_path():
@@ -271,10 +271,25 @@ def test_dijkstra_skip_equals_filtered_copy(g, data):
                 if edge_id(u, v) not in hidden} for u in g.nodes()}
     want = dijkstra(copy, src)
     assert dijkstra(g._adj, src, skip=lambda u, v: edge_id(u, v) in hidden) == want
-    dst = data.draw(st.sampled_from(g.nodes()))
-    assert dijkstra(g._adj, src, targets={dst},
-                    skip=lambda u, v: edge_id(u, v) in hidden) == \
-        dijkstra(copy, src, targets={dst})
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=FILTER_GRAPHS, data=st.data())
+def test_full_run_root_paths_equal_early_stop_paths(g, data):
+    """A route is read from a full run, not one stopped once dst settles:
+    a node's parent is final when it settles, and every node on dst's
+    root path settles before dst, so both runs give dst the same path."""
+    edges = g.alive_edges()
+    hidden = set(data.draw(st.lists(st.sampled_from(edges), max_size=len(edges))))
+    for skip in (None, lambda u, v: edge_id(u, v) in hidden):
+        for src in g.nodes():
+            dist, parent = dijkstra(g._adj, src, skip=skip)
+            for dst in g.nodes():
+                near, near_parent = dijkstra_until(g._adj, src, {dst}, skip=skip)
+                assert (dst in dist) == (dst in near)
+                if dst in near:
+                    assert dist[dst] == near[dst]
+                    assert root_path(parent, dst) == root_path(near_parent, dst)
 
 
 @settings(max_examples=80, deadline=None)
@@ -349,9 +364,9 @@ def test_repair_matches_heap_loop_and_full_diff(g, data):
         if patch is not None:
             want_dist.update(patch[0])
             want_parent.update(patch[1])
-        before = t.tree_edges()
+        before = tree_edges(t.parent)
         removed, added = t.repair(g, e)
-        after = t.tree_edges()
+        after = tree_edges(t.parent)
         assert (removed, added) == (sorted(before - after), sorted(after - before))
         assert (t.dist, t.parent) == (want_dist, want_parent)
 

@@ -169,7 +169,8 @@ def test_run_scenario_returns_record():
 
 def pending(sim):
     """Messages scheduled but not yet delivered, in send order."""
-    msgs = [d for _t, _s, kind, d in sim._heap if kind in ("hop", "deliver")]
+    msgs = [d for _t, _s, fn, d in sim._heap
+            if fn in (sim._process_hop, sim._deliver)]
     return sorted(msgs, key=lambda m: m.id)
 
 

@@ -141,6 +141,33 @@ def test_capture_and_resend_recovers_lost_message():
     assert clone.traveled == 15
 
 
+def test_capture_takes_only_the_dead_edges_live_messages():
+    """In flight means a queued hop: capture reads the heap. A message
+    captured before keeps its stale hop on the heap; it is not captured
+    again and never delivered. Messages on other edges, or due to cross
+    the edge only later, are left alone."""
+    g = ring_graph(6, weights=3)
+    sim = make_sim(g)
+    got = collect(sim)
+    stale = Message("ping", 0, 1, {}, bucket="t")
+    sim.send(stale)
+    assert sim.capture_in_flight(edge_id(0, 1)) == [stale]
+    fwd, back, beside, other, later = msgs = [
+        Message("ping", a, b, {}, bucket="t")
+        for a, b in ((0, 1), (1, 0), (0, 5), (2, 3), (5, 1))]
+    for m in msgs:
+        sim.send(m)
+    assert len(sim._heap) == 6  # the stale hop is still queued
+    lost = sim.capture_in_flight((1, 0))
+    assert sorted(m.id for m in lost) == [fwd.id, back.id]
+    assert all(m.lost for m in lost) and not any(
+        m.lost for m in (beside, other, later))
+    g.kill_edge(edge_id(0, 1))
+    sim.run()
+    assert sorted(m.id for m in got) == [beside.id, other.id, later.id]
+    assert later.traveled == 18  # 5 to 0, bounced, then 0 to 1 the long way
+
+
 def test_event_log_deterministic():
     def run_once():
         g = grid_graph(3, 3)
