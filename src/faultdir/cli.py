@@ -9,8 +9,8 @@ Subcommands:
 `check` exits nonzero when any inequality fails, so it can gate CI. The
 `faultdir` command (`console`) exits 2 with one line on stderr when `run`
 is given a scenario file it cannot read or that is invalid, or `check` a
-record it cannot read or that lacks or garbles a top-level key; `main`
-is the same front end for in-process callers and raises instead.
+record it cannot read, that lacks or garbles a key it reads, or whose own
+partition rows contradict its sigma or overlap; `main` raises instead.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from faultdir.bounds import (OP_KEYS, RECORD_CONTAINERS, RECORD_INTS, RECORD_KEYS,
                              RECORD_NUMBERS, check_bounds)
-from faultdir.partition import build_hierarchy
+from faultdir.partition import build_hierarchy, sigma_and_overlap
 from faultdir.scenario import Runtime, build_graph
 
 
@@ -136,6 +136,17 @@ def cmd_check(args) -> int:
             for key in OP_KEYS:
                 if key not in op:
                     raise KeyError(f"ops[{k}].{key}")
+        rows = record["partition_pre"].get("levels")
+        if not isinstance(rows, list) or not all(
+                isinstance(row, dict) and _is_exact(row.get("r"))
+                and _is_exact(row.get("max_diameter"))
+                and type(row.get("max_overlap")) is int for row in rows) \
+                or not any(Fraction(row["r"]) > 0 for row in rows):
+            raise ValueError("partition_pre has no exact level rows with r > 0")
+        for key, value in zip(("sigma", "overlap"), sigma_and_overlap(rows)):
+            if Fraction(record[key]) != value:
+                raise ValueError(f"{key} {record[key]} does not match "
+                                 f"partition_pre ({value})")
     except (OSError, ValueError, KeyError) as exc:
         _bad_input(exc, args, args.record)
         raise

@@ -2,12 +2,12 @@
 
 When an edge dies its endpoints notice instantly and patch their own
 shortest path trees; every other owner whose tree holds the edge is told
-by a routed notice from the surviving side, repairs on arrival, and sends
-tree-delta notices to the endpoints of every edge that entered or left
-its tree. A repair adopts only alive edges, and each failure's repairs
-settle before the next edge dies, so the owners to notify are read from
-the trees themselves and all trees are true shortest path trees at
-quiescence.
+by a routed notice from the surviving side and repairs on arrival; a
+repair is charged (not sent) a tree-delta notice to each end, other than
+the owner, of every edge it changed. A repair adopts only alive edges,
+and each failure's repairs settle before the next edge dies, so the
+owners to notify are read from the trees themselves and all trees are
+true shortest path trees at quiescence.
 
 Clusters whose spanning tree lost an edge split: the detached part
 becomes a new cluster led by the member closest to the cut. The old
@@ -56,13 +56,13 @@ class FailureEngine:
         self.hier = directory.hier
         self.g = directory.sim.g
         self.parked: dict[int, list[tuple[int, dict]]] = {}
-        self.verdict_wait: dict[int, list[dict]] = {}
-        self.verdict_pending: set[int] = set()
+        # split-off cluster -> notices held until its verdict (gated iff key)
+        self.held: dict[int, list[dict]] = {}
         self.detach_log: dict[int, list[dict]] = {}
         self.failures: list[dict] = []
         self._txn_seq = 0
         directory.engine = self
-        for kind in ("spt_notify", "spt_delta", "cluster_notify", "leader_xfer",
+        for kind in ("spt_notify", "cluster_notify", "leader_xfer",
                      "split_verdict", "ext_verdict", "bcast", "refresh",
                      "txn_lock", "txn_grant", "txn_install", "txn_repoint",
                      "txn_clear", "lock_release"):
@@ -77,8 +77,7 @@ class FailureEngine:
     def quiet(self) -> bool:
         """No split notice or verdict is held back by the engine; the
         nodes' transaction state is `Directory.quiescent`'s to check."""
-        return not (self.verdict_pending or any(self.parked.values())
-                    or any(self.verdict_wait.values()))
+        return not (self.held or self.parked)
 
     # -- per-failure message shape accounting -------------------------------------
     # Counts and worst distances per repair category, kept out of the cost
@@ -181,8 +180,8 @@ class FailureEngine:
 
     def _repair_tree(self, w, e, fid):
         """w learned that e died: if e is in w's tree, repair the tree,
-        tell the endpoints of every edge that entered or left it and poke
-        w's searches; at the root, then check for a layer extension."""
+        charge its deltas and poke w's searches; at the root, then check
+        for a layer extension."""
         t = self.sim.trees[w]
         if child_endpoint(t.parent, e) is None:
             return
@@ -197,20 +196,14 @@ class FailureEngine:
                        "logn", f"repair:spt_update:f{fid}")
 
     def _send_deltas(self, owner, removed, added, fid):
-        t = self.sim.trees[owner]
-        entries = [("remove", ed) for ed in sorted(removed)]
-        entries += [("add", ed) for ed in sorted(added)]
-        for op, ed in entries:
-            for z in sorted(set(ed) - {owner}):
-                payload = {"root": owner, "edge": list(ed), "op": op, "fid": fid}
-                self.sim.bulk(Message("spt_delta", owner, z, payload,
-                                      size="logn",
-                                      bucket=f"repair:spt_update:f{fid}"),
-                              cost=t.dist[z])
-
-    def _on_spt_delta(self, msg):
-        """A tree delta is charged traffic only: the endpoint keeps no
-        index, since `fail_edge` reads tree membership from the trees."""
+        """Charge a tree-delta notice from owner to the other ends of each
+        edge its tree lost or gained, at their new tree distance; none is
+        sent, as `fail_edge` reads tree membership from the trees."""
+        dist = self.sim.trees[owner].dist
+        costs = [dist[z] for ed in (*removed, *added) for z in ed if z != owner]
+        if costs:
+            self.sim.charge_only(f"repair:spt_update:f{fid}", sum(costs),
+                                 size="logn", count=len(costs))
 
     def _on_spt_notify(self, msg):
         self._repair_tree(msg.dst, edge_id(*msg.payload["edge"]),
@@ -243,8 +236,8 @@ class FailureEngine:
         if c.leader != y:
             self._notify(y, c, p)
             return
-        if c.id in self.verdict_pending:
-            self.verdict_wait.setdefault(c.id, []).append(p)
+        if c.id in self.held:
+            self.held[c.id].append(p)
             return
         if child_endpoint(c.tree_parent, e) is not None:
             self._apply_split(c, e, fid)
@@ -326,7 +319,7 @@ class FailureEngine:
         tree2 = prune(tree2, members2, w)
         c2 = Cluster(self.hier.new_cid(), level, set(members2), w, tree2)
         self.hier.add_cluster(c2)
-        self.verdict_pending.add(c2.id)
+        self.held[c2.id] = []
         self.detach_log.setdefault(c.id, []).append(
             {"child": c2.id, "members": frozenset(members2),
              "nodes": frozenset(det_nodes), "v": v})
@@ -375,11 +368,11 @@ class FailureEngine:
         self._verdict_arrived(p["cluster"], p["level"], p["fid"])
 
     def _verdict_arrived(self, cid, level, fid):
-        self.verdict_pending.discard(cid)
+        held = self.held.pop(cid)
         c = self.hier.levels[level][cid]
         self._broadcast_cluster(c, fid, [(level, c.leader)],
                                 fan_r=self.hier.radius(level), extension=False)
-        for p in self.verdict_wait.pop(cid, []):
+        for p in held:
             self._process_notify(c.leader, p)
 
     def _broadcast_cluster(self, c, fid, entries, fan_r, extension):
@@ -428,6 +421,8 @@ class FailureEngine:
     # -- stale adder chains ----------------------------------------------------------
 
     def maybe_fix_adder(self, y, level):
+        """After a split, a freshly written path node may reference an adder
+        that already sits in a detached descendant; the path must follow."""
         if level < 0 or level >= self.hier.top:
             return
         ns = self.dir.nodes[y]
@@ -771,7 +766,7 @@ class FailureEngine:
             self.hier.add_cluster(c1)
             self.hier.add_cluster(c2)
             band_c2_ids.append(c2.id)
-            self.verdict_pending.add(c2.id)
+            self.held[c2.id] = []
         c_top = Cluster(self.hier.new_cid(), h_new, all_nodes, root,
                         dict(self.sim.trees[root].parent))
         self.hier.top = h_new
@@ -832,12 +827,10 @@ class FailureEngine:
         """The detached part's leader learns its extension band clusters
         (ids `bands`, the lowest at `level`): it opens their verdict gates,
         broadcasts the new leaders and handles the notices held back."""
-        for cid in bands:
-            self.verdict_pending.discard(cid)
+        held = [q for cid in bands for q in self.held.pop(cid)]
         c2 = self.hier.levels[level][bands[0]]
         self._broadcast_cluster(c2, fid, entries,
                                 fan_r=self.hier.radius(self.hier.top),
                                 extension=True)
-        for cid in bands:
-            for q in self.verdict_wait.pop(cid, []):
-                self._process_notify(c2.leader, q)
+        for q in held:
+            self._process_notify(c2.leader, q)

@@ -295,10 +295,7 @@ class Hierarchy:
         after failures, and `shortcut_offset`, the fewest levels k with
         rho^k >= shortcut_factor * sigma."""
         self.pre_check = verify_partition(self)
-        rows = [(Fraction(row["r"]), row) for row in self.pre_check["levels"]]
-        self.sigma = max(Fraction(row["max_diameter"]) / r
-                         for r, row in rows if r > 0)
-        self.overlap = max(row["max_overlap"] for r, row in rows if r > 0)
+        self.sigma, self.overlap = sigma_and_overlap(self.pre_check["levels"])
         s, p = self.sigma, self.rho
         need1 = 2 + Fraction(2 * (s * p + p + s), (p - 1) * p)
         need2 = (1 + Fraction(2 * s * (p + 1) + p, p - 1)) / s
@@ -362,6 +359,14 @@ def build_hierarchy(g: Graph, rho: int = 2, mode: str = "strong", seed: int = 0)
     hier.add_cluster(top)
     hier.measure()
     return hier
+
+
+def sigma_and_overlap(levels: list[dict]) -> tuple[Fraction, int]:
+    """The largest diameter-to-radius ratio and overlap in a partition
+    report's rows for the levels with r > 0 (`measure`, `faultdir check`)."""
+    rows = [(Fraction(row["r"]), row) for row in levels]
+    return (max(Fraction(row["max_diameter"]) / r for r, row in rows if r > 0),
+            max(row["max_overlap"] for r, row in rows if r > 0))
 
 
 def verify_partition(hier: Hierarchy, post_failure: bool = False) -> dict:

@@ -515,7 +515,7 @@ class Directory:
         self._send("move_ack", y, p["added_by"],
                    {"op": p["op"], "level": level, "spliced": spliced},
                    "const", f"op:{p['op']}:L{level}:link")
-        self._stale_adder_check(y, level)
+        self.engine.maybe_fix_adder(y, level)
 
     def _on_move_ack(self, msg):
         p = msg.payload
@@ -596,7 +596,7 @@ class Directory:
             self.finding("path_state_overwrite", node=y, level=level)
         self.join(y, level, p["up"], p["down"], p["added_by"],
                   f"op:{p['op']}:L{level}:sc")
-        self._stale_adder_check(y, level)
+        self.engine.maybe_fix_adder(y, level)
 
     def _on_pub_set(self, msg):
         self._apply_path_state(msg.dst, msg.payload)
@@ -611,11 +611,6 @@ class Directory:
         op.acks_needed.discard((msg.src, msg.payload["level"]))
         if not op.acks_needed and op.phase == "up":
             self._complete(op)
-
-    def _stale_adder_check(self, y: int, level: int) -> None:
-        """After a split, a freshly written path node may reference an adder
-        that already sits in a detached descendant; the path must follow."""
-        self.engine.maybe_fix_adder(y, level)
 
     # -- lookup walks -----------------------------------------------------------
 

@@ -280,6 +280,3 @@ class Runtime:
             out.append(row)
         return out
 
-
-def run_scenario(sc: dict) -> dict:
-    return Runtime(sc).run()

@@ -12,8 +12,8 @@ Two transport classes:
   resends the lost messages over a fresh route.
 * bulk: direct delivery after an explicit cost/latency, used for fanouts
   whose delivery is guaranteed by the resend machinery anyway
-  (broadcasts, belief refreshes, tree-delta notices). The full cost and
-  message count still hit the ledger.
+  (broadcasts, belief refreshes). The full cost and message count still
+  hit the ledger; traffic no node reads is only charged (`charge_only`).
 
 Every message reaches exactly one terminal event, so nothing filters
 duplicates: a send starts one chain of pending events (hops, then one
@@ -279,10 +279,8 @@ class Simulator:
 
     # -- main loop ---------------------------------------------------------------
 
-    def run(self, horizon=None) -> None:
+    def run(self) -> None:
         while self._heap:
-            if horizon is not None and self._heap[0][0] > horizon:
-                break
             t, _seq, fn, data = heapq.heappop(self._heap)
             self.now = t
             self._processed += 1

@@ -4,7 +4,7 @@ record mutations that each violate exactly one published inequality."""
 import copy
 import functools
 
-from faultdir.scenario import run_scenario
+from faultdir.scenario import Runtime
 
 WEAK_EDGES = [[4, 0, 2], [11, 4, 5], [10, 11, 3], [3, 0, 1], [12, 3, 4],
               [7, 12, 2], [2, 4, 5], [8, 11, 1], [5, 4, 5], [1, 8, 1],
@@ -39,7 +39,7 @@ def base_record(name: str) -> dict:
                          {"t": 3000, "do": "move", "node": 9}]}
     else:
         raise KeyError(name)
-    return run_scenario(sc)
+    return Runtime(sc).run()
 
 
 def doctored(name: str, doctor) -> dict:

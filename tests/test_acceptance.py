@@ -13,7 +13,7 @@ from fractions import Fraction
 from faultdir.bounds import check_bounds
 from faultdir.cli import _gen_scenario
 from faultdir.partition import build_hierarchy
-from faultdir.scenario import Runtime, build_graph, run_scenario
+from faultdir.scenario import Runtime, build_graph
 
 from controls import CONTROLS, base_record, doctored
 from oracles import check_spt
@@ -105,10 +105,10 @@ def publish_records():
         mode, rho = graph_params(k)
         g = build_graph(spec)
         node = sorted(g.nodes())[k % len(g.nodes())]
-        rec = run_scenario({"name": f"pub{k}", "mode": mode, "rho": rho,
-                            "seed": k, "graph": spec,
-                            "events": [{"t": 0, "do": "publish",
-                                        "node": node}]})
+        rec = Runtime({"name": f"pub{k}", "mode": mode, "rho": rho,
+                       "seed": k, "graph": spec,
+                       "events": [{"t": 0, "do": "publish",
+                                   "node": node}]}).run()
         out.append(rec)
     return out
 
@@ -150,7 +150,7 @@ def test_criterion_03_pair_distances_pre_and_post():
                   {"t": 9000, "do": "move", "node": nodes[-1]}]
         scens.append({"name": f"pair{k}", "mode": mode, "rho": rho,
                       "seed": k, "graph": spec, "events": events})
-    recs = [run_scenario(sc) for sc in scens] + list(publish_records())
+    recs = [Runtime(sc).run() for sc in scens] + list(publish_records())
     for rec in recs:
         assert_line(rec, "pair-distance", rec["scenario"]["name"])
         for row in rec["path"]:
@@ -182,7 +182,7 @@ def schedule_records():
         mode = "strong" if k % 2 == 0 else "weak"
         sc = _gen_scenario(spec, mode, 2, 1000 + k, ops=45,
                            failures=2, horizon=10 ** 6, move_frac=0.12)
-        out.append((run_scenario(sc), sc))
+        out.append((Runtime(sc).run(), sc))
     return out
 
 
@@ -232,9 +232,9 @@ def test_criterion_06_move_sequence_competitive_ratio():
     base = [{"t": 0, "do": "publish", "node": 0}]
     base += [{"t": 500 * (k + 1), "do": "move", "node": m}
              for k, m in enumerate(movers)]
-    quiet = run_scenario({"name": "moves-quiet", "mode": "strong", "rho": 2,
-                          "seed": 2, "graph": {"kind": "ring", "n": n},
-                          "events": base})
+    quiet = Runtime({"name": "moves-quiet", "mode": "strong", "rho": 2,
+                     "seed": 2, "graph": {"kind": "ring", "n": n},
+                     "events": base}).run()
     line_q = assert_line(quiet, "move-ratio", "quiet")
 
     spec = {"kind": "random", "n": 16, "p": 0.3, "seed": 12}
@@ -255,9 +255,9 @@ def test_criterion_06_move_sequence_competitive_ratio():
         prev = node
         t += 900
         ev.append({"t": t, "do": "move", "node": node})
-    faulty = run_scenario({"name": "moves-faulty", "mode": "strong",
-                           "rho": 2, "seed": 12, "graph": spec,
-                           "events": ev})
+    faulty = Runtime({"name": "moves-faulty", "mode": "strong",
+                      "rho": 2, "seed": 12, "graph": spec,
+                      "events": ev}).run()
     assert len([o for o in faulty["ops"] if o["kind"] == "move"]) >= 8
     line_f = assert_line(faulty, "move-ratio", "faulty")
     ok(6, f"10 quiet relocations at ratio {line_q.observed} (bound "
@@ -395,7 +395,7 @@ def test_criterion_09_random_schedules_complete_with_intact_chain():
         mode = "weak" if k % 2 else "strong"
         sc = _gen_scenario(spec, mode, 2, 7000 + k, ops=6,
                            failures=min(5, 2 + k % 4), horizon=10 ** 5)
-        rec = run_scenario(sc)
+        rec = Runtime(sc).run()
         assert_line(rec, "completion", sc["name"])
         assert_line(rec, "path-chain", sc["name"])
         failures_seen += len(rec["failures"])

@@ -285,6 +285,18 @@ def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
               ("sigma", "1/0", "sigma is not an exact number"),
               ("radii", {}, "radii is not keyed by levels: []"),
               ("radii", {"x": 1}, "radii is not keyed by levels: ['x']")]
+    # sigma and overlap must be what the record's own partition rows give
+    levels = record["partition_pre"]["levels"]
+    no_rows = "partition_pre has no exact level rows with r > 0"
+    cases += [("overlap", 0, "overlap 0 does not match partition_pre (5)"),
+              ("overlap", "6", "overlap 6 does not match partition_pre (5)"),
+              ("sigma", "3/2", "sigma 3/2 does not match partition_pre (1)"),
+              ("partition_pre", {"ok": True}, no_rows),
+              ("partition_pre", {"levels": levels[:1]}, no_rows),
+              ("partition_pre", {"levels": [dict(levels[1], r="x")]}, no_rows),
+              ("partition_pre", {"levels": [dict(levels[1], max_overlap="3")]},
+               no_rows),
+              ("partition_pre", {"levels": [levels[0], 7]}, no_rows)]
     for key, value, message in cases:
         rec_path = tmp_path / "bad.json"
         rec_path.write_text(json.dumps(dict(record, **{key: value})))
@@ -294,7 +306,7 @@ def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
         assert err == f"faultdir check: {rec_path}: {message}\n"
         assert not (tmp_path / "rep.json").exists()
     # exact numbers as strings are how records write fractions
-    rec_path.write_text(json.dumps(dict(record, sigma="3/2", rho="2")))
+    rec_path.write_text(json.dumps(dict(record, overlap="5", rho="2")))
     assert console(["check", str(rec_path), "--out",
                     str(tmp_path / "rep.json")]) in (0, 1)
 

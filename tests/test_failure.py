@@ -474,3 +474,31 @@ def test_split_leader_tie_goes_to_the_smaller_id():
     assert (c2.leader, c2.members) == (2, {2, 3})
     assert c2.tree_parent == {1: 2, 2: None, 3: 1}
     assert c.tree_parent == {0: None}
+
+
+def test_a_notice_for_a_gated_cluster_waits_for_its_verdict():
+    """A split-off cluster is gated until its verdict arrives: a split
+    notice that reaches its leader before then is held, keeps the engine
+    from being quiet, and is handled once the verdict opens the gate."""
+    graph = {"kind": "edges", "edges": [[0, 1, 1], [1, 2, 1], [1, 3, 1],
+                                        [0, 4, 1], [4, 2, 1], [4, 3, 1]]}
+    rt = fresh(graph, mode="weak", run=False)
+    engine = rt.engine
+    c = Cluster(rt.hier.new_cid(), 0, {0, 2, 3}, 0,
+                {0: None, 1: 0, 2: 1, 3: 1})
+    rt.hier.add_cluster(c)
+    engine.failures.append({"splits": [], "stats": {
+        "recluster": {}, "path_update": {"msgs": 0, "max_dist": 0},
+        "preprocess": {"msgs": 0, "rows": {}}, "sc_update": []}})
+    assert engine.quiet()
+    engine._apply_split(c, (0, 1), 0)
+    c2 = rt.hier.levels[0][engine.detach_log[c.id][0]["child"]]
+    assert engine.held == {c2.id: []} and not engine.quiet()
+    notice = {"cluster": c2.id, "level": 0, "edge": [1, 3], "fid": 0}
+    engine._process_notify(c2.leader, notice)
+    assert engine.held == {c2.id: [notice]} and c2.id not in engine.detach_log
+    engine._verdict_arrived(c2.id, 0, 0)
+    # the held notice split 3 off c2, and the new part is gated in turn
+    c3 = engine.detach_log[c2.id][0]["child"]
+    assert c2.members == {2} and rt.hier.levels[0][c3].members == {3}
+    assert engine.held == {c3: []}

@@ -6,7 +6,7 @@ import pytest
 
 from faultdir.bounds import check_bounds
 from faultdir.cli import _gen_scenario
-from faultdir.scenario import Runtime, run_scenario
+from faultdir.scenario import Runtime
 from faultdir.sim import Message
 from golden.regen import SCENARIOS as GOLDEN, scenario as golden_scenario
 
@@ -158,10 +158,10 @@ def test_runs_are_reproducible():
 
 
 def test_run_scenario_returns_record():
-    rec = run_scenario({"name": "r", "mode": "strong", "rho": 2, "seed": 0,
-                        "graph": {"kind": "path", "n": 9},
-                        "events": [{"t": 0, "do": "publish", "node": 4},
-                                   {"t": 100, "do": "lookup", "node": 8}]})
+    rec = Runtime({"name": "r", "mode": "strong", "rho": 2, "seed": 0,
+                   "graph": {"kind": "path", "n": 9},
+                   "events": [{"t": 0, "do": "publish", "node": 4},
+                              {"t": 100, "do": "lookup", "node": 8}]}).run()
     assert rec["ops"][1]["phase"] == "done"
     assert rec["publish"] is not None
     assert Fraction(rec["sigma"]) >= 1

@@ -128,8 +128,7 @@ def test_capture_and_resend_recovers_lost_message():
     sim = make_sim(g)
     got = collect(sim)
     msg = Message("ping", 0, 1, {"k": 1}, bucket="t")
-    sim.send(msg)
-    sim.run(horizon=1)  # message is now mid-flight on (0,1)
+    sim.send(msg)  # its hop over (0,1) is queued: the message is in flight
     lost = sim.capture_in_flight(edge_id(0, 1))
     assert lost == [msg] and msg.lost
     g.kill_edge(edge_id(0, 1))
@@ -137,7 +136,7 @@ def test_capture_and_resend_recovers_lost_message():
     sim.run()
     assert [m.id for m in got] == [clone.id]
     assert got[0].payload == {"k": 1}
-    # the clone went the long way; the original charged one leg before loss
+    # the clone went the long way: five legs of weight 3
     assert clone.traveled == 15
 
 

@@ -30,7 +30,6 @@ def run_against_index(rt):
     real_fail = engine.fail_edge
     real_deltas = engine._send_deltas
     real_notify = engine._spt_notify
-    real_on_delta = rt.sim.handlers["spt_delta"]
 
     def fail_edge(e):
         nonlocal notified
@@ -43,7 +42,7 @@ def run_against_index(rt):
         return rec
 
     def send_deltas(owner, removed, added, fid):
-        index.send_deltas(owner, removed, added, fid)
+        index.apply(owner, removed, added, fid)
         real_deltas(owner, removed, added, fid)
 
     def spt_notify(src, w, e, fid):
@@ -51,14 +50,9 @@ def run_against_index(rt):
             notified.append(w)
         real_notify(src, w, e, fid)
 
-    def on_delta(msg):
-        index.apply(msg.payload)
-        real_on_delta(msg)
-
     engine.fail_edge = fail_edge
     engine._send_deltas = send_deltas
     engine._spt_notify = spt_notify
-    rt.sim.handlers["spt_delta"] = on_delta
     rt.run()
     assert not index.dead_adds, index.dead_adds
     return rows
