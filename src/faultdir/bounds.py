@@ -147,10 +147,15 @@ RECORD_CONTAINERS = {"failures": list, "ledger": list, "ops": list,
 # the top-level scalars `check_bounds` reads: ints, and exact numbers
 RECORD_INTS = ("top", "n")
 RECORD_NUMBERS = ("rho", "sigma", "overlap", "d_alive", "c_prime")
-# the keys of each op in `ops` that `check_bounds` reads
-OP_KEYS = ("id", "kind", "phase", "t_issue", "t_complete", "f_at_issue",
-           "f_at_complete", "transient", "stale_walk", "discovery_level",
-           "dist_at_issue", "dist_prev_source", "version", "read_t")
+# the keys of each op in `ops` that `check_bounds` reads, and what each
+# holds: a JSON string, bool or int, or an exact number; "?" allows null
+OP_KEYS = {"id": "str", "kind": "str", "phase": "str", "t_issue": "exact",
+           "t_complete": "exact?", "f_at_issue": "int", "f_at_complete": "int?",
+           "transient": "bool", "stale_walk": "bool", "discovery_level": "int?",
+           "dist_at_issue": "exact?", "dist_prev_source": "exact?",
+           "version": "int?", "read_t": "exact?"}
+# the keys of each `ledger` row that `check_bounds` reads, likewise
+LEDGER_KEYS = {"bucket": "str", "messages": "int", "cost": "exact"}
 
 
 class _Rec:

@@ -22,8 +22,9 @@ import random
 import sys
 from fractions import Fraction
 
-from faultdir.bounds import (OP_KEYS, RECORD_CONTAINERS, RECORD_INTS, RECORD_KEYS,
-                             RECORD_NUMBERS, check_bounds)
+from faultdir.bounds import (LEDGER_KEYS, OP_KEYS, RECORD_CONTAINERS,
+                             RECORD_INTS, RECORD_KEYS, RECORD_NUMBERS,
+                             check_bounds)
 from faultdir.partition import build_hierarchy, sigma_and_overlap
 from faultdir.scenario import Runtime, build_graph
 
@@ -85,6 +86,13 @@ def _is_exact(value) -> bool:
     return type(value) is int
 
 
+# the kinds of value in `bounds.OP_KEYS` and `LEDGER_KEYS`: a test, a name
+_KINDS = {"str": (lambda v: type(v) is str, "a JSON string"),
+          "bool": (lambda v: type(v) is bool, "a JSON boolean"),
+          "int": (lambda v: type(v) is int, "a JSON integer"),
+          "exact": (_is_exact, "an exact number")}
+
+
 def cmd_run(args) -> int:
     try:
         with open(args.scenario) as fh:
@@ -132,10 +140,19 @@ def cmd_check(args) -> int:
         for key, value in numbers + [(f"radii[{k!r}]", v) for k, v in radii.items()]:
             if not _is_exact(value):
                 raise ValueError(f"{key} is not an exact number")
+        for name, schema in (("ops", OP_KEYS), ("ledger", LEDGER_KEYS)):
+            for k, row in enumerate(record[name]):
+                for key, kind in schema.items():
+                    if key not in row:
+                        raise KeyError(f"{name}[{k}].{key}")
+                    test, what = _KINDS[kind.rstrip("?")]
+                    nullable = kind.endswith("?")
+                    if not (test(row[key]) or nullable and row[key] is None):
+                        raise ValueError(f"{name}[{k}].{key} is not {what}"
+                                         + (" or null" if nullable else ""))
         for k, op in enumerate(record["ops"]):
-            for key in OP_KEYS:
-                if key not in op:
-                    raise KeyError(f"ops[{k}].{key}")
+            if op["phase"] == "done" and op["t_complete"] is None:
+                raise ValueError(f"ops[{k}] is done with a null t_complete")
         rows = record["partition_pre"].get("levels")
         if not isinstance(rows, list) or not all(
                 isinstance(row, dict) and _is_exact(row.get("r"))

@@ -288,7 +288,7 @@ class FailureEngine:
         level = c.level
         y = c.leader
         v = child_endpoint(c.tree_parent, e)
-        det_nodes = subtree(c.tree_parent, v)
+        det_nodes = subtree(self.g._ever, c.tree_parent, v)
         # capture the detached piece of the tree before pruning the parent
         tree2 = {x: (None if x == v else c.tree_parent[x]) for x in det_nodes}
         members2 = sorted(c.members & det_nodes)
@@ -710,7 +710,7 @@ class FailureEngine:
         if v is None:
             top_c.tree_parent = dict(t.parent)
             return
-        det = subtree(pre_parent, v)
+        det = subtree(self.g._ever, pre_parent, v)
         far_d = max(t.dist.values())
         far = min(x for x in t.dist if t.dist[x] == far_d)
         sigma, rho, h = self.hier.sigma, self.hier.rho, self.hier.top

@@ -2,13 +2,14 @@
 
 Weights are ints or fractions.Fraction, never floats, so every distance
 comparison made by the simulator is exact and runs are reproducible.
-An edge is alive iff it is in the adjacency; a deleted edge keeps only
-its weight, which message logs and repair bookkeeping still refer to.
+An edge is alive iff it is in `_adj`; `_ever` keeps every edge ever
+added, as message logs, repairs and trees may still name dead edges.
 
 This module holds the one Dijkstra (`dijkstra`, with an edge filter and
 optional seeds) and every operation on a parent map `{node: parent}`,
 the form all trees take here (shortest path trees, cluster trees):
-`subtree`, `root_path`, `child_endpoint`, `reroot` and `prune`.
+`subtree` (a walk down `_ever` that reads only the nodes it returns),
+`root_path`, `child_endpoint`, `reroot` and `prune`.
 """
 
 from __future__ import annotations
@@ -47,12 +48,12 @@ def parse_weight(text: str):
 
 
 class Graph:
-    """Undirected weighted graph: `_adj` holds the alive edges both ways,
-    `_weights` every edge ever added."""
+    """Undirected weighted graph: `_adj` holds the alive edges and `_ever`
+    every edge ever added, each both ways as node -> neighbour -> weight."""
 
     def __init__(self):
         self._adj: dict[int, dict[int, object]] = {}
-        self._weights: dict[EdgeId, object] = {}
+        self._ever: dict[int, dict[int, object]] = {}
         self._version = 0
         self._sssp_cache: dict[int, tuple[dict, dict]] = {}
 
@@ -60,6 +61,7 @@ class Graph:
 
     def add_node(self, u: int) -> None:
         self._adj.setdefault(u, {})
+        self._ever.setdefault(u, {})
 
     def add_edge(self, u: int, v: int, w) -> None:
         if u == v:
@@ -70,14 +72,11 @@ class Graph:
                              "an int or a fraction")
         if w < 1:
             raise ValueError(f"edge weight {w} below 1 on edge {u}-{v}")
-        e = edge_id(u, v)
-        if e in self._weights:
+        if v in self._ever.get(u, ()):
             raise ValueError(f"duplicate edge {u}-{v}")
-        self.add_node(u)
-        self.add_node(v)
-        self._weights[e] = w
-        self._adj[u][v] = w
-        self._adj[v][u] = w
+        for a, b in ((u, v), (v, u)):
+            self._ever.setdefault(a, {})[b] = w
+            self._adj.setdefault(a, {})[b] = w
         self._bump()
 
     def _bump(self):
@@ -102,11 +101,12 @@ class Graph:
         return self._adj[u]
 
     def alive_edges(self) -> list[EdgeId]:
-        return sorted((u, v) for u, v in self._weights if v in self._adj[u])
+        return sorted((u, v) for u in self._adj for v in self._adj[u] if u < v)
 
     def weight(self, e: EdgeId):
         """Weight of an edge, dead or alive."""
-        return self._weights[edge_id(*e)]
+        u, v = e
+        return self._ever[u][v]
 
     def is_alive(self, e: EdgeId) -> bool:
         u, v = e
@@ -117,9 +117,9 @@ class Graph:
     def kill_edge(self, e: EdgeId) -> None:
         """Take an edge out of the adjacency. The weight stays queryable."""
         e = edge_id(*e)
-        if e not in self._weights:
-            raise KeyError(f"unknown edge {e}")
         u, v = e
+        if v not in self._ever.get(u, ()):
+            raise KeyError(f"unknown edge {e}")
         if v not in self._adj[u]:
             raise ValueError(f"edge {e} already deleted")
         del self._adj[u][v]
@@ -222,18 +222,18 @@ def dijkstra(adj, source=None, skip=None, start=None):
 # -- parent maps: {node: parent}, the root maps to None ----------------------
 
 
-def subtree(parent_map: dict, v: int) -> set[int]:
-    """Nodes at or below v in a parent map (the root maps to None)."""
-    children: dict[int, list[int]] = {}
-    for x, p in parent_map.items():
-        if p is not None:
-            children.setdefault(p, []).append(x)
-    out = set()
+def subtree(adj, parent_map: dict, v: int) -> set[int]:
+    """Nodes at or below v in a parent map (the root maps to None), found
+    by walking down `adj` to each neighbour whose parent is the current
+    node. Pass `Graph._ever`: a tree may hold an unheard dead edge."""
+    out = {v}
     stack = [v]
     while stack:
         x = stack.pop()
-        out.add(x)
-        stack.extend(children.get(x, ()))
+        for y in adj[x]:
+            if parent_map.get(y) == x:
+                out.add(y)
+                stack.append(y)
     return out
 
 
@@ -317,7 +317,7 @@ class ShortestPathTree:
         cut = child_endpoint(self.parent, e)
         if cut is None:
             return [], []
-        lost = subtree(self.parent, cut)
+        lost = subtree(g._ever, self.parent, cut)
         seeds = {}
         for s in lost:
             best = min(((self.dist[x] + w, x) for x, w in g._adj[s].items()

@@ -414,10 +414,12 @@ def verify_partition(hier: Hierarchy, post_failure: bool = False) -> dict:
             _check_tree(hier, c, problem)
         if seen != nodes:
             problem(f"level {i}: clusters do not cover all nodes")
+        # one cluster covering every node is the only owner `assign` names
+        overlap = 1 if len(clusters) == 1 and seen == nodes else \
+            max(hier.overlap_at(u, i) for u in g.nodes())
         report["levels"].append({
             "level": i, "r": str(r), "clusters": len(clusters),
-            "max_diameter": str(max_diam),
-            "max_overlap": max(hier.overlap_at(u, i) for u in g.nodes()),
+            "max_diameter": str(max_diam), "max_overlap": overlap,
         })
     tops = hier.clusters_at(hier.top)
     if len(tops) != 1 or tops[0].members != nodes:

@@ -138,10 +138,13 @@ class Directory:
         self.sim.log("finding", what=what, **{k: str(v) for k, v in info.items()})
 
     def quiescent(self) -> bool:
+        """Nothing in flight, no open op, no node locked or holding parked
+        work, and the failure engine quiet. A lookup in a node's
+        `waiting_lookups` is an open op (it waits with no message in
+        flight, so nothing can close it), so `not self.open` covers it."""
         return (self.sim.idle() and not self.open
                 and not any(ns.locked() or ns.deferred or ns.pending_init
-                            or ns.queued_locks or ns.waiting_lookups
-                            for ns in self.nodes.values())
+                            or ns.queued_locks for ns in self.nodes.values())
                 and self.engine.quiet())
 
     def _parked(self, msg, txn=None) -> bool:

@@ -10,7 +10,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from faultdir.graph import edge_id, load_graph, subtree
+from faultdir.graph import edge_id, load_graph
 from faultdir.partition import _check_tree, _rational_exp_shift, eccentricities
 
 INF = None
@@ -257,6 +257,22 @@ def brute_level_costs(rows, op_id, tag):
 
 # -- parent-map walks, as written before they moved into graph.py ------------
 
+def children_subtree(parent_map, v):
+    """Nodes at or below v, from a children index of the whole parent map:
+    `graph.subtree` as it was before it walked down the graph's edges."""
+    children = {}
+    for x, p in parent_map.items():
+        if p is not None:
+            children.setdefault(p, []).append(x)
+    out = set()
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        out.add(x)
+        stack.extend(children.get(x, ()))
+    return out
+
+
 def tree_child_endpoint(parent_map, e):
     """The endpoint of tree edge e on the side away from the root; raises
     ValueError for a non-tree edge."""
@@ -360,7 +376,7 @@ def heap_repair(tree, g, e):
     nodes, or None when e is not a tree edge."""
     if not contains_tree_edge(tree.parent, e):
         return None
-    lost = subtree(tree.parent, tree_child_endpoint(tree.parent, e))
+    lost = children_subtree(tree.parent, tree_child_endpoint(tree.parent, e))
     ndist, nparent = {}, {}
     for s in sorted(lost):
         for x, w in g._adj[s].items():

@@ -1,4 +1,5 @@
-"""Reach report: which src statements the tier-1 tests never run.
+"""Reach report: which src statements the tier-1 tests, or the generated
+valid runs, never run.
 
 Runs pytest in this process under a stdlib `sys.settrace` line tracer that
 records the lines executed in `src/faultdir/*.py`, then prints, per file,
@@ -8,15 +9,22 @@ statements here. The module is named so that pytest does not collect it.
 
     PYTHONPATH=src python tests/reach.py            # the whole tier-1 suite
     PYTHONPATH=src python tests/reach.py tests/test_graph.py -x
+    PYTHONPATH=src python tests/reach.py --corpus   # the 200 corpus runs
 
-Arguments are passed to pytest. Tracing makes the suite several times
-slower; the report is printed even when tests fail.
+Arguments are passed to pytest. With `--corpus` it runs, instead of
+pytest, each scenario of `tests/golden/corpus.py` as its `outcome` does:
+the run, the artifact writer and the bound check. So a statement that
+the suite reaches but the corpus does not is reached only by tests that
+drive the code directly, not by any generated valid run. Tracing makes
+either several times slower; the report is printed even when tests fail
+or a run raises.
 """
 from __future__ import annotations
 
 import ast
 import os
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "faultdir")
@@ -47,6 +55,18 @@ def ranges(lines: list[int]) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in out)
 
 
+def run_corpus() -> int:
+    """Every corpus scenario's outcome, as `corpus.py` computes it; 0 when
+    each run finished, else 1 (a crash is part of an outcome)."""
+    from golden.corpus import SCENARIOS, outcome
+
+    with tempfile.TemporaryDirectory() as work_dir:
+        crashed = sum("error" in outcome(name, work_dir)
+                      for name in sorted(SCENARIOS))
+    print(f"{len(SCENARIOS)} corpus runs, {crashed} raised")
+    return 1 if crashed else 0
+
+
 def main(argv: list[str]) -> int:
     import pytest
 
@@ -74,7 +94,10 @@ def main(argv: list[str]) -> int:
     os.chdir(ROOT)
     sys.settrace(global_)
     try:
-        rc = pytest.main(argv or ["-q", "-p", "no:cacheprovider", "tests"])
+        if argv == ["--corpus"]:
+            rc = run_corpus()
+        else:
+            rc = pytest.main(argv or ["-q", "-p", "no:cacheprovider", "tests"])
     finally:
         sys.settrace(None)
     total = unreached = 0

@@ -297,6 +297,39 @@ def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
               ("partition_pre", {"levels": [dict(levels[1], max_overlap="3")]},
                no_rows),
               ("partition_pre", {"levels": [levels[0], 7]}, no_rows)]
+    # and so is every value it reads in an op or a ledger row
+    look = next(k for k, op in enumerate(record["ops"]) if op["kind"] == "look")
+
+    def garbled(name, k, key, value, message):
+        rows = [dict(row) for row in record[name]]
+        rows[k][key] = value
+        return name, rows, f"{name}[{k}]{message}"
+
+    cases += [garbled("ops", look, "f_at_issue", "x",
+                      ".f_at_issue is not a JSON integer"),
+              garbled("ops", look, "f_at_issue", True,
+                      ".f_at_issue is not a JSON integer"),
+              garbled("ops", look, "discovery_level", "x",
+                      ".discovery_level is not a JSON integer or null"),
+              garbled("ops", look, "dist_at_issue", "x",
+                      ".dist_at_issue is not an exact number or null"),
+              garbled("ops", look, "read_t", 1.5,
+                      ".read_t is not an exact number or null"),
+              garbled("ops", look, "t_issue", "x",
+                      ".t_issue is not an exact number"),
+              garbled("ops", look, "t_issue", None,
+                      ".t_issue is not an exact number"),
+              garbled("ops", look, "transient", 0,
+                      ".transient is not a JSON boolean"),
+              garbled("ops", look, "id", 7, ".id is not a JSON string"),
+              garbled("ops", look, "t_complete", None,
+                      " is done with a null t_complete"),
+              garbled("ledger", 0, "cost", "x", ".cost is not an exact number"),
+              garbled("ledger", 0, "messages", "x",
+                      ".messages is not a JSON integer"),
+              garbled("ledger", 0, "bucket", 5, ".bucket is not a JSON string"),
+              ("ledger", [{"bucket": "setup", "messages": 1}] + record["ledger"],
+               "missing key 'ledger[0].cost'")]
     for key, value, message in cases:
         rec_path = tmp_path / "bad.json"
         rec_path.write_text(json.dumps(dict(record, **{key: value})))

@@ -3,16 +3,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from faultdir import failure as failure_module
 from faultdir.cli import _gen_scenario
 from faultdir.failure import FailureEngine
 from faultdir.graph import build_spt, edge_id, subtree
 from faultdir.partition import Cluster, verify_partition
 from faultdir.scenario import Runtime, build_graph
 
-from oracles import (brute_cluster_diameter, check_spt, fw_all_pairs,
-                     prune_fixpoint, reroot_walk, scan_led_by, split_leader,
-                     tree_child_endpoint)
+from oracles import (brute_cluster_diameter, check_spt, children_subtree,
+                     fw_all_pairs, prune_fixpoint, reroot_walk, scan_led_by,
+                     split_leader, tree_child_endpoint)
 
 RING12 = {"kind": "ring", "n": 12}
 
@@ -413,7 +415,7 @@ def test_split_trees_match_the_old_walks(monkeypatch):
     def checked(self, c, e, fid):
         tree = dict(c.tree_parent)
         v = tree_child_endpoint(tree, e)
-        det = subtree(tree, v)
+        det = children_subtree(tree, v)
         tree2 = {x: (None if x == v else tree[x]) for x in det}
         members2 = sorted(c.members & det)
         kept = {x: p for x, p in tree.items() if x not in det}
@@ -456,6 +458,62 @@ def test_split_trees_match_the_old_walks(monkeypatch):
                     # protocol fault, not a tree one
                     assert str(exc).startswith("path broken"), exc
     assert seen["checked"] >= 20 and seen["reroot"] and seen["dropped"], seen
+
+
+@settings(max_examples=30, deadline=None)
+@given(mode=st.sampled_from(["strong", "weak"]),
+       spec=st.one_of(
+           st.builds(lambda r, c: {"kind": "grid", "rows": r, "cols": c},
+                     st.integers(3, 5), st.integers(3, 5)),
+           st.builds(lambda seed: {"kind": "random", "n": 14, "p": 0.25,
+                                   "seed": seed}, st.integers(0, 50))),
+       seed=st.integers(0, 1000), failures=st.integers(2, 5),
+       horizon=st.sampled_from([100, 2000]))
+def test_subtree_walk_matches_children_index_on_cluster_trees(
+        mode, spec, seed, failures, horizon):
+    """Cluster trees in both modes, cut by splits and root repairs while
+    they still hold dead edges (the cut edge, and any not yet heard of),
+    and re-rooted and pruned after: over the adjacency the engine walks
+    at each cut, and over `_ever` in every cluster tree before and after
+    each cut, every node's subtree equals the children index of the whole
+    map."""
+    real = {name: getattr(FailureEngine, name)
+            for name in ("_apply_split", "_root_repair")}
+    real_subtree = failure_module.subtree
+
+    def every_tree_agrees(engine):
+        for level in engine.hier.all_levels():
+            for c in engine.hier.clusters_at(level):
+                for v in c.tree_parent:
+                    assert subtree(engine.g._ever, c.tree_parent, v) == \
+                        children_subtree(c.tree_parent, v)
+
+    def checked(name):
+        def method(self, *args):
+            every_tree_agrees(self)
+            real[name](self, *args)
+            every_tree_agrees(self)
+        return method
+
+    def spy(adj, parent_map, v):
+        for x in parent_map:
+            assert real_subtree(adj, parent_map, x) == \
+                children_subtree(parent_map, x)
+        return real_subtree(adj, parent_map, v)
+
+    rt = Runtime(_gen_scenario(spec, mode, 2, seed, ops=4, failures=failures,
+                               horizon=horizon, move_frac=0.2))
+    try:
+        for name in real:
+            setattr(FailureEngine, name, checked(name))
+        failure_module.subtree = spy
+        rt.run()
+    except RuntimeError:
+        pass  # a known protocol defect stops the run; the trees were checked
+    finally:
+        for name, method in real.items():
+            setattr(FailureEngine, name, method)
+        failure_module.subtree = real_subtree
 
 
 def test_split_leader_tie_goes_to_the_smaller_id():

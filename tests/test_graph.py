@@ -7,6 +7,7 @@ from itertools import takewhile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from faultdir import graph as graph_module
 from faultdir.graph import (
     Graph, build_spt, child_endpoint, dijkstra, edge_id, grid_graph, load_graph,
     parse_weight, path_graph, prune, random_graph, reroot, ring_graph, root_path,
@@ -14,10 +15,11 @@ from faultdir.graph import (
 )
 from faultdir.partition import eccentricities
 from oracles import (brute_diameter, brute_neighborhood, check_spt,
-                     contains_tree_edge, dijkstra_until, dump_graph,
-                     fw_all_pairs, heap_repair, induced_adj, neighborhood,
-                     path_to_root, prune_fixpoint, reroot_walk, split_leader,
-                     tree_child_endpoint, tree_edges, with_weights)
+                     children_subtree, contains_tree_edge, dijkstra_until,
+                     dump_graph, fw_all_pairs, heap_repair, induced_adj,
+                     neighborhood, path_to_root, prune_fixpoint, reroot_walk,
+                     split_leader, tree_child_endpoint, tree_edges,
+                     with_weights)
 
 
 def test_load_unit_path():
@@ -237,8 +239,8 @@ def test_repair_with_partial_knowledge_converges():
 def test_subtree_and_paths():
     g = path_graph(5)
     t = build_spt(g, 0)
-    assert subtree(t.parent, 2) == {2, 3, 4}
-    assert subtree(t.parent, 4) == {4}
+    assert subtree(g._ever, t.parent, 2) == {2, 3, 4}
+    assert subtree(g._ever, t.parent, 4) == {4}
     assert root_path(t.parent, 3) == [3, 2, 1, 0]
 
 
@@ -383,6 +385,46 @@ def test_repair_matches_heap_loop_and_full_diff(g, data):
     for e in pending:
         hear(e)
     check_spt(g, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=REPAIR_GRAPHS, data=st.data())
+def test_subtree_walk_matches_children_index_with_an_unheard_dead_edge(g, data):
+    """Two tree edges die and the owner repairs only one, so its tree
+    holds both while `repair` cuts it and the unheard one after. Over the
+    adjacency `repair` walks, and over `_ever` after the repair, every
+    node's subtree equals the children index of the whole map."""
+    t = build_spt(g, data.draw(st.sampled_from(g.nodes())))
+    dead = []
+    for _ in range(2):
+        cands = [e for e in sorted(tree_edges(t.parent))
+                 if g.is_alive(e) and not g.would_disconnect(e)]
+        if not cands:
+            return
+        dead.append(data.draw(st.sampled_from(cands)))
+        g.kill_edge(dead[-1])
+    heard, unheard = data.draw(st.permutations(dead))
+    below_unheard = tree_child_endpoint(t.parent, unheard)
+    real = graph_module.subtree
+    cuts = []
+
+    def spy(adj, parent_map, v):
+        for x in parent_map:
+            assert real(adj, parent_map, x) == children_subtree(parent_map, x)
+        cuts.append(children_subtree(parent_map, v))
+        return real(adj, parent_map, v)
+
+    graph_module.subtree = spy
+    try:
+        t.repair(g, heard)
+    finally:
+        graph_module.subtree = real
+    [lost] = cuts
+    # a repair never adopts a dead edge, so the unheard one stays in the
+    # tree iff the cut did not take its lower end
+    assert contains_tree_edge(t.parent, unheard) == (below_unheard not in lost)
+    for v in t.parent:
+        assert subtree(g._ever, t.parent, v) == children_subtree(t.parent, v)
 
 
 # -- parent-map functions against the walks they replaced --------------------

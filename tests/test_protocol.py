@@ -471,6 +471,25 @@ def test_each_node_holds_its_open_move(name):
         assert max(seen) > 0
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_waiting_lookup_is_open(name):
+    """After every handled message, each lookup parked in a node's
+    `waiting_lookups` is an open op, which is why `quiescent` needs no term
+    for them. The goldens run one op at a time, so none parks a lookup
+    today; `test_lookup_at_an_open_mover_waits_for_the_token` parks one."""
+    rt = Runtime(golden_scenario(name))
+    deliver = rt.sim._deliver
+
+    def checked(msg):
+        deliver(msg)
+        for ns in rt.dir.nodes.values():
+            assert rt.dir.open.keys() >= set(ns.waiting_lookups), msg.kind
+
+    rt.sim._deliver = checked
+    rt.run()
+    assert rt.dir.quiescent()
+
+
 # -- a splice found by the search leaves the branch's up link unset ----------
 
 STUCK_MOVE = ("a splice found by the search never sets the up link of the "
