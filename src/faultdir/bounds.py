@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from faultdir.partition import sigma_and_overlap
 from faultdir.sim import BucketIndex
 
 
@@ -133,29 +134,118 @@ class _Group:
         rep.add(self.formula, not self.fails, obs, bnd, detail)
 
 
-# the top-level record keys `check_bounds` reads
-RECORD_KEYS = ("mode", "rho", "sigma", "overlap", "top", "n", "d_alive",
-               "c_prime", "radii", "failures", "ledger", "ops", "path",
-               "publish", "partition_pre", "partition_post",
-               "token_intervals", "findings")
-# the top-level keys `check_bounds` reads as containers, with their type;
-# it reads each element of a list as an object
-RECORD_CONTAINERS = {"failures": list, "ledger": list, "ops": list,
-                     "path": list, "token_intervals": list, "findings": list,
-                     "radii": dict, "partition_pre": dict,
-                     "partition_post": dict}
-# the top-level scalars `check_bounds` reads: ints, and exact numbers
-RECORD_INTS = ("top", "n")
-RECORD_NUMBERS = ("rho", "sigma", "overlap", "d_alive", "c_prime")
-# the keys of each op in `ops` that `check_bounds` reads, and what each
-# holds: a JSON string, bool or int, or an exact number; "?" allows null
-OP_KEYS = {"id": "str", "kind": "str", "phase": "str", "t_issue": "exact",
-           "t_complete": "exact?", "f_at_issue": "int", "f_at_complete": "int?",
-           "transient": "bool", "stale_walk": "bool", "discovery_level": "int?",
-           "dist_at_issue": "exact?", "dist_prev_source": "exact?",
-           "version": "int?", "read_t": "exact?"}
-# the keys of each `ledger` row that `check_bounds` reads, likewise
-LEDGER_KEYS = {"bucket": "str", "messages": "int", "cost": "exact"}
+def _is_exact(value) -> bool:
+    """An int, or a string such as "3/2" that Fraction parses."""
+    try:
+        return type(value) is int or type(value) is str and (
+            value.isdecimal() or Fraction(value) is not None)
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+# What `check_bounds` reads of a record, and of what kind: a dict is a JSON object with
+# those keys, [s] an array of s, ("map", k, s) an object of s keyed by strings of a
+# `_MAP_KEYS` kind k (test, what a refusal calls them, least count) and ("null", s) s or
+# null. A leaf is a `_LEAVES` kind (test, what a refusal calls it); "?" allows null.
+RECORD_SCHEMA = {
+    "mode": "str", "rho": "exact", "sigma": "exact", "overlap": "exact", "top": "int",
+    "n": "int", "d_alive": "exact", "c_prime": "exact", "radii": ("map", "level", "exact"),
+    "failures": [{
+        "fid": "int", "top": "int", "extension": ("null", {}),
+        "splits": [{"child": "int?", "parent": "int", "level": "int"}],
+        "ext_check": ("null", {"crossing": "bool", "triggered": "bool", "h": "int",
+                               "h_new": "int?", "trigger_weight": "exact?",
+                               "threshold": "exact", "far_dist": "exact"}),
+        "stats": {"recluster": ("map", "cluster", {
+                      "level": "int", "bcast_msgs": "int", "bcast_max_dist": "exact",
+                      "max_dist": "exact", "xfer_msgs": "int", "xfer_dist": "exact"}),
+                  "path_update": {"msgs": "int", "max_dist": "exact"},
+                  "sc_update": [{"clamp": "int", "dist": "exact"}],
+                  "preprocess": {"msgs": "int",
+                                 "rows": ("map", "fan", {"max_dist": "exact"})}}}],
+    "ledger": [{"bucket": "str", "messages": "int", "cost": "exact"}],
+    "ops": [{"id": "str", "kind": "str", "phase": "str", "t_issue": "exact",
+             "t_complete": "exact?", "f_at_issue": "int", "f_at_complete": "int?",
+             "transient": "bool", "stale_walk": "bool", "discovery_level": "int?",
+             "dist_at_issue": "exact?", "dist_prev_source": "exact?", "version": "int?",
+             "read_t": "exact?"}],
+    "path": [{"level": "int", "dist_next": "exact?", "pair_f": "int?"}],
+    "publish": ("null", {"top": "int", "f": "int", "len": "exact"}),
+    "partition_pre": {"levels": [{"r": "exact", "max_diameter": "exact",
+                                  "max_overlap": "int"}], "ok": "bool"},
+    "partition_post": {"ok": "bool"},
+    "token_intervals": [{"version": "int", "t_from": "exact", "t_to": "exact?"}],
+    "findings": [{}],
+}
+_LEAVES = {"str": (lambda v: type(v) is str, "a JSON string"),
+           "bool": (lambda v: type(v) is bool, "a JSON boolean"),
+           "int": (lambda v: type(v) is int, "a JSON integer"),
+           "exact": (_is_exact, "an exact number")}
+_MAP_KEYS = {"level": (lambda k: k.removeprefix("-").isdecimal(), "levels", 1),
+             "cluster": (lambda k: k.removeprefix("-").isdecimal(), "cluster ids", 0),
+             "fan": (_is_exact, "exact numbers", 0)}
+
+
+def _compile(schema):
+    """(test, what, walk) for a node of RECORD_SCHEMA, resolved once per walk, not
+    per row: `test` checks a value's own kind, `walk(value, path)` what it holds."""
+    if isinstance(schema, str) and not schema.endswith("?"):
+        return (*_LEAVES[schema], None)
+    if isinstance(schema, dict):
+        fields = [(key, *_compile(sub)) for key, sub in schema.items()]
+
+        def walk(obj, path):
+            for key, test, what, sub in fields:
+                at = f"{path}.{key}" if path else key
+                if not (key in obj and test(obj[key])):
+                    raise KeyError(at) if key not in obj else ValueError(f"{at} is not {what}")
+                if sub:
+                    sub(obj[key], at)
+        return (lambda v: type(v) is dict), "a JSON object", walk
+    test, what, sub = _compile(schema[:-1] if isinstance(schema, str) else schema[-1])
+    if isinstance(schema, str) or schema[0] == "null":  # "s?" is ("null", s)
+        return ((lambda v: v is None or test(v)), f"{what} or null",
+                sub and (lambda v, path: v is None or sub(v, path)))
+    kind = dict if schema[0] == "map" else list
+    key_test, keys, least = _MAP_KEYS[schema[1]] if kind is dict else (None, None, 0)
+
+    def walk(items, path):  # the own kind of every item first, then what each holds
+        if kind is dict and (len(items) < least or not all(map(key_test, items))):
+            raise ValueError(f"{path} is not keyed by {keys}: {sorted(items)}")
+        labels = items if kind is dict else range(len(items))
+        for k in labels:
+            if not test(items[k]):
+                raise ValueError(f"{path}[{k!r}] is not {what}")
+        for k in labels if sub else ():
+            sub(items[k], f"{path}[{k!r}]")
+    return (lambda v: type(v) is kind), f"a JSON {'object' if kind is dict else 'array'}", walk
+
+
+def validate_record(record) -> None:
+    """Refuse a record `check_bounds` cannot read: KeyError('ops[3].phase') for a
+    missing key, ValueError for a wrong kind or a broken joint rule."""
+    if type(record) is not dict:
+        raise ValueError("not a JSON object")
+    _compile(RECORD_SCHEMA)[2](record, "")
+    for k, op in enumerate(record["ops"]):
+        if op["phase"] == "done" and op["t_complete"] is None:
+            raise ValueError(f"ops[{k}] is done with a null t_complete")
+    levels = record["partition_pre"]["levels"]
+    if not any(Fraction(row["r"]) > 0 for row in levels):
+        raise ValueError("partition_pre has no exact level rows with r > 0")
+    for key, value in zip(("sigma", "overlap"), sigma_and_overlap(levels)):
+        if Fraction(record[key]) != value:
+            raise ValueError(f"{key} {record[key]} does not match partition_pre ({value})")
+    # `_check_descendants` climbs from each split child to its family root
+    parent_of, rooted = _split_parents(record["failures"]), set()
+    for node in parent_of:
+        trail = set()
+        while node in parent_of and node not in rooted:
+            if node in trail:
+                raise ValueError(f"the splits make cluster {node} its own ancestor")
+            trail.add(node)
+            node = parent_of[node]
+        rooted |= trail
 
 
 class _Rec:
@@ -401,11 +491,14 @@ def _check_splits(rx: _Rec, rep: BoundReport) -> None:
     grp.emit(rep)
 
 
+def _split_parents(failures: list[dict]) -> dict[int, int]:
+    """child -> parent over every split of every failure, the later wins."""
+    return {s["child"]: s["parent"]
+            for frec in failures for s in _split_children(frec)}
+
+
 def _check_descendants(rx: _Rec, rep: BoundReport) -> None:
-    parent_of: dict[int, int] = {}
-    for frec in rx.rec["failures"]:
-        for s in _split_children(frec):
-            parent_of[s["child"]] = s["parent"]
+    parent_of = _split_parents(rx.rec["failures"])
     if not parent_of:
         return
     counts: dict[int, int] = {}

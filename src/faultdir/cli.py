@@ -9,8 +9,8 @@ Subcommands:
 `check` exits nonzero when any inequality fails, so it can gate CI. The
 `faultdir` command (`console`) exits 2 with one line on stderr when `run`
 is given a scenario file it cannot read or that is invalid, or `check` a
-record it cannot read, that lacks or garbles a key it reads, or whose own
-partition rows contradict its sigma or overlap; `main` raises instead.
+record it cannot read or that `bounds.validate_record` refuses; `main`
+raises instead.
 """
 from __future__ import annotations
 
@@ -20,12 +20,9 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
-from faultdir.bounds import (LEDGER_KEYS, OP_KEYS, RECORD_CONTAINERS,
-                             RECORD_INTS, RECORD_KEYS, RECORD_NUMBERS,
-                             check_bounds)
-from faultdir.partition import build_hierarchy, sigma_and_overlap
+from faultdir.bounds import check_bounds, validate_record
+from faultdir.partition import build_hierarchy
 from faultdir.scenario import Runtime, build_graph
 
 
@@ -75,24 +72,6 @@ def _bad_input(exc, args, path: str) -> None:
     exc.bad_input = f"faultdir {args.cmd}: {path}: {what}"
 
 
-def _is_exact(value) -> bool:
-    """An int, or a string such as "3/2" that Fraction parses."""
-    if isinstance(value, str):
-        try:
-            Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            return False
-        return True
-    return type(value) is int
-
-
-# the kinds of value in `bounds.OP_KEYS` and `LEDGER_KEYS`: a test, a name
-_KINDS = {"str": (lambda v: type(v) is str, "a JSON string"),
-          "bool": (lambda v: type(v) is bool, "a JSON boolean"),
-          "int": (lambda v: type(v) is int, "a JSON integer"),
-          "exact": (_is_exact, "an exact number")}
-
-
 def cmd_run(args) -> int:
     try:
         with open(args.scenario) as fh:
@@ -117,53 +96,7 @@ def cmd_check(args) -> int:
     try:
         with open(args.record) as fh:
             record = json.load(fh)
-        if not isinstance(record, dict):
-            raise ValueError("not a JSON object")
-        for key in RECORD_KEYS:
-            if key not in record:
-                raise KeyError(key)
-        for key, kind in RECORD_CONTAINERS.items():
-            if not isinstance(record[key], kind):
-                what = "array" if kind is list else "object"
-                raise ValueError(f"{key} is not a JSON {what}")
-            if kind is list:
-                for k, item in enumerate(record[key]):
-                    if not isinstance(item, dict):
-                        raise ValueError(f"{key}[{k}] is not a JSON object")
-        for key in RECORD_INTS:
-            if type(record[key]) is not int:
-                raise ValueError(f"{key} is not a JSON integer")
-        radii = record["radii"]
-        if not radii or not all(k.lstrip("-").isdigit() for k in radii):
-            raise ValueError(f"radii is not keyed by levels: {sorted(radii)}")
-        numbers = [(key, record[key]) for key in RECORD_NUMBERS]
-        for key, value in numbers + [(f"radii[{k!r}]", v) for k, v in radii.items()]:
-            if not _is_exact(value):
-                raise ValueError(f"{key} is not an exact number")
-        for name, schema in (("ops", OP_KEYS), ("ledger", LEDGER_KEYS)):
-            for k, row in enumerate(record[name]):
-                for key, kind in schema.items():
-                    if key not in row:
-                        raise KeyError(f"{name}[{k}].{key}")
-                    test, what = _KINDS[kind.rstrip("?")]
-                    nullable = kind.endswith("?")
-                    if not (test(row[key]) or nullable and row[key] is None):
-                        raise ValueError(f"{name}[{k}].{key} is not {what}"
-                                         + (" or null" if nullable else ""))
-        for k, op in enumerate(record["ops"]):
-            if op["phase"] == "done" and op["t_complete"] is None:
-                raise ValueError(f"ops[{k}] is done with a null t_complete")
-        rows = record["partition_pre"].get("levels")
-        if not isinstance(rows, list) or not all(
-                isinstance(row, dict) and _is_exact(row.get("r"))
-                and _is_exact(row.get("max_diameter"))
-                and type(row.get("max_overlap")) is int for row in rows) \
-                or not any(Fraction(row["r"]) > 0 for row in rows):
-            raise ValueError("partition_pre has no exact level rows with r > 0")
-        for key, value in zip(("sigma", "overlap"), sigma_and_overlap(rows)):
-            if Fraction(record[key]) != value:
-                raise ValueError(f"{key} {record[key]} does not match "
-                                 f"partition_pre ({value})")
+        validate_record(record)
     except (OSError, ValueError, KeyError) as exc:
         _bad_input(exc, args, args.record)
         raise

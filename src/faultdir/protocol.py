@@ -787,9 +787,7 @@ class Directory:
             self._complete(mover_op)
         served, ns.waiting_lookups = ns.waiting_lookups, []
         for oid in served:
-            wop = self.open.get(oid)
-            if wop is not None:
-                self._walk_arrived_at_owner(wop, y)
+            self._walk_arrived_at_owner(self.open[oid], y)
         if ns.pending_transfer is not None:
             # y left level -1 when the transfer was parked, and cannot
             # have rejoined: its own move stayed open until now

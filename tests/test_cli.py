@@ -7,8 +7,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from faultdir.bounds import OP_KEYS, RECORD_CONTAINERS, RECORD_KEYS
+from faultdir.bounds import RECORD_SCHEMA
 from faultdir.cli import _gen_scenario, _graph_spec, console, main
 from faultdir.scenario import Runtime, validate_scenario
 
@@ -232,7 +233,7 @@ def test_check_names_every_top_level_key_it_reads(tmp_path, capsys):
         if console(["check", str(rec_path), "--out",
                     str(tmp_path / "rep.json")]) == 2:
             refused.add(key)
-    assert refused == set(RECORD_KEYS)
+    assert refused == set(RECORD_SCHEMA)
     # the same for each key of the first op of each kind
     first = {}
     for k, op in enumerate(record["ops"]):
@@ -250,7 +251,7 @@ def test_check_names_every_top_level_key_it_reads(tmp_path, capsys):
                 refused.add(key)
                 assert f"missing key 'ops[{k}].{key}'" in \
                     capsys.readouterr().err
-        assert refused == set(OP_KEYS), record["ops"][k]["kind"]
+        assert refused == set(RECORD_SCHEMA["ops"][0]), record["ops"][k]["kind"]
     capsys.readouterr()
 
 
@@ -267,11 +268,12 @@ def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
     cases = [("ops", 5, "ops is not a JSON array"),
              ("failures", 3, "failures is not a JSON array"),
              ("ledger", "x", "ledger is not a JSON array")]
-    for key, kind in RECORD_CONTAINERS.items():
-        cases.append((key, None, f"{key} is not a JSON "
-                      f"{'array' if kind is list else 'object'}"))
-        if kind is list:
-            cases.append((key, [{}, 7], f"{key}[1] is not a JSON object"))
+    for key, schema in RECORD_SCHEMA.items():
+        if isinstance(schema, list):
+            cases += [(key, None, f"{key} is not a JSON array"),
+                      (key, [{}, 7], f"{key}[1] is not a JSON object")]
+        elif isinstance(schema, dict) or schema[0] == "map":
+            cases.append((key, None, f"{key} is not a JSON object"))
     cases += [("rho", "x", "rho is not an exact number"),
               ("top", "x", "top is not a JSON integer"),
               ("sigma", [1], "sigma is not an exact number"),
@@ -286,24 +288,36 @@ def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
               ("radii", {}, "radii is not keyed by levels: []"),
               ("radii", {"x": 1}, "radii is not keyed by levels: ['x']")]
     # sigma and overlap must be what the record's own partition rows give
-    levels = record["partition_pre"]["levels"]
-    no_rows = "partition_pre has no exact level rows with r > 0"
+    pre = record["partition_pre"]
+    levels = pre["levels"]
     cases += [("overlap", 0, "overlap 0 does not match partition_pre (5)"),
               ("overlap", "6", "overlap 6 does not match partition_pre (5)"),
               ("sigma", "3/2", "sigma 3/2 does not match partition_pre (1)"),
-              ("partition_pre", {"ok": True}, no_rows),
-              ("partition_pre", {"levels": levels[:1]}, no_rows),
-              ("partition_pre", {"levels": [dict(levels[1], r="x")]}, no_rows),
+              ("partition_pre", {"ok": True},
+               "missing key 'partition_pre.levels'"),
+              ("partition_pre", {"levels": levels[:1]},
+               "missing key 'partition_pre.ok'"),
+              ("partition_pre", dict(pre, levels=levels[:1]),
+               "partition_pre has no exact level rows with r > 0"),
+              ("partition_pre", {"levels": [dict(levels[1], r="x")]},
+               "partition_pre.levels[0].r is not an exact number"),
               ("partition_pre", {"levels": [dict(levels[1], max_overlap="3")]},
-               no_rows),
-              ("partition_pre", {"levels": [levels[0], 7]}, no_rows)]
+               "partition_pre.levels[0].max_overlap is not a JSON integer"),
+              ("partition_pre", {"levels": [levels[0], 7]},
+               "partition_pre.levels[1] is not a JSON object")]
     # and so is every value it reads in an op or a ledger row
     look = next(k for k, op in enumerate(record["ops"]) if op["kind"] == "look")
 
+    def nested(path, value, message):
+        top = json.loads(json.dumps(record[path[0]]))
+        node = top
+        for key in path[1:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return path[0], top, message
+
     def garbled(name, k, key, value, message):
-        rows = [dict(row) for row in record[name]]
-        rows[k][key] = value
-        return name, rows, f"{name}[{k}]{message}"
+        return nested((name, k, key), value, f"{name}[{k}]{message}")
 
     cases += [garbled("ops", look, "f_at_issue", "x",
                       ".f_at_issue is not a JSON integer"),
@@ -330,6 +344,25 @@ def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
               garbled("ledger", 0, "bucket", 5, ".bucket is not a JSON string"),
               ("ledger", [{"bucket": "setup", "messages": 1}] + record["ledger"],
                "missing key 'ledger[0].cost'")]
+    # and every value it reads in a failure, a path row, a token interval,
+    # the first publish and the partition after failures
+    no_ok = {k: v for k, v in record["partition_post"].items() if k != "ok"}
+    cases += [nested(("failures", 0, "stats", "path_update", "max_dist"), "x",
+                     "failures[0].stats.path_update.max_dist is not an "
+                     "exact number"),
+              nested(("failures", 0, "top"), "x",
+                     "failures[0].top is not a JSON integer"),
+              nested(("failures", 0, "splits"), None,
+                     "failures[0].splits is not a JSON array"),
+              nested(("failures", 0, "ext_check"), {"crossing": True},
+                     "missing key 'failures[0].ext_check.triggered'"),
+              nested(("path", 0, "dist_next"), "x",
+                     "path[0].dist_next is not an exact number or null"),
+              nested(("token_intervals", 0, "t_from"), "x",
+                     "token_intervals[0].t_from is not an exact number"),
+              nested(("publish", "len"), "x",
+                     "publish.len is not an exact number"),
+              ("partition_post", no_ok, "missing key 'partition_post.ok'")]
     for key, value, message in cases:
         rec_path = tmp_path / "bad.json"
         rec_path.write_text(json.dumps(dict(record, **{key: value})))
@@ -342,6 +375,79 @@ def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
     rec_path.write_text(json.dumps(dict(record, overlap="5", rho="2")))
     assert console(["check", str(rec_path), "--out",
                     str(tmp_path / "rep.json")]) in (0, 1)
+
+
+def test_check_refuses_a_split_cycle_instead_of_hanging(tmp_path, capsys):
+    # the descendant count climbs from each split child to its family
+    # root; a split that is its own parent, or a cycle through several
+    # failures, would climb forever
+    scen_path = tmp_path / "scen.json"
+    main(["gen", "--graph", "ring:8", "--seed", "1", "--ops", "3",
+          "--failures", "1", "--out", str(scen_path)])
+    main(["run", str(scen_path), "--out-dir", str(tmp_path)])
+    record = json.loads((tmp_path / "record.json").read_text())
+    capsys.readouterr()
+    frec, split = record["failures"][0], {"level": 0, "on_path": False, "size": 1}
+    for failures in ([dict(frec, splits=[dict(split, child=5, parent=5)])],
+                     [dict(frec, splits=[dict(split, child=5, parent=6)]),
+                      dict(frec, fid=1, splits=[dict(split, child=6, parent=5)])]):
+        rec_path = tmp_path / "cycle.json"
+        rec_path.write_text(json.dumps(dict(record, failures=failures)))
+        assert console(["check", str(rec_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"faultdir check: {rec_path}: the splits make cluster 5 its own "
+            f"ancestor\n")
+
+
+WRONG_KINDS = ["x", None, 1.5, [], {}, True]
+
+
+def _leaf_paths(value, path=()):
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from _leaf_paths(sub, path + (key,))
+    elif isinstance(value, list):
+        for k, sub in enumerate(value):
+            yield from _leaf_paths(sub, path + (k,))
+    else:
+        yield path
+
+
+@pytest.fixture(scope="module")
+def leaf_records(tmp_path_factory):
+    """Two real records with failures, splits and moves, and their leaves
+    grouped by shape: the path with its list indices dropped."""
+    out = tmp_path_factory.mktemp("leaves")
+    texts, shapes = [], {}
+    for i, (graph, failures, seed) in enumerate((("ring:8", 1, 2),
+                                                 ("grid:3x4", 3, 3))):
+        scen_path = out / f"scen{i}.json"
+        main(["gen", "--graph", graph, "--seed", str(seed), "--ops", "6",
+              "--failures", str(failures), "--out", str(scen_path)])
+        main(["run", str(scen_path), "--out-dir", str(out / str(i))])
+        texts.append((out / str(i) / "record.json").read_text())
+        for path in _leaf_paths(json.loads(texts[-1])):
+            shape = tuple("[]" if type(p) is int else p for p in path)
+            shapes.setdefault(shape, []).append((i, path))
+    return out, texts, [shapes[s] for s in sorted(shapes, key=str)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_check_survives_any_wrong_kind_leaf(leaf_records, data):
+    # ROADMAP item 10: whatever one leaf of a real record holds, check
+    # reports (0 or 1) or refuses it in one line (2); it never raises
+    out, texts, shapes = leaf_records
+    i, path = data.draw(st.sampled_from(data.draw(st.sampled_from(shapes))))
+    record = json.loads(texts[i])
+    node = record
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(st.sampled_from(WRONG_KINDS))
+    rec_path = out / "bad.json"
+    rec_path.write_text(json.dumps(record))
+    assert console(["check", str(rec_path), "--out",
+                    str(out / "rep.json")]) in (0, 1, 2)
 
 
 def test_run_defects_still_propagate(tmp_path, monkeypatch):
