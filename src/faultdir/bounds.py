@@ -227,9 +227,23 @@ def validate_record(record) -> None:
     if type(record) is not dict:
         raise ValueError("not a JSON object")
     _compile(RECORD_SCHEMA)[2](record, "")
+    # the bounds divide by rho - 1 and by radii, and sum over levels up to
+    # each op's discovery level
+    if Fraction(record["rho"]) < 2:
+        raise ValueError(f"rho {record['rho']} is below 2")
+    for key, r in record["radii"].items():
+        if int(key) < 0 and Fraction(r) != 0:
+            raise ValueError(f"radii[{key!r}] is {r}, not 0")
+        if int(key) >= 0 and Fraction(r) <= 0:
+            raise ValueError(f"radii[{key!r}] is {r}, not positive")
+    top = record["top"]
     for k, op in enumerate(record["ops"]):
         if op["phase"] == "done" and op["t_complete"] is None:
             raise ValueError(f"ops[{k}] is done with a null t_complete")
+        level = op["discovery_level"]
+        if level is not None and not -1 <= level <= top:
+            raise ValueError(f"ops[{k}].discovery_level {level} is outside "
+                             f"[-1, {top}]")
     levels = record["partition_pre"]["levels"]
     if not any(Fraction(row["r"]) > 0 for row in levels):
         raise ValueError("partition_pre has no exact level rows with r > 0")

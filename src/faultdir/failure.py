@@ -244,10 +244,6 @@ class FailureEngine:
             return
         for entry in self.detach_log.get(c.id, []):
             if e[0] in entry["nodes"] and e[1] in entry["nodes"]:
-                if entry["child"] is None:
-                    self.dir.finding("notify_obsolete", level=level,
-                                     edge=list(e))
-                    return
                 child = self.hier.levels[level][entry["child"]]
                 self._notify(y, child, dict(p, cluster=child.id))
                 return
@@ -285,6 +281,9 @@ class FailureEngine:
                              along_tree=y in target.tree_parent)
 
     def _apply_split(self, c, e, fid):
+        """Cut c's tree at e into c and a new cluster. The part below the
+        cut always holds a member: every cluster tree is pruned to its
+        members' root paths, so each of its leaves is a member."""
         level = c.level
         y = c.leader
         v = child_endpoint(c.tree_parent, e)
@@ -292,21 +291,12 @@ class FailureEngine:
         # capture the detached piece of the tree before pruning the parent
         tree2 = {x: (None if x == v else c.tree_parent[x]) for x in det_nodes}
         members2 = sorted(c.members & det_nodes)
+        assert members2, f"cluster {c.id}: tree nodes below {v} serve no member"
         for x in det_nodes:
             c.tree_parent.pop(x, None)
         c.members -= set(members2)
         c.members_changed()
         c.tree_parent = prune(c.tree_parent, c.members, c.leader)
-        rec = self.failures[fid]
-        if not members2:
-            self.detach_log.setdefault(c.id, []).append(
-                {"child": None, "members": frozenset(), "nodes": frozenset(det_nodes),
-                 "v": v})
-            rec["splits"].append({"level": level, "parent": c.id, "child": None,
-                                  "size": 0})
-            self.sim.log("split_prune", level=level, cluster=c.id, edge=list(e))
-            self._wake_parked(level)
-            return
         # the new leader is the member nearest to the cut along tree2 (v
         # itself if it is a member: every weight is at least 1)
         w = min(members2,
@@ -326,8 +316,9 @@ class FailureEngine:
         st = self.dir.nodes[y].levels.get(level)
         # the path must follow the detached part when its adder went there
         follow = st is not None and st.added_by in c2.members
-        rec["splits"].append({"level": level, "parent": c.id, "child": c2.id,
-                              "size": len(members2), "on_path": follow})
+        self.failures[fid]["splits"].append(
+            {"level": level, "parent": c.id, "child": c2.id,
+             "size": len(members2), "on_path": follow})
         self.sim.log("split", level=level, cluster=c.id, child=c2.id,
                      leader=w, size=len(members2))
         if w != v:
@@ -700,16 +691,16 @@ class FailureEngine:
     # -- the top level: repair plus possible layer extension -------------------------
 
     def _root_repair(self, e, fid):
-        """The root repaired its tree after e died: if e cut the top
-        cluster's tree, decide whether to add levels on top."""
+        """The root repaired its tree after e died, which cut the top
+        cluster's tree: decide whether to add levels on top."""
         t = self.sim.trees[self.hier.root]
         top_c = self.hier.clusters_at(self.hier.top)[0]
-        # still the tree from before this repair: it is a copy, never t.parent
+        # still the tree from before this repair: the top cluster's tree is
+        # always a copy of the root's, never t.parent, taken after the last
+        # repair, and `_repair_tree` found e in the root's tree
         pre_parent = top_c.tree_parent
         v = child_endpoint(pre_parent, e)
-        if v is None:
-            top_c.tree_parent = dict(t.parent)
-            return
+        assert v is not None, f"edge {e} is not in the top cluster's tree"
         det = subtree(self.g._ever, pre_parent, v)
         far_d = max(t.dist.values())
         far = min(x for x in t.dist if t.dist[x] == far_d)

@@ -382,6 +382,9 @@ def ring_graph(n: int, weights=None) -> Graph:
     """Cycle 0-1-...-(n-1)-0. `weights` may be a constant or a list."""
     if n < 3:
         raise ValueError("ring needs n >= 3")
+    if isinstance(weights, (list, tuple)) and len(weights) < n:
+        raise ValueError(f"ring of {n} nodes needs {n} weights, not "
+                         f"{len(weights)}")
     g = Graph()
     for i in range(n):
         w = 1

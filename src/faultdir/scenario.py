@@ -46,6 +46,13 @@ def _qify(x):
 
 
 def build_graph(spec: dict) -> Graph:
+    """The graph a scenario's spec describes; ValueError or KeyError for a
+    spec that describes none."""
+    if type(spec) is not dict:
+        raise ValueError("graph is not a JSON object")
+    for key in ("n", "rows", "cols", "seed", "wmin", "wmax"):
+        if key in spec and type(spec[key]) is not int:
+            raise ValueError(f"graph.{key} is not a JSON integer")
     kind = spec["kind"]
     if kind == "ring":
         return ring_graph(spec["n"], spec.get("weights", 1))
@@ -54,12 +61,21 @@ def build_graph(spec: dict) -> Graph:
     if kind == "path":
         return path_graph(spec["n"], spec.get("weight", 1))
     if kind == "random":
+        if type(spec["p"]) not in (int, float):
+            raise ValueError("graph.p is not a JSON number")
         return random_graph(spec["n"], spec["p"], spec["seed"],
                             spec.get("wmin", 1), spec.get("wmax", 4))
     if kind == "edges":
+        edges = spec["edges"]
+        if type(edges) is not list:
+            raise ValueError("graph.edges is not a JSON array")
         g = Graph()
-        for u, v, w in spec["edges"]:
-            g.add_edge(u, v, w)
+        for k, uvw in enumerate(edges):
+            if not (type(uvw) is list and len(uvw) == 3
+                    and type(uvw[0]) is int and type(uvw[1]) is int):
+                raise ValueError(f"graph.edges[{k}] is not [u, v, weight] "
+                                 "with integer u and v")
+            g.add_edge(*uvw)
         return g
     raise ValueError(f"unknown graph kind {kind!r}")
 
@@ -67,35 +83,64 @@ def build_graph(spec: dict) -> Graph:
 OP_EVENTS = ("publish", "lookup", "move")
 
 
+def _is_delay(value) -> bool:
+    """A non-negative int, or a string `unq` reads as one or as a fraction."""
+    try:
+        return type(value) in (int, str) and unq(value) >= 0
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
 def validate_scenario(sc: dict) -> None:
+    """Refuse a scenario `Runtime` cannot run: ValueError, or KeyError for a
+    missing key, naming what is wrong in one line."""
+    if type(sc) is not dict:
+        raise ValueError("not a JSON object")
     g = build_graph(sc["graph"])
     if sc.get("mode", "strong") not in ("strong", "weak"):
         raise ValueError("mode must be 'strong' or 'weak'")
-    if int(sc.get("rho", 2)) < 2:
+    for key, default in (("rho", 2), ("seed", 0)):
+        if type(sc.get(key, default)) is not int:
+            raise ValueError(f"{key} is not a JSON integer")
+    if sc.get("rho", 2) < 2:
         raise ValueError("rho must be at least 2")
+    events = sc.get("events", [])
+    if type(events) is not list:
+        raise ValueError("events is not a JSON array")
     nodes = set(g.nodes())
     published = False
-    for k, ev in enumerate(sc.get("events", [])):
+    for k, ev in enumerate(events):
+        if type(ev) is not dict:
+            raise ValueError(f"event {k} is not a JSON object")
         do = ev.get("do")
         if do in OP_EVENTS:
-            if ev["node"] not in nodes:
-                raise ValueError(f"event {k}: node {ev['node']} not in graph")
+            node = ev["node"]
+            if type(node) is not int or node not in nodes:
+                raise ValueError(f"event {k}: node {node} not in graph")
             if do == "publish":
                 published = True
             elif not published:
                 raise ValueError(f"event {k}: {do} before any publish")
-            edge = ev.get("fail_during")
+            if not _is_delay(ev.get("fail_delay", 0)):
+                raise ValueError(f"event {k}: fail_delay {ev['fail_delay']!r} "
+                                 "is not a non-negative int or fraction")
+            key, edge = "fail_during", ev.get("fail_during")
+            if edge is None:
+                continue
         elif do == "fail":
-            edge = ev["edge"]
+            key, edge = "edge", ev["edge"]
         else:
             raise ValueError(f"event {k}: unknown event {do!r}")
-        if do == "fail" or (do in OP_EVENTS and edge is not None):
-            e = edge_id(*edge)
-            if not g.is_alive(e):
-                raise ValueError(f"event {k}: edge {edge} missing or already down")
-            if g.would_disconnect(e):
-                raise ValueError(f"event {k}: killing {edge} disconnects the graph")
-            g.kill_edge(e)
+        if not (type(edge) is list and len(edge) == 2
+                and type(edge[0]) is int and type(edge[1]) is int):
+            raise ValueError(f"event {k}: {key} {edge} is not a pair of node "
+                             "ids")
+        e = edge_id(*edge)
+        if not g.is_alive(e):
+            raise ValueError(f"event {k}: edge {edge} missing or already down")
+        if g.would_disconnect(e):
+            raise ValueError(f"event {k}: killing {edge} disconnects the graph")
+        g.kill_edge(e)
 
 
 class Runtime:
@@ -105,9 +150,9 @@ class Runtime:
         validate_scenario(sc)
         self.sc = sc
         self.g = build_graph(sc["graph"])
-        self.hier = build_hierarchy(self.g, rho=int(sc.get("rho", 2)),
+        self.hier = build_hierarchy(self.g, rho=sc.get("rho", 2),
                                     mode=sc.get("mode", "strong"),
-                                    seed=int(sc.get("seed", 0)))
+                                    seed=sc.get("seed", 0))
         if not self.hier.pre_check["ok"]:
             raise RuntimeError(f"partition invalid at build: {self.hier.pre_check}")
         self.sim = Simulator(self.g)

@@ -1,24 +1,26 @@
-"""Run-outcome corpus: 200 generated scenarios, pinned per artifact.
+"""Pinned scenarios: every named run whose outcome must not move.
 
-The 9 goldens of ``regen.py`` are small; this corpus pins the outcome of
-bigger generated runs with failures and moves, so that a change which
-moves records, event logs or ledgers shows up as a reviewed diff. Each
-entry in ``corpus.json`` holds, for one scenario run in process through
-``Runtime`` and written by ``faultdir run``'s artifact writer, the sha256
-of ``record.json``, ``events.jsonl`` and ``ledger.csv`` apart and the ids
-of the bound formulas that fail; or, for a run that raises
-``RuntimeError``, the exception text alone.
+``SCENARIOS`` holds two groups: the nine small ``GOLDEN`` runs, one shape
+of run each, and 200 ``GENERATED`` runs, bigger and with failures and
+moves. Each entry in ``corpus.json`` holds, for one scenario run in
+process through ``Runtime`` and written by ``faultdir run``'s artifact
+writer, the sha256 of ``record.json``, ``events.jsonl`` and ``ledger.csv``
+apart and the ids of the bound formulas that fail when the saved record
+goes through ``faultdir check``'s pipeline: load, ``validate_record``,
+``check_bounds``. For a run that raises ``RuntimeError``, the entry holds
+the exception text alone.
 
     PYTHONPATH=src python tests/golden/corpus.py            # pin missing
     PYTHONPATH=src python tests/golden/corpus.py --check    # compare all
     PYTHONPATH=src python tests/golden/corpus.py --check NAME ...
 
-Pinning follows ``regen.py``'s rule: it fills in only the scenarios
-missing from ``corpus.json`` and never rewrites an existing entry. To
-re-pin, delete the entries by hand first, only when moving them is the
-stated point of the change, and say in CHANGES.md which fields moved.
-``--check`` prints one line per field that differs and exits 1 if any
-does. ``tests/test_corpus.py`` checks ``SLICE`` in tier-1.
+The re-pin rule: pinning fills in only the scenarios missing from
+``corpus.json`` and never rewrites an existing entry. To re-pin, delete
+the entries by hand first, only when moving them is the stated point of
+the change, and say in CHANGES.md which fields moved. Re-pinning to make
+a failing test pass is not allowed. ``--check`` prints one line per field
+that differs and exits 1 if any does. ``tests/test_corpus.py`` checks
+every golden and ``SLICE`` in tier-1.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import os
 import sys
 import tempfile
 
-from faultdir.bounds import check_bounds
+from faultdir.bounds import check_bounds, validate_record
 from faultdir.cli import _gen_scenario, _write_artifacts
 from faultdir.scenario import Runtime
 
@@ -36,37 +38,81 @@ ARTIFACTS = ("record.json", "events.jsonl", "ledger.csv")
 CORPUS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "corpus.json")
 
+# name -> keyword arguments of cli._gen_scenario
+GOLDEN = {
+    "grid-moves": dict(graph_spec={"kind": "grid", "rows": 5, "cols": 5},
+                       mode="strong", rho=2, seed=3, ops=16, failures=0,
+                       horizon=2000),
+    "grid-fail": dict(graph_spec={"kind": "grid", "rows": 4, "cols": 5},
+                      mode="strong", rho=2, seed=1, ops=8, failures=2,
+                      horizon=2000, concurrent=False),
+    "grid-fail-during": dict(graph_spec={"kind": "grid", "rows": 4, "cols": 5},
+                             mode="strong", rho=2, seed=2, ops=8, failures=2,
+                             horizon=2000),
+    "weak-random": dict(graph_spec={"kind": "random", "n": 14, "p": 0.3,
+                                    "seed": 2},
+                        mode="weak", rho=2, seed=4, ops=8, failures=1,
+                        horizon=2000),
+    "weak-grid": dict(graph_spec={"kind": "grid", "rows": 6, "cols": 6},
+                      mode="weak", rho=2, seed=6, ops=10, failures=2,
+                      horizon=2000),
+    "weighted-ring": dict(graph_spec={"kind": "ring", "n": 12,
+                                      "weights": [1, 2, 3, 1, 2, 3,
+                                                  1, 2, 3, 1, 2, 3]},
+                          mode="strong", rho=2, seed=5, ops=8, failures=1,
+                          horizon=2000),
+    # layer extension installed at the root itself, plus a resend exchange
+    "ring-ext-local": dict(graph_spec={"kind": "ring", "n": 12},
+                           mode="strong", rho=2, seed=5, ops=10, failures=2,
+                           horizon=2000),
+    # layer extension handed to the detached part: path update txn, band
+    # install at the new leader, and an aborted lock round
+    "ring-ext-handoff": dict(graph_spec={"kind": "ring", "n": 10},
+                             mode="strong", rho=2, seed=1, ops=10, failures=2,
+                             horizon=2000),
+    # weak-mode split: the new part re-roots its tree at the member nearest
+    # to the lost leader, prunes nodes off it and transfers the leadership
+    "weak-split-reroot": dict(graph_spec={"kind": "grid", "rows": 5,
+                                          "cols": 5},
+                              mode="weak", rho=2, seed=3, ops=10, failures=3,
+                              horizon=2000),
+}
+
 SHAPES = {
     "rand24": lambda seed: {"kind": "random", "n": 24, "p": 0.2, "seed": seed},
     "ring14": lambda seed: {"kind": "ring", "n": 14},
     "grid8": lambda seed: {"kind": "grid", "rows": 8, "cols": 8},
 }
 
-# name -> keyword arguments of cli._gen_scenario. A ring has room for one
-# failure only; the generator draws what fits.
-SCENARIOS = {
+# A ring has room for one failure only; the generator draws what fits.
+GENERATED = {
     f"{shape}-{mode}-s{seed}-m{pct}": dict(
         graph_spec=spec(seed), mode=mode, rho=2, seed=seed, ops=30,
         failures=12, horizon=3000, move_frac=pct / 100)
     for shape, spec in SHAPES.items() for mode in ("strong", "weak")
     for seed in range(10) for pct in (20, 50)
-}
-SCENARIOS.update({
+} | {
     f"rand24-{mode}-s{seed}-ops40": dict(
         graph_spec=SHAPES["rand24"](seed), mode=mode, rho=2, seed=seed,
         ops=40, failures=10, horizon=3000, move_frac=0.5)
     for seed in range(100, 140) for mode in ("strong", "weak")
-})
+}
 
-# the scenarios tier-1 runs: every thirteenth name, which takes in both
-# groups, all three shapes, both modes and move fractions, a run whose
-# bound check fails and a run that crashes
-SLICE = sorted(SCENARIOS)[::13]
+SCENARIOS = GOLDEN | GENERATED
+
+# the generated scenarios tier-1 runs: every thirteenth name, which takes
+# in both the m20/m50 and the ops40 runs, all three shapes, both modes and move fractions, a run
+# whose bound check fails and a run that crashes
+SLICE = sorted(GENERATED)[::13]
+
+
+def scenario(name: str) -> dict:
+    return _gen_scenario(**SCENARIOS[name])
 
 
 def outcome(name: str, work_dir: str) -> dict:
     """Run one scenario and describe its outcome as a corpus entry."""
-    rt = Runtime(_gen_scenario(**SCENARIOS[name]))
+    rt = Runtime(scenario(name))
     try:
         record = rt.run()
     except RuntimeError as exc:
@@ -77,6 +123,10 @@ def outcome(name: str, work_dir: str) -> dict:
     for art in ARTIFACTS:
         with open(os.path.join(out_dir, art), "rb") as fh:
             entry[art] = hashlib.sha256(fh.read()).hexdigest()
+    # what `faultdir check` does with the saved record
+    with open(os.path.join(out_dir, "record.json")) as fh:
+        record = json.load(fh)
+    validate_record(record)
     entry["failing"] = sorted({line.formula
                                for line in check_bounds(record).failed()})
     return entry

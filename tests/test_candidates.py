@@ -18,7 +18,7 @@ from faultdir.cli import _gen_scenario
 from faultdir.graph import edge_id
 from faultdir.protocol import Directory, OpState
 from faultdir.scenario import Runtime
-from golden.regen import SCENARIOS as GOLDEN, scenario as golden_scenario
+from golden.corpus import GOLDEN, scenario as golden_scenario
 
 from oracles import OPEN_PHASES, brute_candidates
 

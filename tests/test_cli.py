@@ -130,29 +130,93 @@ def test_partition_stats_output(capsys):
     assert len(sizes) == sum(len(l["clusters"]) for l in out["levels"])
 
 
+def scen(*events, **fields):
+    """A scenario on an 8-node ring with these events and top-level fields."""
+    return {"name": "bad", "mode": "strong", "rho": 2, "seed": 0,
+            "graph": {"kind": "ring", "n": 8}, "events": list(events)} | fields
+
+
+PUBLISH = {"t": 0, "do": "publish", "node": 1}
+
+
+def delayed(delay):
+    return scen(PUBLISH, {"t": 1, "do": "lookup", "node": 2,
+                          "fail_during": [0, 1], "fail_delay": delay})
+
+
+# case -> (scenario, the one line `faultdir run` prints after the path)
 BAD_SCENARIOS = {
-    "before any publish": [{"t": 0, "do": "lookup", "node": 1}],
-    "missing or already down": [{"t": 0, "do": "publish", "node": 1},
-                                {"t": 1, "do": "fail", "edge": [0, 5]}],
-    "missing key 'edge'": [{"t": 0, "do": "publish", "node": 1},
-                           {"t": 1, "do": "fail"}],
+    "before any publish": (scen({"t": 0, "do": "lookup", "node": 1}),
+                           "event 0: lookup before any publish"),
+    "missing or already down": (scen(PUBLISH, {"t": 1, "do": "fail",
+                                               "edge": [0, 5]}),
+                                "event 1: edge [0, 5] missing or already down"),
+    "missing key 'edge'": (scen(PUBLISH, {"t": 1, "do": "fail"}),
+                           "missing key 'edge'"),
+    "not an object": ([1, 2], "not a JSON object"),
+    "graph not an object": (scen(PUBLISH, graph=[]),
+                            "graph is not a JSON object"),
+    "rows not an int": (scen(PUBLISH, graph={"kind": "grid", "rows": "3",
+                                             "cols": 3}),
+                        "graph.rows is not a JSON integer"),
+    "p not a number": (scen(PUBLISH, graph={"kind": "random", "n": 8,
+                                            "p": "0.3", "seed": 0}),
+                       "graph.p is not a JSON number"),
+    "edges row short": (scen(PUBLISH, graph={"kind": "edges",
+                                             "edges": [[1, 2, 1], [0, 1]]}),
+                        "graph.edges[1] is not [u, v, weight] with integer "
+                        "u and v"),
+    "ring weights short": (scen(PUBLISH, graph={"kind": "ring", "n": 8,
+                                                "weights": [1, 2]}),
+                           "ring of 8 nodes needs 8 weights, not 2"),
+    "rho not an int": (scen(PUBLISH, rho=2.5), "rho is not a JSON integer"),
+    "seed not an int": (scen(PUBLISH, seed="0"), "seed is not a JSON integer"),
+    "events not an array": (scen(events={}), "events is not a JSON array"),
+    "event not an object": (scen(PUBLISH, 7), "event 1 is not a JSON object"),
+    "node not an int": (scen(dict(PUBLISH, node=[8])),
+                        "event 0: node [8] not in graph"),
+    "edge of three": (scen(PUBLISH, {"t": 1, "do": "fail", "edge": [0, 1, 2]}),
+                      "event 1: edge [0, 1, 2] is not a pair of node ids"),
+    "edge not an array": (scen(PUBLISH, {"t": 1, "do": "fail", "edge": 5}),
+                          "event 1: edge 5 is not a pair of node ids"),
+    "edge null": (scen(PUBLISH, {"t": 1, "do": "fail", "edge": None}),
+                  "event 1: edge None is not a pair of node ids"),
+    "fail_during of one": (scen(PUBLISH, {"t": 1, "do": "lookup", "node": 2,
+                                          "fail_during": [3]}),
+                           "event 1: fail_during [3] is not a pair of node "
+                           "ids"),
+    "fail_delay negative": (delayed(-5), "event 1: fail_delay -5 is not a "
+                            "non-negative int or fraction"),
+    "fail_delay a float": (delayed(2.5), "event 1: fail_delay 2.5 is not a "
+                           "non-negative int or fraction"),
+    "fail_delay not a number": (delayed("x"), "event 1: fail_delay 'x' is "
+                                "not a non-negative int or fraction"),
+    "fail_delay over zero": (delayed("1/0"), "event 1: fail_delay '1/0' is "
+                             "not a non-negative int or fraction"),
+    "fail_delay negative text": (delayed("-1/2"), "event 1: fail_delay "
+                                 "'-1/2' is not a non-negative int or "
+                                 "fraction"),
 }
 
 
-@pytest.mark.parametrize("message", sorted(BAD_SCENARIOS))
-def test_run_rejects_invalid_scenario_in_one_line(message, tmp_path, capsys):
-    sc = {"name": "bad", "mode": "strong", "rho": 2, "seed": 0,
-          "graph": {"kind": "ring", "n": 8}, "events": BAD_SCENARIOS[message]}
+@pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+def test_run_rejects_invalid_scenario_in_one_line(case, tmp_path, capsys):
+    sc, message = BAD_SCENARIOS[case]
     scen_path = tmp_path / "scen.json"
     scen_path.write_text(json.dumps(sc))
     argv = ["run", str(scen_path), "--out-dir", str(tmp_path / "a")]
     assert console(argv) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and message in err and str(scen_path) in err
+    assert capsys.readouterr().err == f"faultdir run: {scen_path}: {message}\n"
     assert not (tmp_path / "a").exists()
     # in-process callers of `main` still get the exception itself
     with pytest.raises((ValueError, KeyError)):
         main(argv)
+
+
+def test_run_accepts_exact_fail_delays():
+    # a delay is an int or, as records write exact numbers, a string
+    for delay in (0, 3, "2", "3/2"):
+        assert validate_scenario(delayed(delay)) is None
 
 
 FLOAT_WEIGHT_GRAPHS = [
@@ -344,6 +408,21 @@ def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
               garbled("ledger", 0, "bucket", 5, ".bucket is not a JSON string"),
               ("ledger", [{"bucket": "setup", "messages": 1}] + record["ledger"],
                "missing key 'ledger[0].cost'")]
+    # values of the right kind must also lie in range: the bounds divide by
+    # rho - 1 and by radii, and sum over the levels up to a discovery level
+    top = record["top"]
+    cases += [("rho", 1, "rho 1 is below 2"),
+              ("rho", "0", "rho 0 is below 2"),
+              ("radii", dict(record["radii"], **{"0": 0}),
+               "radii['0'] is 0, not positive"),
+              ("radii", dict(record["radii"], **{"1": "-1/2"}),
+               "radii['1'] is -1/2, not positive"),
+              ("radii", dict(record["radii"], **{"-1": 1}),
+               "radii['-1'] is 1, not 0"),
+              garbled("ops", look, "discovery_level", 10 ** 9,
+                      f".discovery_level 1000000000 is outside [-1, {top}]"),
+              garbled("ops", look, "discovery_level", -2,
+                      f".discovery_level -2 is outside [-1, {top}]")]
     # and every value it reads in a failure, a path row, a token interval,
     # the first publish and the partition after failures
     no_ok = {k: v for k, v in record["partition_post"].items() if k != "ok"}

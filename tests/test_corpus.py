@@ -1,7 +1,9 @@
-"""Run-outcome corpus: a fixed slice of ``tests/golden/corpus.py``'s 200
-generated scenarios replays as pinned in ``corpus.json``; the rest runs
-through ``python tests/golden/corpus.py --check``."""
+"""Pinned scenarios: every golden and a fixed slice of the 200 generated
+scenarios of ``tests/golden/corpus.py`` replay as pinned in
+``corpus.json``; the rest runs through
+``python tests/golden/corpus.py --check``."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +11,8 @@ import sys
 import pytest
 
 from golden import corpus
-from golden.corpus import SCENARIOS, SLICE, load_corpus, outcome
+from golden.corpus import (GOLDEN, SCENARIOS, SLICE, load_corpus, outcome,
+                           scenario)
 
 
 def test_every_scenario_is_pinned():
@@ -26,9 +29,36 @@ def test_slice_covers_every_kind_of_scenario_and_outcome():
     assert any(pin.get("failing") for pin in pins)
 
 
-@pytest.mark.parametrize("name", SLICE)
+@pytest.mark.parametrize("name", sorted(GOLDEN) + SLICE)
 def test_slice_matches_its_pin(name, tmp_path):
     assert outcome(name, str(tmp_path)) == load_corpus()[name]
+
+
+def test_scenarios_cover_their_shapes(tmp_path):
+    def run_named(name, work_dir):
+        outcome(name, work_dir)
+        return os.path.join(work_dir, name)
+
+    events = {name: scenario(name)["events"] for name in GOLDEN}
+    assert any(e["do"] == "move" for e in events["grid-moves"])
+    assert any(e["do"] == "fail" for e in events["grid-fail"])
+    assert not any("fail_during" in e for e in events["grid-fail"])
+    assert any("fail_during" in e for e in events["grid-fail-during"])
+    assert scenario("weak-random")["mode"] == "weak"
+    assert scenario("weak-grid")["mode"] == "weak"
+    assert sum(e["do"] == "fail" for e in events["weak-grid"]) == 2
+    for name in ("ring-ext-local", "ring-ext-handoff"):
+        with open(os.path.join(run_named(name, str(tmp_path)),
+                               "record.json")) as fh:
+            rec = json.load(fh)
+        assert any(f["extension"] is not None for f in rec["failures"]), name
+    with open(os.path.join(run_named("weak-split-reroot", str(tmp_path)),
+                           "record.json")) as fh:
+        rec = json.load(fh)
+    # a split led by a member other than the cut endpoint: the detached
+    # tree is re-rooted and the leadership handed over
+    assert any(row["xfer_msgs"] for f in rec["failures"]
+               for row in f["stats"]["recluster"].values())
 
 
 def test_slice_replays_under_another_hash_seed():

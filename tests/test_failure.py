@@ -430,8 +430,6 @@ def test_split_trees_match_the_old_walks(monkeypatch):
         want = prune_fixpoint(kept, remaining, c.leader)
         assert list(c.tree_parent.items()) == list(want.items())
         seen["dropped"] += len(want) < len(kept)
-        if not members2:
-            return
         c2 = self.hier.levels[c.level][self.detach_log[c.id][n_log]["child"]]
         w = split_leader(self.g, tree2, v, members2)
         if w != v:

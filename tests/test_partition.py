@@ -16,7 +16,7 @@ from faultdir.partition import (
     preprocess_leaders, verify_partition,
 )
 from faultdir.scenario import Runtime, build_graph
-from golden.regen import SCENARIOS as GOLDEN, scenario as golden_scenario
+from golden.corpus import GOLDEN, scenario as golden_scenario
 from oracles import (brute_center, brute_cluster_diameter, brute_diameter,
                      brute_intersection_count, brute_weak_assign,
                      brute_weak_partition, cluster_of, clusters_intersecting,

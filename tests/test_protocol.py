@@ -8,7 +8,7 @@ from faultdir.bounds import check_bounds
 from faultdir.cli import _gen_scenario
 from faultdir.scenario import Runtime
 from faultdir.sim import Message
-from golden.regen import SCENARIOS as GOLDEN, scenario as golden_scenario
+from golden.corpus import GOLDEN, scenario
 
 from oracles import fw_all_pairs, open_moves, open_ops
 
@@ -409,23 +409,16 @@ def test_locked_node_parks_a_write_and_drain_replays_it(kind):
 
 # -- the shortcut registry follows path membership ---------------------------
 
-REGISTRY_RUNS = {
-    f"{shape}-{mode}-{seed}": dict(graph_spec=spec, mode=mode, rho=2, seed=seed,
-                                   ops=30, failures=12, horizon=3000,
-                                   move_frac=0.2)
-    for shape, spec in (("grid8", {"kind": "grid", "rows": 8, "cols": 8}),
-                        ("ring14", {"kind": "ring", "n": 14}))
-    for mode in ("strong", "weak") for seed in (0, 1, 2)
-}
+# failure-heavy corpus runs with moves, both modes
+CORPUS_RUNS = [f"{shape}-{mode}-s{seed}-m20" for shape in ("grid8", "ring14")
+               for mode in ("strong", "weak") for seed in (0, 1, 2)]
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN) + sorted(REGISTRY_RUNS))
+@pytest.mark.parametrize("name", sorted(GOLDEN) + CORPUS_RUNS)
 def test_shortcut_registry_matches_path_membership(name):
     """At quiescence every path state holds a shortcut registration, and
     the registries held at the targets are exactly those registrations."""
-    sc = golden_scenario(name) if name in GOLDEN \
-        else _gen_scenario(**REGISTRY_RUNS[name])
-    rt = Runtime(sc)
+    rt = Runtime(scenario(name))
     try:
         rt.run()
     except RuntimeError as exc:
@@ -441,13 +434,12 @@ def test_shortcut_registry_matches_path_membership(name):
     assert held == made
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN) + sorted(REGISTRY_RUNS))
+@pytest.mark.parametrize("name", sorted(GOLDEN) + CORPUS_RUNS)
 def test_each_node_holds_its_open_move(name):
     """After every handled message, the open-op index holds, in issue
     order, the ops a scan over all ops finds open, and each node's `move`
     is its open move as that scan finds it."""
-    sc = golden_scenario(name) if name in GOLDEN \
-        else _gen_scenario(**REGISTRY_RUNS[name])
+    sc = scenario(name)
     rt = Runtime(sc)
     deliver = rt.sim._deliver
     seen = []
@@ -477,7 +469,7 @@ def test_every_waiting_lookup_is_open(name):
     `waiting_lookups` is an open op, which is why `quiescent` needs no term
     for them. The goldens run one op at a time, so none parks a lookup
     today; `test_lookup_at_an_open_mover_waits_for_the_token` parks one."""
-    rt = Runtime(golden_scenario(name))
+    rt = Runtime(scenario(name))
     deliver = rt.sim._deliver
 
     def checked(msg):

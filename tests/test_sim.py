@@ -10,7 +10,7 @@ from faultdir.graph import (build_spt, edge_id, grid_graph, random_graph,
 from faultdir.scenario import Runtime
 from faultdir.sim import Message, Simulator
 
-from golden.regen import SCENARIOS, scenario
+from golden.corpus import GOLDEN, scenario
 from oracles import fw_all_pairs
 
 
@@ -255,9 +255,9 @@ ONCE_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS) + sorted(ONCE_RUNS))
+@pytest.mark.parametrize("name", sorted(GOLDEN) + sorted(ONCE_RUNS))
 def test_every_message_is_delivered_exactly_once(name, monkeypatch):
-    if name in SCENARIOS:
+    if name in GOLDEN:
         sc = scenario(name)
     else:
         sc = _gen_scenario(rho=2, ops=16, failures=6, horizon=2000,

@@ -7,7 +7,7 @@ import pytest
 from faultdir.cli import _gen_scenario
 from faultdir.scenario import Runtime
 
-from golden.regen import SCENARIOS, scenario
+from golden.corpus import GOLDEN, scenario
 from oracles import EdgeRootIndex
 
 GENERATED = [(spec, mode, seed)
@@ -58,7 +58,7 @@ def run_against_index(rt):
     return rows
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_failures_notify_the_index_owners(name):
     rt = Runtime(scenario(name))
     rows = run_against_index(rt)
