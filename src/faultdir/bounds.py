@@ -231,12 +231,20 @@ def validate_record(record) -> None:
     # each op's discovery level
     if Fraction(record["rho"]) < 2:
         raise ValueError(f"rho {record['rho']} is below 2")
-    for key, r in record["radii"].items():
+    # the path chain walks the levels -1..top; radii keyed by exactly those
+    # levels bound top by the file's size (the count is compared first)
+    top, radii = record["top"], record["radii"]
+    if len(radii) != top + 2 or set(map(int, radii)) != set(range(-1, top + 1)):
+        raise ValueError(f"radii is not keyed by exactly the levels -1 to top ({top})")
+    for key, r in radii.items():
         if int(key) < 0 and Fraction(r) != 0:
             raise ValueError(f"radii[{key!r}] is {r}, not 0")
         if int(key) >= 0 and Fraction(r) <= 0:
             raise ValueError(f"radii[{key!r}] is {r}, not positive")
-    top = record["top"]
+    # the publish bound grows as rho ** publish.top; the top only grows
+    publish = record["publish"]
+    if publish is not None and not 0 <= publish["top"] <= top:
+        raise ValueError(f"publish.top {publish['top']} is outside [0, {top}]")
     for k, op in enumerate(record["ops"]):
         if op["phase"] == "done" and op["t_complete"] is None:
             raise ValueError(f"ops[{k}] is done with a null t_complete")

@@ -51,6 +51,20 @@ def _graph_spec(text: str) -> dict:
     return spec
 
 
+def _share(text: str) -> float:
+    """Parse a share in [0, 1], such as `gen --moves 0.2`."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = None
+    if x is None or not 0 <= x <= 1:  # NaN too
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]")
+    return x
+
+
+LEDGER_COLUMNS = ("bucket", "messages", "cost", "const", "logn", "nlogn")
+
+
 def _write_artifacts(rt: Runtime, record: dict, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "record.json"), "w") as fh:
@@ -59,11 +73,9 @@ def _write_artifacts(rt: Runtime, record: dict, out_dir: str) -> None:
     with open(os.path.join(out_dir, "events.jsonl"), "w") as fh:
         fh.write(rt.sim.dump_events())
     with open(os.path.join(out_dir, "ledger.csv"), "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["bucket", "messages", "cost",
-                                           "const", "logn", "nlogn"])
-        w.writeheader()
-        for row in rt.sim.ledger.as_rows():
-            w.writerow(row)
+        w = csv.writer(fh)
+        w.writerow(LEDGER_COLUMNS)
+        w.writerows([row[k] for k in LEDGER_COLUMNS] for row in record["ledger"])
 
 
 def _bad_input(exc, args, path: str) -> None:
@@ -168,7 +180,8 @@ def _gen_scenario(graph_spec: dict, mode: str, rho: int, seed: int,
 
 def cmd_gen(args) -> int:
     sc = _gen_scenario(args.graph, args.mode, args.rho, args.seed,
-                       args.ops, args.failures, args.horizon)
+                       args.ops, args.failures, args.horizon,
+                       move_frac=args.moves)
     out = args.out or os.path.join(args.out_dir, f"{sc['name']}.json")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     with open(out, "w") as fh:
@@ -231,6 +244,8 @@ def main(argv=None) -> int:
     p_gen.add_argument("--ops", type=int, default=8)
     p_gen.add_argument("--failures", type=int, default=1)
     p_gen.add_argument("--horizon", type=int, default=5000)
+    p_gen.add_argument("--moves", type=_share, default=0.5,
+                       help="share of the ops that are moves")
     p_gen.add_argument("--out", default=None)
     p_gen.add_argument("--out-dir", default="out")
     p_gen.set_defaults(fn=cmd_gen)

@@ -34,7 +34,7 @@ SIZES = ("const", "logn", "nlogn")
 
 def _q(x) -> str:
     """Exact string form of a time or cost."""
-    return str(Fraction(x))
+    return str(x) if type(x) is int else str(Fraction(x))
 
 
 def _head(name: str) -> str:
@@ -108,6 +108,9 @@ class CostLedger:
 
 
 class Message:
+    __slots__ = ("id", "kind", "src", "dst", "payload", "size", "bucket",
+                 "route", "at", "blocked", "traveled", "lost", "no_reroute")
+
     def __init__(self, kind: str, src: int, dst: int, payload: dict,
                  size: str = "const", bucket: str = "misc"):
         # numbered by the simulator when it first takes the message
@@ -166,7 +169,8 @@ class Simulator:
         self.events.append(rec)
 
     def dump_events(self) -> str:
-        return "\n".join(json.dumps(e, sort_keys=True) for e in self.events) + "\n"
+        encode = json.JSONEncoder(sort_keys=True).encode
+        return "\n".join(map(encode, self.events)) + "\n"
 
     # -- scheduling ----------------------------------------------------------
 
@@ -212,7 +216,9 @@ class Simulator:
         # a route is the path from msg.dst up to x, reversed, without x
         if tree is not None and tree.root == x:
             path = root_path(tree.parent, msg.dst)
-            if all(edge_id(a, b) not in msg.blocked for a, b in zip(path, path[1:])):
+            blocked = msg.blocked
+            if not blocked or all(edge_id(a, b) not in blocked
+                                  for a, b in zip(path, path[1:])):
                 return path[-2::-1]
         dist, parent = dijkstra(self.g._adj, x)
         if msg.dst not in dist:
@@ -227,20 +233,21 @@ class Simulator:
         self._hop(msg)
 
     def _hop(self, msg: Message) -> None:
-        nxt = msg.route[0]
-        e = edge_id(msg.at, nxt)
-        if not self.g.is_alive(e):
+        at, nxt = msg.at, msg.route[0]
+        # the alive adjacency gives liveness and weight in one read
+        w = self.g._adj[at].get(nxt)
+        if w is None:
             if msg.no_reroute:
                 msg.payload["stuck"] = True
-                msg.dst = msg.at
+                msg.dst = at
                 self.schedule(0, self._deliver, msg)
                 return
             # sender-side endpoint knows instantly; bounce and re-route
-            msg.blocked.add(e)
+            msg.blocked.add(edge_id(at, nxt))
             self._forward(msg)
             return
-        self.used_edges.add(e)
-        self.schedule(self.g.weight(e), self._process_hop, msg)
+        self.used_edges.add(edge_id(at, nxt))
+        self.schedule(w, self._process_hop, msg)
 
     def bulk(self, msg: Message, cost) -> None:
         """Direct delivery with explicit cost; the latency is the cost."""
@@ -280,11 +287,12 @@ class Simulator:
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> None:
-        while self._heap:
-            t, _seq, fn, data = heapq.heappop(self._heap)
+        heap, pop, limit = self._heap, heapq.heappop, self.event_limit
+        while heap:
+            t, _seq, fn, data = pop(heap)
             self.now = t
             self._processed += 1
-            if self._processed > self.event_limit:
+            if self._processed > limit:
                 raise RuntimeError("event limit exceeded; likely livelock")
             fn(data)
 
@@ -294,9 +302,9 @@ class Simulator:
         if msg.lost:
             return
         nxt = msg.route.pop(0)
-        e = edge_id(msg.at, nxt)
-        self.ledger.charge(msg.bucket, self.g.weight(e), msg.size)
-        msg.traveled += self.g.weight(e)
+        w = self.g._ever[msg.at][nxt]
+        self.ledger.charge(msg.bucket, w, msg.size)
+        msg.traveled += w
         msg.at = nxt
         if msg.at == msg.dst:
             self._deliver(msg)

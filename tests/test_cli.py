@@ -13,6 +13,8 @@ from faultdir.bounds import RECORD_SCHEMA
 from faultdir.cli import _gen_scenario, _graph_spec, console, main
 from faultdir.scenario import Runtime, validate_scenario
 
+from golden.corpus import scenario
+
 
 def test_graph_spec_parsing():
     assert _graph_spec("ring:12") == {"kind": "ring", "n": 12}
@@ -89,6 +91,54 @@ def test_run_then_check_round_trip(tmp_path):
     report = json.loads((out_dir / "bound_report.json").read_text())
     assert report["ok"] is True
     assert all(line["passed"] for line in report["lines"])
+
+
+@pytest.fixture(scope="module")
+def grid_fail(tmp_path_factory):
+    """The `grid-fail` golden run through `faultdir run`: its artifact
+    directory and its record."""
+    out = tmp_path_factory.mktemp("grid-fail")
+    scen_path = out / "scen.json"
+    scen_path.write_text(json.dumps(scenario("grid-fail")))
+    assert main(["run", str(scen_path), "--out-dir", str(out)]) == 0
+    return out, json.loads((out / "record.json").read_text())
+
+
+def test_ledger_csv_holds_the_record_ledger_row_by_row(grid_fail):
+    out, record = grid_fail
+    assert record["failures"]
+    with open(out / "ledger.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows == [{k: str(v) for k, v in row.items()}
+                    for row in record["ledger"]]
+
+
+def test_check_refuses_a_top_its_record_cannot_hold(grid_fail, tmp_path, capsys):
+    # `check_bounds` builds the levels -1..top and raises rho to the
+    # publish top: a huge top is refused by radii's key count before any
+    # level is built, and publish.top must lie in [0, top]
+    _out, record = grid_fail
+    top = record["top"]
+    radii_msg = f"radii is not keyed by exactly the levels -1 to top ({{}})"
+    shifted = {str(int(k) + 1 if int(k) == top else k): r
+               for k, r in record["radii"].items()}
+    cases = [({"top": 10 ** 9}, radii_msg.format(10 ** 9)),
+             ({"top": top + 1}, radii_msg.format(top + 1)),
+             ({"top": -3}, radii_msg.format(-3)),
+             ({"radii": shifted}, radii_msg.format(top)),
+             ({"publish": dict(record["publish"], top=10 ** 5)},
+              f"publish.top 100000 is outside [0, {top}]"),
+             ({"publish": dict(record["publish"], top=top + 1)},
+              f"publish.top {top + 1} is outside [0, {top}]"),
+             ({"publish": dict(record["publish"], top=-1)},
+              f"publish.top -1 is outside [0, {top}]")]
+    for change, message in cases:
+        rec_path = tmp_path / "bad.json"
+        rec_path.write_text(json.dumps(dict(record, **change)))
+        argv = ["check", str(rec_path), "--out", str(tmp_path / "rep.json")]
+        assert console(argv) == 2, change
+        assert capsys.readouterr().err == f"faultdir check: {rec_path}: {message}\n"
+        assert not (tmp_path / "rep.json").exists()
 
 
 def test_check_fails_on_planted_violation(tmp_path):
@@ -552,3 +602,25 @@ def test_gen_reports_how_many_failures_it_generated(tmp_path, capsys):
     # the scenario itself is what the generator returns, cut included
     assert json.loads(scen_path.read_text()) == _gen_scenario(
         {"kind": "ring", "n": 8}, "strong", 2, 3, 4, 3, 1000)
+
+
+def test_gen_moves_sets_the_move_share(tmp_path):
+    # any corpus scenario can be rebuilt from the command line
+    scen_path = tmp_path / "scen.json"
+    assert main(["gen", "--graph", "grid:4x5", "--seed", "3", "--ops", "10",
+                 "--failures", "2", "--horizon", "2000", "--moves", "0.2",
+                 "--out", str(scen_path)]) == 0
+    sc = json.loads(scen_path.read_text())
+    assert sc == _gen_scenario({"kind": "grid", "rows": 4, "cols": 5},
+                               "strong", 2, 3, 10, 2, 2000, move_frac=0.2)
+    assert sum(ev["do"] == "move" for ev in sc["events"]) == 2
+
+
+@pytest.mark.parametrize("share", ["-0.1", "1.5", "x", "nan"])
+def test_gen_refuses_a_move_share_outside_0_1(share, capsys):
+    with pytest.raises(SystemExit) as exc:
+        console(["gen", "--moves", share])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --moves: {share!r} is not a number in [0, 1]" in err
+    assert "Traceback" not in err

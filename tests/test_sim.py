@@ -1,14 +1,16 @@
 """Transport layer: routing costs, ordering, loss and recovery."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from faultdir.cli import _gen_scenario
 from faultdir.graph import (build_spt, edge_id, grid_graph, random_graph,
                             ring_graph)
 from faultdir.scenario import Runtime
-from faultdir.sim import Message, Simulator
+from faultdir.sim import Message, Simulator, _q
 
 from golden.corpus import GOLDEN, scenario
 from oracles import fw_all_pairs
@@ -83,6 +85,29 @@ def test_fifo_order_per_edge_direction():
     sim.run()
     assert got == [first, second]
     assert edge_id(0, 1) in sim.used_edges
+
+
+def test_hops_from_the_higher_endpoint_name_the_canonical_edge():
+    # the hop reads the adjacency from the sending side (1 -> 0), but the
+    # used and blocked sets hold the edge smaller endpoint first
+    g = ring_graph(6)
+    sim = make_sim(g)
+    got = collect(sim)
+    sim.send(Message("ping", 1, 0, {}, bucket="t"))
+    sim.run()
+    assert got[0].traveled == 1
+    assert sim.used_edges == {edge_id(0, 1)} == {(0, 1)}
+    g.kill_edge(edge_id(1, 2))  # 2's tree still routes through it
+    bounced = Message("ping", 2, 1, {}, bucket="t")
+    sim.send(bounced)
+    sim.run()
+    assert bounced.blocked == {(1, 2)}
+    assert bounced.traveled == 5
+
+
+@given(st.one_of(st.integers(), st.fractions()))
+def test_exact_string_form_of_ints_and_fractions(x):
+    assert _q(x) == str(Fraction(x))
 
 
 def test_bulk_charges_exactly_and_stamps_traveled():
