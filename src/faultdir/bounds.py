@@ -44,16 +44,22 @@ class LedgerView:
     def level_costs(self, op_id: str, tag: str) -> dict[int, Fraction]:
         """level -> summed cost of the op:<id>:L<k>:<tag> buckets."""
         out: dict[int, Fraction] = {}
-        head = f"op:{op_id}:L"
         for bucket in self._index.matching(f"op:{op_id}"):
-            if not bucket.startswith(head):
-                continue
-            lvl_s, _, kind = bucket[len(head):].partition(":")
-            if kind != tag:
-                continue
-            lvl = int(lvl_s)
-            out[lvl] = out.get(lvl, Fraction(0)) + self.rows[bucket][1]
+            for oid, k, kind in _op_levels(bucket):
+                if oid == op_id and kind == tag:
+                    lvl = int(k)
+                    out[lvl] = out.get(lvl, Fraction(0)) + self.rows[bucket][1]
         return out
+
+
+def _op_levels(bucket: str):
+    """Each reading of `bucket` as op:<id>:L<k>:<tag>, as (id, k, tag) with k
+    as written; the id and the tag may hold ':' themselves."""
+    at = bucket.find(":L", 3) if bucket.startswith("op:") else -1
+    while at >= 0:
+        k, _, tag = bucket[at + 2:].partition(":")
+        yield bucket[3:at], k, tag
+        at = bucket.find(":L", at + 1)
 
 
 @dataclass
@@ -146,31 +152,32 @@ def _is_exact(value) -> bool:
 # What `check_bounds` reads of a record, and of what kind: a dict is a JSON object with
 # those keys, [s] an array of s, ("map", k, s) an object of s keyed by strings of a
 # `_MAP_KEYS` kind k (test, what a refusal calls them, least count) and ("null", s) s or
-# null. A leaf is a `_LEAVES` kind (test, what a refusal calls it); "?" allows null.
+# null. A leaf is a `_LEAVES` kind (test, what a refusal calls it), "level" (an int in
+# [-1, top]) or "f" (a failure count, an int in [0, len(failures)]); "?" allows null.
 RECORD_SCHEMA = {
     "mode": "str", "rho": "exact", "sigma": "exact", "overlap": "exact", "top": "int",
     "n": "int", "d_alive": "exact", "c_prime": "exact", "radii": ("map", "level", "exact"),
     "failures": [{
-        "fid": "int", "top": "int", "extension": ("null", {}),
-        "splits": [{"child": "int?", "parent": "int", "level": "int"}],
-        "ext_check": ("null", {"crossing": "bool", "triggered": "bool", "h": "int",
-                               "h_new": "int?", "trigger_weight": "exact?",
+        "fid": "int", "top": "level", "extension": ("null", {}),
+        "splits": [{"child": "int?", "parent": "int", "level": "level"}],
+        "ext_check": ("null", {"crossing": "bool", "triggered": "bool", "h": "level",
+                               "h_new": "level?", "trigger_weight": "exact?",
                                "threshold": "exact", "far_dist": "exact"}),
         "stats": {"recluster": ("map", "cluster", {
-                      "level": "int", "bcast_msgs": "int", "bcast_max_dist": "exact",
+                      "level": "level", "bcast_msgs": "int", "bcast_max_dist": "exact",
                       "max_dist": "exact", "xfer_msgs": "int", "xfer_dist": "exact"}),
                   "path_update": {"msgs": "int", "max_dist": "exact"},
-                  "sc_update": [{"clamp": "int", "dist": "exact"}],
+                  "sc_update": [{"clamp": "level", "dist": "exact"}],
                   "preprocess": {"msgs": "int",
                                  "rows": ("map", "fan", {"max_dist": "exact"})}}}],
     "ledger": [{"bucket": "str", "messages": "int", "cost": "exact"}],
     "ops": [{"id": "str", "kind": "str", "phase": "str", "t_issue": "exact",
-             "t_complete": "exact?", "f_at_issue": "int", "f_at_complete": "int?",
-             "transient": "bool", "stale_walk": "bool", "discovery_level": "int?",
+             "t_complete": "exact?", "f_at_issue": "f", "f_at_complete": "f?",
+             "transient": "bool", "stale_walk": "bool", "discovery_level": "level?",
              "dist_at_issue": "exact?", "dist_prev_source": "exact?", "version": "int?",
              "read_t": "exact?"}],
-    "path": [{"level": "int", "dist_next": "exact?", "pair_f": "int?"}],
-    "publish": ("null", {"top": "int", "f": "int", "len": "exact"}),
+    "path": [{"level": "level", "dist_next": "exact?", "pair_f": "f?"}],
+    "publish": ("null", {"top": "level", "f": "f", "len": "exact"}),
     "partition_pre": {"levels": [{"r": "exact", "max_diameter": "exact",
                                   "max_overlap": "int"}], "ok": "bool"},
     "partition_post": {"ok": "bool"},
@@ -186,13 +193,13 @@ _MAP_KEYS = {"level": (lambda k: k.removeprefix("-").isdecimal(), "levels", 1),
              "fan": (_is_exact, "exact numbers", 0)}
 
 
-def _compile(schema):
+def _compile(schema, leaves):
     """(test, what, walk) for a node of RECORD_SCHEMA, resolved once per walk, not
     per row: `test` checks a value's own kind, `walk(value, path)` what it holds."""
     if isinstance(schema, str) and not schema.endswith("?"):
-        return (*_LEAVES[schema], None)
+        return (*leaves[schema], None)
     if isinstance(schema, dict):
-        fields = [(key, *_compile(sub)) for key, sub in schema.items()]
+        fields = [(key, *_compile(sub, leaves)) for key, sub in schema.items()]
 
         def walk(obj, path):
             for key, test, what, sub in fields:
@@ -202,7 +209,7 @@ def _compile(schema):
                 if sub:
                     sub(obj[key], at)
         return (lambda v: type(v) is dict), "a JSON object", walk
-    test, what, sub = _compile(schema[:-1] if isinstance(schema, str) else schema[-1])
+    test, what, sub = _compile(schema[:-1] if isinstance(schema, str) else schema[-1], leaves)
     if isinstance(schema, str) or schema[0] == "null":  # "s?" is ("null", s)
         return ((lambda v: v is None or test(v)), f"{what} or null",
                 sub and (lambda v, path: v is None or sub(v, path)))
@@ -226,14 +233,19 @@ def validate_record(record) -> None:
     missing key, ValueError for a wrong kind or a broken joint rule."""
     if type(record) is not dict:
         raise ValueError("not a JSON object")
-    _compile(RECORD_SCHEMA)[2](record, "")
-    # the bounds divide by rho - 1 and by radii, and sum over levels up to
-    # each op's discovery level
+    # the walk checks `top` and `failures` before any level or failure count
+    top, failures = record.get("top"), record.get("failures")
+    nf = len(failures) if type(failures) is list else 0
+    is_level = lambda v: type(v) is int and -1 <= v <= top
+    leaves = dict(_LEAVES, level=(is_level, f"a level in [-1, {top}]"), f=(
+        lambda v: type(v) is int and 0 <= v <= nf, f"a failure count in [0, {nf}]"))
+    _compile(RECORD_SCHEMA, leaves)[2](record, "")
+    # the bounds divide by rho - 1 and by radii
     if Fraction(record["rho"]) < 2:
         raise ValueError(f"rho {record['rho']} is below 2")
     # the path chain walks the levels -1..top; radii keyed by exactly those
     # levels bound top by the file's size (the count is compared first)
-    top, radii = record["top"], record["radii"]
+    radii = record["radii"]
     if len(radii) != top + 2 or set(map(int, radii)) != set(range(-1, top + 1)):
         raise ValueError(f"radii is not keyed by exactly the levels -1 to top ({top})")
     for key, r in radii.items():
@@ -241,17 +253,19 @@ def validate_record(record) -> None:
             raise ValueError(f"radii[{key!r}] is {r}, not 0")
         if int(key) >= 0 and Fraction(r) <= 0:
             raise ValueError(f"radii[{key!r}] is {r}, not positive")
-    # the publish bound grows as rho ** publish.top; the top only grows
+    # the first path reaches at least level 0
     publish = record["publish"]
-    if publish is not None and not 0 <= publish["top"] <= top:
+    if publish is not None and publish["top"] < 0:
         raise ValueError(f"publish.top {publish['top']} is outside [0, {top}]")
     for k, op in enumerate(record["ops"]):
         if op["phase"] == "done" and op["t_complete"] is None:
             raise ValueError(f"ops[{k}] is done with a null t_complete")
-        level = op["discovery_level"]
-        if level is not None and not -1 <= level <= top:
-            raise ValueError(f"ops[{k}].discovery_level {level} is outside "
-                             f"[-1, {top}]")
+    # the search-level check reads k off every op:<id>:L<k>:<tag> bucket
+    for row in record["ledger"]:
+        for _op, k, _tag in _op_levels(row["bucket"]):
+            if not (k.removeprefix("-").isdecimal() and is_level(int(k))):
+                raise ValueError(f"ledger bucket {row['bucket']!r} names no level "
+                                 f"in [-1, {top}]")
     levels = record["partition_pre"]["levels"]
     if not any(Fraction(row["r"]) > 0 for row in levels):
         raise ValueError("partition_pre has no exact level rows with r > 0")
@@ -288,11 +302,8 @@ class _Rec:
         self.led = LedgerView(record["ledger"])
 
     def radius(self, i: int) -> Fraction:
-        if i < min(self.radii):
-            return Fraction(0)
-        if i > max(self.radii):
-            i = max(self.radii)
-        return self.radii[i]
+        # only the pair bound of a top path row with a dist_next asks past the top
+        return self.radii[min(i, self.top)]
 
     def i_eff(self, f: int) -> Fraction:
         """The overlap inflated by f failures: each failure adds one

@@ -388,7 +388,7 @@ class Directory:
                 payload = {"op": op.id, "kind": op.kind, "level": op.level,
                            "issuer": op.issuer, "members": list(witnesses)}
                 if op.kind == "move":
-                    payload["new_down"] = self._move_branch_node(op, op.level - 1)
+                    payload["new_down"] = op.branch[op.level - 1]
                 size = "logn" if len(witnesses) <= 4 else "nlogn"
                 self._send("search", op.issuer, leader, payload, size,
                            f"op:{op.id}:L{op.level}:query")
@@ -399,12 +399,6 @@ class Directory:
                 return
             if not self._level_done(op):
                 return
-
-    def _move_branch_node(self, op: OpState, level: int) -> int:
-        """The mover's own path node at `level` (the branch built so far)."""
-        if level in op.branch:
-            return op.branch[level]
-        return self.believed_own_leader(op.issuer, level)
 
     def _level_done(self, op: OpState) -> bool:
         """Returns True if the op should keep searching (level advanced)."""
@@ -417,7 +411,7 @@ class Directory:
                 return False
             op.pending_add = op.level
             payload = {"op": op.id, "level": op.level,
-                       "down": self._move_branch_node(op, op.level - 1),
+                       "down": op.branch[op.level - 1],
                        "added_by": op.issuer}
             self._send("move_add", op.issuer, leader, payload, "logn",
                        f"op:{op.id}:L{op.level}:link")
@@ -530,7 +524,7 @@ class Directory:
         op.pending_add = None
         level = p["level"]
         op.branch[level] = msg.src
-        below = self._move_branch_node(op, level - 1)
+        below = op.branch[level - 1]
         self._send("set_up", op.issuer, below,
                    {"level": level - 1, "up": msg.src},
                    "const", f"op:{op.id}:L{level}:link")

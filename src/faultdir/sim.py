@@ -287,7 +287,8 @@ class Simulator:
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> None:
-        heap, pop, limit = self._heap, heapq.heappop, self.event_limit
+        # the limit bounds one settle; `_processed` counts the whole run
+        heap, pop, limit = self._heap, heapq.heappop, self._processed + self.event_limit
         while heap:
             t, _seq, fn, data = pop(heap)
             self.now = t

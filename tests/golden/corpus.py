@@ -110,9 +110,9 @@ def scenario(name: str) -> dict:
     return _gen_scenario(**SCENARIOS[name])
 
 
-def outcome(name: str, work_dir: str) -> dict:
-    """Run one scenario and describe its outcome as a corpus entry."""
-    rt = Runtime(scenario(name))
+def outcome(name: str, work_dir: str, table: dict = SCENARIOS) -> dict:
+    """Run one scenario of `table` and describe its outcome as a corpus entry."""
+    rt = Runtime(_gen_scenario(**table[name]))
     try:
         record = rt.run()
     except RuntimeError as exc:

@@ -116,7 +116,8 @@ def test_ledger_csv_holds_the_record_ledger_row_by_row(grid_fail):
 def test_check_refuses_a_top_its_record_cannot_hold(grid_fail, tmp_path, capsys):
     # `check_bounds` builds the levels -1..top and raises rho to the
     # publish top: a huge top is refused by radii's key count before any
-    # level is built, and publish.top must lie in [0, top]
+    # level is built, a top below a failure's top by the walk, and
+    # publish.top must lie in [0, top]
     _out, record = grid_fail
     top = record["top"]
     radii_msg = f"radii is not keyed by exactly the levels -1 to top ({{}})"
@@ -124,12 +125,12 @@ def test_check_refuses_a_top_its_record_cannot_hold(grid_fail, tmp_path, capsys)
                for k, r in record["radii"].items()}
     cases = [({"top": 10 ** 9}, radii_msg.format(10 ** 9)),
              ({"top": top + 1}, radii_msg.format(top + 1)),
-             ({"top": -3}, radii_msg.format(-3)),
+             ({"top": -3}, "failures[0].top is not a level in [-1, -3]"),
              ({"radii": shifted}, radii_msg.format(top)),
              ({"publish": dict(record["publish"], top=10 ** 5)},
-              f"publish.top 100000 is outside [0, {top}]"),
+              f"publish.top is not a level in [-1, {top}]"),
              ({"publish": dict(record["publish"], top=top + 1)},
-              f"publish.top {top + 1} is outside [0, {top}]"),
+              f"publish.top is not a level in [-1, {top}]"),
              ({"publish": dict(record["publish"], top=-1)},
               f"publish.top -1 is outside [0, {top}]")]
     for change, message in cases:
@@ -433,12 +434,13 @@ def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
     def garbled(name, k, key, value, message):
         return nested((name, k, key), value, f"{name}[{k}]{message}")
 
-    cases += [garbled("ops", look, "f_at_issue", "x",
-                      ".f_at_issue is not a JSON integer"),
-              garbled("ops", look, "f_at_issue", True,
-                      ".f_at_issue is not a JSON integer"),
+    top, nf = record["top"], len(record["failures"])
+    level_msg = f" is not a level in [-1, {top}]"
+    f_msg = f" is not a failure count in [0, {nf}]"
+    cases += [garbled("ops", look, "f_at_issue", "x", ".f_at_issue" + f_msg),
+              garbled("ops", look, "f_at_issue", True, ".f_at_issue" + f_msg),
               garbled("ops", look, "discovery_level", "x",
-                      ".discovery_level is not a JSON integer or null"),
+                      ".discovery_level" + level_msg + " or null"),
               garbled("ops", look, "dist_at_issue", "x",
                       ".dist_at_issue is not an exact number or null"),
               garbled("ops", look, "read_t", 1.5,
@@ -460,7 +462,6 @@ def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
                "missing key 'ledger[0].cost'")]
     # values of the right kind must also lie in range: the bounds divide by
     # rho - 1 and by radii, and sum over the levels up to a discovery level
-    top = record["top"]
     cases += [("rho", 1, "rho 1 is below 2"),
               ("rho", "0", "rho 0 is below 2"),
               ("radii", dict(record["radii"], **{"0": 0}),
@@ -470,17 +471,45 @@ def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
               ("radii", dict(record["radii"], **{"-1": 1}),
                "radii['-1'] is 1, not 0"),
               garbled("ops", look, "discovery_level", 10 ** 9,
-                      f".discovery_level 1000000000 is outside [-1, {top}]"),
+                      ".discovery_level" + level_msg + " or null"),
               garbled("ops", look, "discovery_level", -2,
-                      f".discovery_level -2 is outside [-1, {top}]")]
+                      ".discovery_level" + level_msg + " or null")]
+    # every other level lies in [-1, top] and every failure count in
+    # [0, len(failures)] too: one value out of range per field of either kind
+    cid = next(iter(record["failures"][0]["stats"]["recluster"]))
+    split = {"child": 5, "parent": 6, "level": 99}
+    bucket = f"op:{record['ops'][look]['id']}:L{{}}:query"
+    cases += [nested(("failures", 0, "top"), 10 ** 6, "failures[0].top" + level_msg),
+              nested(("failures", 0, "splits"), [split],
+                     "failures[0].splits[0].level" + level_msg),
+              nested(("failures", 0, "ext_check", "h"), -2,
+                     "failures[0].ext_check.h" + level_msg),
+              nested(("failures", 0, "ext_check", "h_new"), 10 ** 7,
+                     "failures[0].ext_check.h_new" + level_msg + " or null"),
+              nested(("failures", 0, "stats", "recluster", cid, "level"), 99,
+                     f"failures[0].stats.recluster[{cid!r}].level" + level_msg),
+              nested(("failures", 0, "stats", "sc_update", 0, "clamp"), 10 ** 7,
+                     "failures[0].stats.sc_update[0].clamp" + level_msg),
+              nested(("failures", 0, "stats", "sc_update", 0, "clamp"), -5,
+                     "failures[0].stats.sc_update[0].clamp" + level_msg),
+              nested(("path", 0, "level"), top + 1, "path[0].level" + level_msg),
+              nested(("publish", "top"), 10 ** 6, "publish.top" + level_msg),
+              garbled("ops", look, "f_at_issue", 10 ** 6, ".f_at_issue" + f_msg),
+              garbled("ops", look, "f_at_complete", -1,
+                      ".f_at_complete" + f_msg + " or null"),
+              nested(("path", 0, "pair_f"), 10 ** 6, "path[0].pair_f" + f_msg + " or null"),
+              nested(("publish", "f"), nf + 1, "publish.f" + f_msg)]
+    for k in ("x0", "999999"):
+        row = {"bucket": bucket.format(k), "messages": 1, "cost": "1"}
+        cases.append(("ledger", [row] + record["ledger"],
+                      f"ledger bucket {row['bucket']!r} names no level in [-1, {top}]"))
     # and every value it reads in a failure, a path row, a token interval,
     # the first publish and the partition after failures
     no_ok = {k: v for k, v in record["partition_post"].items() if k != "ok"}
     cases += [nested(("failures", 0, "stats", "path_update", "max_dist"), "x",
                      "failures[0].stats.path_update.max_dist is not an "
                      "exact number"),
-              nested(("failures", 0, "top"), "x",
-                     "failures[0].top is not a JSON integer"),
+              nested(("failures", 0, "top"), "x", "failures[0].top" + level_msg),
               nested(("failures", 0, "splits"), None,
                      "failures[0].splits is not a JSON array"),
               nested(("failures", 0, "ext_check"), {"crossing": True},
@@ -528,7 +557,7 @@ def test_check_refuses_a_split_cycle_instead_of_hanging(tmp_path, capsys):
             f"ancestor\n")
 
 
-WRONG_KINDS = ["x", None, 1.5, [], {}, True]
+WRONG_KINDS = ["x", None, 1.5, [], {}, True, 10 ** 7, -5]
 
 
 def _leaf_paths(value, path=()):

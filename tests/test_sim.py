@@ -230,6 +230,19 @@ def test_event_limit_guards_livelock():
         sim.run()
 
 
+def test_event_limit_bounds_each_settle_not_the_run():
+    # a long run settles many times; only one settle may not pass the limit
+    g = ring_graph(4)
+    sim = make_sim(g)
+    sim.event_limit = 50
+    sim.timers["tick"] = lambda _d: None
+    for _ in range(3):
+        for _ in range(40):
+            sim.call_later(1, "tick")
+        sim.run()
+    assert sim._processed == 120 > sim.event_limit
+
+
 def test_timer_dispatch_and_clock():
     g = ring_graph(4)
     sim = make_sim(g)
