@@ -213,6 +213,9 @@ class FailureEngine:
 
     def _on_cluster_notify(self, msg):
         p = msg.payload
+        # the notice names the dead edge: the receiver repairs its own tree
+        # at once, at no message cost, as the endpoints do in `fail_edge`
+        self._repair_tree(msg.dst, edge_id(*p["edge"]), p["fid"])
         self._stat_recluster(p["fid"], p["cluster"], p["level"], "notify",
                              msg.traveled)
         if p.pop("stuck", None):

@@ -478,6 +478,10 @@ class Directory:
             # the walk can outrun this reply; keep the books right anyway
             op.discovery_level = p["level"]
             op.via_shortcut = bool(p.get("via_shortcut"))
+        if p["found"] and op.kind == "move":
+            # msg.src spliced its level down at the branch; the token can
+            # outrun this reply, so link the branch up even if it did
+            self._link_up(op, p["level"], msg.src)
         if op.phase != "up" or p["level"] != op.level or op.outstanding != msg.src:
             return
         op.outstanding = None
@@ -524,10 +528,7 @@ class Directory:
         op.pending_add = None
         level = p["level"]
         op.branch[level] = msg.src
-        below = op.branch[level - 1]
-        self._send("set_up", op.issuer, below,
-                   {"level": level - 1, "up": msg.src},
-                   "const", f"op:{op.id}:L{level}:link")
+        self._link_up(op, level, msg.src)
         if op.id not in self.open:
             return
         if p["spliced"]:
@@ -536,6 +537,13 @@ class Directory:
             return
         op.level = level + 1
         self._advance(op)
+
+    def _link_up(self, op, level, up):
+        """`up` now holds the move's link at `level`: point the mover's
+        branch node one level below up at it."""
+        self._send("set_up", op.issuer, op.branch[level - 1],
+                   {"level": level - 1, "up": up},
+                   "const", f"op:{op.id}:L{level}:link")
 
     def _on_set_up(self, msg):
         if self._parked(msg):

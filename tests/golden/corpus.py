@@ -1,7 +1,7 @@
 """Pinned scenarios: every named run whose outcome must not move.
 
 ``SCENARIOS`` holds two groups: the nine small ``GOLDEN`` runs, one shape
-of run each, and 200 ``GENERATED`` runs, bigger and with failures and
+of run each, and 262 ``GENERATED`` runs, bigger and with failures and
 moves. Each entry in ``corpus.json`` holds, for one scenario run in
 process through ``Runtime`` and written by ``faultdir run``'s artifact
 writer, the sha256 of ``record.json``, ``events.jsonl`` and ``ledger.csv``
@@ -20,7 +20,8 @@ the entries by hand first, only when moving them is the stated point of
 the change, and say in CHANGES.md which fields moved. Re-pinning to make
 a failing test pass is not allowed. ``--check`` prints one line per field
 that differs and exits 1 if any does. ``tests/test_corpus.py`` checks
-every golden and ``SLICE`` in tier-1.
+every golden and ``SLICE`` in tier-1, and that every pin but its
+listed known defects has no error and no failing formula.
 """
 from __future__ import annotations
 
@@ -82,37 +83,55 @@ SHAPES = {
     "rand24": lambda seed: {"kind": "random", "n": 24, "p": 0.2, "seed": seed},
     "ring14": lambda seed: {"kind": "ring", "n": 14},
     "grid8": lambda seed: {"kind": "grid", "rows": 8, "cols": 8},
+    "ring20": lambda seed: {"kind": "ring", "n": 20},
+    "rand48": lambda seed: {"kind": "random", "n": 48, "p": 0.1, "seed": seed},
+    "grid16": lambda seed: {"kind": "grid", "rows": 16, "cols": 16},
 }
+
+
+def _family(shape: str, seeds, tail: str, **kwargs) -> dict[str, dict]:
+    """`<shape>-<mode>-s<seed>-<tail>` -> `_gen_scenario` arguments, both
+    modes, rho 2, the graph's seed (if it has one) doubling as the
+    scenario's."""
+    return {f"{shape}-{mode}-s{seed}-{tail}": dict(
+        graph_spec=SHAPES[shape](seed), mode=mode, rho=2, seed=seed, **kwargs)
+        for mode in ("strong", "weak") for seed in seeds}
+
 
 # A ring has room for one failure only; the generator draws what fits.
 GENERATED = {
-    f"{shape}-{mode}-s{seed}-m{pct}": dict(
-        graph_spec=spec(seed), mode=mode, rho=2, seed=seed, ops=30,
-        failures=12, horizon=3000, move_frac=pct / 100)
-    for shape, spec in SHAPES.items() for mode in ("strong", "weak")
-    for seed in range(10) for pct in (20, 50)
-} | {
-    f"rand24-{mode}-s{seed}-ops40": dict(
-        graph_spec=SHAPES["rand24"](seed), mode=mode, rho=2, seed=seed,
-        ops=40, failures=10, horizon=3000, move_frac=0.5)
-    for seed in range(100, 140) for mode in ("strong", "weak")
-}
+    name: kwargs
+    for shape in ("rand24", "ring14", "grid8") for pct in (20, 50)
+    for name, kwargs in _family(shape, range(10), f"m{pct}", ops=30,
+                                failures=12, horizon=3000,
+                                move_frac=pct / 100).items()
+} | _family("rand24", range(100, 140), "ops40", ops=40, failures=10,
+            horizon=3000, move_frac=0.5) \
+  | _family("ring20", range(10), "ops60", ops=60, failures=10, horizon=5000,
+            move_frac=0.5) \
+  | _family("rand48", range(200, 215), "ops60", ops=60, failures=10,
+            horizon=5000, move_frac=0.5) \
+  | _family("grid16", range(6), "ops60", ops=60, failures=12, horizon=5000,
+            move_frac=0.5)
 
 SCENARIOS = GOLDEN | GENERATED
 
-# the generated scenarios tier-1 runs: every thirteenth name, which takes
-# in both the m20/m50 and the ops40 runs, all three shapes, both modes and move fractions, a run
-# whose bound check fails and a run that crashes
-SLICE = sorted(GENERATED)[::13]
+# the generated scenarios tier-1 runs, by one rule: every thirteenth name
+# of the runs pinned before the ops60 families joined (so their test ids
+# stay), and every ops60 run whose seed ends in 2; together they take in
+# every family, both modes, and ring20 seed 2, a known defect
+SLICE = sorted([
+    *sorted(name for name in GENERATED if not name.endswith("-ops60"))[::13],
+    *(name for name in GENERATED if name.endswith("2-ops60"))])
 
 
 def scenario(name: str) -> dict:
     return _gen_scenario(**SCENARIOS[name])
 
 
-def outcome(name: str, work_dir: str, table: dict = SCENARIOS) -> dict:
-    """Run one scenario of `table` and describe its outcome as a corpus entry."""
-    rt = Runtime(_gen_scenario(**table[name]))
+def outcome(name: str, work_dir: str) -> dict:
+    """Run one scenario and describe its outcome as a corpus entry."""
+    rt = Runtime(scenario(name))
     try:
         record = rt.run()
     except RuntimeError as exc:

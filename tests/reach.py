@@ -9,7 +9,7 @@ statements here. The module is named so that pytest does not collect it.
 
     PYTHONPATH=src python tests/reach.py            # the whole tier-1 suite
     PYTHONPATH=src python tests/reach.py tests/test_graph.py -x
-    PYTHONPATH=src python tests/reach.py --corpus   # the 209 corpus runs
+    PYTHONPATH=src python tests/reach.py --corpus   # the 271 corpus runs
 
 Arguments are passed to pytest. With `--corpus` it runs, instead of
 pytest, each scenario of `tests/golden/corpus.py` as its `outcome` does:

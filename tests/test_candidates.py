@@ -76,12 +76,7 @@ def test_cached_candidates_equal_the_oracle_on_every_call(name, monkeypatch):
     sc = golden_scenario(name) if name in GOLDEN \
         else _gen_scenario(**FAILURE_RUNS[name])
     rt = Runtime(sc)
-    try:
-        rt.run()
-    except RuntimeError as exc:
-        # the known path-state defect ends some runs early; every call
-        # made up to there was still checked
-        assert str(exc).startswith("path broken"), exc
+    rt.run()
     assert calls
     # a finished op lets go of its search state
     assert all(op.ball is None and not op.contacted and not op.stale_of

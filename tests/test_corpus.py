@@ -1,6 +1,6 @@
-"""Pinned scenarios: every golden and a fixed slice of the 200 generated
+"""Pinned scenarios: every golden and the ``SLICE`` of the generated
 scenarios of ``tests/golden/corpus.py`` replay as pinned in
-``corpus.json``; the rest runs through
+``corpus.json``, and every pin checks clean; the rest runs through
 ``python tests/golden/corpus.py --check``."""
 
 import json
@@ -11,22 +11,44 @@ import sys
 import pytest
 
 from golden import corpus
-from golden.corpus import (GOLDEN, SCENARIOS, SLICE, load_corpus, outcome,
-                           scenario)
+from golden.corpus import (GENERATED, GOLDEN, SCENARIOS, SLICE, load_corpus,
+                           outcome, scenario)
+
+# the pins a known defect keeps from checking clean, each with its failing
+# formulas: ring20 seed 2 refreshes 401 > 400 = n^2 peers at failure f0
+# (ROADMAP item 17)
+KNOWN_DEFECTS = {
+    "ring20-strong-s2-ops60": ["preprocess-volume"],
+    "ring20-weak-s2-ops60": ["preprocess-volume"],
+}
+
+
+def family(name):
+    """`<shape>-<tail>` of a generated scenario's name."""
+    shape, _mode, _seed, tail = name.split("-")
+    return f"{shape}-{tail}"
 
 
 def test_every_scenario_is_pinned():
     assert sorted(load_corpus()) == sorted(SCENARIOS)
 
 
+def test_every_pin_checks_clean():
+    """No pinned run raises, and none fails a bound formula but the known
+    defects, each exactly as listed."""
+    bad = {name: pin.get("error") or pin["failing"]
+           for name, pin in load_corpus().items()
+           if "error" in pin or pin["failing"]}
+    assert bad == KNOWN_DEFECTS
+
+
 def test_slice_covers_every_kind_of_scenario_and_outcome():
-    names = [name.split("-") for name in SLICE]
-    assert {shape for shape, *_ in names} == {"grid8", "rand24", "ring14"}
-    assert {mode for _, mode, *_ in names} == {"strong", "weak"}
-    assert {tail for *_, tail in names} == {"m20", "m50", "ops40"}
-    pins = [load_corpus()[name] for name in SLICE]
-    assert any("error" in pin for pin in pins)
-    assert any(pin.get("failing") for pin in pins)
+    """Every family, both modes, and both outcomes a pin may hold: clean,
+    and each known defect."""
+    assert {family(name) for name in SLICE} \
+        == {family(name) for name in GENERATED}
+    assert {name.split("-")[1] for name in SLICE} == {"strong", "weak"}
+    assert set(KNOWN_DEFECTS) < set(SLICE)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN) + SLICE)
@@ -62,12 +84,14 @@ def test_scenarios_cover_their_shapes(tmp_path):
 
 
 def test_slice_replays_under_another_hash_seed():
-    """String hashing, and so set order, depends on PYTHONHASHSEED: part of
-    the slice must check clean in a process with a different one."""
+    """String hashing, and so set order, depends on PYTHONHASHSEED: the
+    slice's strong runs, one or more of every family, must check clean in
+    a process with a different one."""
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    names = [name for name in SLICE if "-strong-" in name]
     proc = subprocess.run(
-        [sys.executable, corpus.__file__, "--check", *SLICE[::4]],
+        [sys.executable, corpus.__file__, "--check", *names],
         env=dict(os.environ, PYTHONHASHSEED=seed), capture_output=True,
         text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert f"0 fields moved in {len(SLICE[::4])} scenarios" in proc.stderr
+    assert f"0 fields moved in {len(names)} scenarios" in proc.stderr

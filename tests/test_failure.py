@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from faultdir import failure as failure_module
+from faultdir.bounds import check_bounds
 from faultdir.cli import _gen_scenario
 from faultdir.failure import FailureEngine
 from faultdir.graph import build_spt, edge_id, subtree
@@ -448,13 +449,7 @@ def test_split_trees_match_the_old_walks(monkeypatch):
                 rt = Runtime(_gen_scenario(spec, mode, 2, seed, ops=8,
                                            failures=5, horizon=2000,
                                            move_frac=0.2))
-                try:
-                    rt.run()
-                except RuntimeError as exc:
-                    # the known path-state defect (random graph seed 2,
-                    # both modes) stops the run after its splits; it is a
-                    # protocol fault, not a tree one
-                    assert str(exc).startswith("path broken"), exc
+                rt.run()
     assert seen["checked"] >= 20 and seen["reroot"] and seen["dropped"], seen
 
 
@@ -558,3 +553,18 @@ def test_a_notice_for_a_gated_cluster_waits_for_its_verdict():
     c3 = engine.detach_log[c2.id][0]["child"]
     assert c2.members == {2} and rt.hier.levels[0][c3].members == {3}
     assert engine.held == {c3: []}
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_a_split_notice_repairs_its_receivers_tree(mode):
+    """A split notice names the dead edge, so its receiver repairs its own
+    tree before it answers: on the 11-ring the split verdict leaves on the
+    repaired tree instead of bouncing off the cut edge, and no path-update
+    message travels farther than the cut's alive distance (12 > 10 when
+    only the cut's endpoints and the notified tree owners repaired)."""
+    sc = {"name": "t", "mode": mode, "rho": 2, "seed": 0,
+          "graph": {"kind": "ring", "n": 11},
+          "events": [{"t": 0, "do": "publish", "node": 6},
+                     {"t": 100, "do": "fail", "edge": [5, 6]}]}
+    report = check_bounds(Runtime(sc).run())
+    assert [line.detail for line in report.failed()] == []

@@ -419,12 +419,7 @@ def test_shortcut_registry_matches_path_membership(name):
     """At quiescence every path state holds a shortcut registration, and
     the registries held at the targets are exactly those registrations."""
     rt = Runtime(scenario(name))
-    try:
-        rt.run()
-    except RuntimeError as exc:
-        # the known path-state defect ends some runs before the check
-        assert str(exc).startswith("path broken"), exc
-        return
+    rt.run()
     nodes = rt.dir.nodes
     for y, ns in nodes.items():
         assert all(st.shortcut is not None for st in ns.levels.values()), y
@@ -453,11 +448,7 @@ def test_each_node_holds_its_open_move(name):
         seen.append(len(moves))
 
     rt.sim._deliver = checked
-    try:
-        rt.run()
-    except RuntimeError as exc:
-        # the known path-state defect ends some runs before the end
-        assert str(exc).startswith("path broken"), exc
+    rt.run()
     assert seen
     if any(ev["do"] == "move" for ev in sc["events"]):
         assert max(seen) > 0
@@ -482,26 +473,24 @@ def test_every_waiting_lookup_is_open(name):
     assert rt.dir.quiescent()
 
 
-# -- a splice found by the search leaves the branch's up link unset ----------
-
-STUCK_MOVE = ("a splice found by the search never sets the up link of the "
-              "mover's branch node one level below: `_on_search_reply` sends "
-              "no set_up, unlike `_on_move_ack` after a splice made on an add")
+# -- a splice found by the search links the branch up ----------------------
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError, reason=STUCK_MOVE)
 def test_move_after_a_search_splice_and_split_finishes():
-    # a later split transaction at the branch node starts with Txn.up None,
-    # so it never repoints the parent's down link: node 2's level-3 down
-    # still points at 7 after 7 left level 2, and move12 never finishes
+    """The search reply that reports a splice sends the mover's branch node
+    below its set_up, as a move ack does; without it a later split
+    transaction at that node started with Txn.up None and never repointed
+    the parent's down link: node 2's level-3 down still pointed at 7 after
+    7 left level 2, and move12 never finished."""
     sc = _gen_scenario({"kind": "random", "n": 24, "p": 0.2, "seed": 139},
                        "weak", 2, 139, ops=40, failures=10, horizon=3000,
                        move_frac=0.5)
     assert check_bounds(Runtime(sc).run()).ok
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=STUCK_MOVE)
 def test_every_chain_node_points_up_at_its_upper_neighbour():
+    """At quiescence each node on the path points up at the next node of
+    the chain, including the nodes a search splice linked in."""
     wrong = []
     for seed in range(4):
         sc = _gen_scenario({"kind": "grid", "rows": 6, "cols": 6}, "strong",
