@@ -9,8 +9,9 @@ Subcommands:
 `check` exits nonzero when any inequality fails, so it can gate CI. The
 `faultdir` command (`console`) exits 2 with one line on stderr when `run`
 is given a scenario file it cannot read or that is invalid, or `check` a
-record it cannot read or that `bounds.validate_record` refuses; `main`
-raises instead.
+record it cannot read or that `bounds.validate_record` refuses, and 3
+with one line when a `run` hits the simulator's event limit in one
+settle (a likely livelock); `main` raises instead.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import sys
 from faultdir.bounds import check_bounds, validate_record
 from faultdir.partition import build_hierarchy
 from faultdir.scenario import Runtime, build_graph
+from faultdir.sim import EventLimitExceeded
 
 
 def _graph_spec(text: str) -> dict:
@@ -263,11 +265,15 @@ def main(argv=None) -> int:
 
 def console(argv=None) -> int:
     """The `faultdir` command: `main`, but an input file that cannot be
-    read or is invalid gets one line on stderr and exit code 2, not a
-    traceback. Errors from running a valid scenario or checking a
+    read or is invalid gets one line on stderr and exit code 2, and a run
+    that exceeds the event limit one line and exit code 3, not a
+    traceback. Other errors from running a valid scenario or checking a
     complete record still propagate."""
     try:
         return main(argv)
+    except EventLimitExceeded as exc:
+        print(f"faultdir run: {exc}", file=sys.stderr)
+        return 3
     except (OSError, ValueError, KeyError) as exc:
         if not hasattr(exc, "bad_input"):
             raise

@@ -107,12 +107,12 @@ class FailureEngine:
         row["msgs"] += 1
         row["max_dist"] = max(row["max_dist"], dist)
 
-    def _stat_preproc(self, fid, fan_r, dist):
+    def _stat_preproc(self, fid, fan_r, msgs, max_dist):
         pre = self.failures[fid]["stats"]["preprocess"]
-        pre["msgs"] += 1
+        pre["msgs"] += msgs
         row = pre["rows"].setdefault(str(fan_r), {"msgs": 0, "max_dist": 0})
-        row["msgs"] += 1
-        row["max_dist"] = max(row["max_dist"], dist)
+        row["msgs"] += msgs
+        row["max_dist"] = max(row["max_dist"], max_dist)
 
     def stat_sc_update(self, fid, level, clamp, dist):
         self.failures[fid]["stats"]["sc_update"].append(
@@ -389,22 +389,25 @@ class FailureEngine:
         self._apply_bcast(msg.dst, msg.payload)
 
     def _apply_bcast(self, x, payload):
-        fid = payload["fid"]
-        for level, leader in payload["entries"]:
+        fid, entries = payload["fid"], payload["entries"]
+        for level, leader in entries:
             self.dir.refresh_belief(x, x, level, leader)
         if payload["extension"]:
             self.dir.re_register(x, fid)
         fan_r = payload["fan_r"]
-        tree = self.sim.trees[x]
+        dist = self.sim.trees[x].dist
+        ball = sorted(z for z, d in dist.items() if d <= fan_r and z != x)
+        if not ball:
+            return
+        self._stat_preproc(fid, fan_r, len(ball), max(dist[z] for z in ball))
+        # one payload for the whole fan-out: `_on_refresh` only reads it,
+        # and nothing else sees a bulk message's payload
+        refresh = {"about": x, "entries": entries, "fid": fid}
         bucket = f"repair:preprocess:f{fid}"
-        for z in sorted(tree.dist):
-            if z == x or tree.dist[z] > fan_r:
-                continue
-            self._stat_preproc(fid, fan_r, tree.dist[z])
-            self.sim.bulk(Message("refresh", x, z,
-                                  {"about": x, "entries": payload["entries"],
-                                   "fid": fid}, size="logn", bucket=bucket),
-                          cost=tree.dist[z])
+        bulk = self.sim.bulk
+        for z in ball:
+            bulk(Message("refresh", x, z, refresh, size="logn", bucket=bucket),
+                 cost=dist[z])
 
     def _on_refresh(self, msg):
         z = msg.dst

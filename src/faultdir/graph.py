@@ -5,8 +5,9 @@ comparison made by the simulator is exact and runs are reproducible.
 An edge is alive iff it is in `_adj`; `_ever` keeps every edge ever
 added, as message logs, repairs and trees may still name dead edges.
 
-This module holds the one Dijkstra (`dijkstra`, with an edge filter and
-optional seeds) and every operation on a parent map `{node: parent}`,
+This module holds the one Dijkstra (`dijkstra`, with optional seeds),
+`induced`, which restricts an adjacency map to a node set for it, and
+every operation on a parent map `{node: parent}`,
 the form all trees take here (shortest path trees, cluster trees):
 `subtree` (a walk down `_ever` that reads only the nodes it returns),
 `root_path`, `child_endpoint`, `reroot` and `prune`.
@@ -181,7 +182,7 @@ class Graph:
         return sum(self.weight((a, b)) for a, b in zip(path, path[1:]))
 
 
-def dijkstra(adj, source=None, skip=None, start=None):
+def dijkstra(adj, source=None, start=None):
     """Dijkstra over an adjacency dict; returns (dist, parent).
 
     Deterministic: nodes settle in (distance, id) order and the parent
@@ -189,10 +190,8 @@ def dijkstra(adj, source=None, skip=None, start=None):
     settled nodes in that order, so an r-ball is the prefix of its items
     up to the first distance beyond r. (A tree map that
     `ShortestPathTree.repair` has written is not in settle order.)
-    `skip(u, v)`, if given, hides the edge u-v when relaxed from u: the
-    result is Dijkstra over the adjacency with those edges filtered out,
-    without copying it. `start`, if given, replaces the single source by
-    seeds {node: (dist, parent)}.
+    To keep a run inside a node set, pass `induced(adj, nodes)`. `start`,
+    if given, replaces the single source by seeds {node: (dist, parent)}.
     """
     if start is None:
         dist, parent, heap = {source: 0}, {source: None}, [(0, source)]
@@ -201,22 +200,33 @@ def dijkstra(adj, source=None, skip=None, start=None):
         parent = {x: p for x, (_, p) in start.items()}
         heap = sorted((d, x) for x, d in dist.items())  # a sorted list is a heap
     settled: dict[int, object] = {}
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = pop(heap)
         if u in settled:
             continue
         settled[u] = d
         for v, w in adj[u].items():
-            if skip is not None and skip(u, v):
+            # weights are positive, so a settled node's distance is final
+            if v in settled:
                 continue
             nd = d + w
-            if v not in dist or nd < dist[v]:
+            dv = dist.get(v)
+            if dv is None or nd < dv:
                 dist[v] = nd
                 parent[v] = u
-                heapq.heappush(heap, (nd, v))
-            elif nd == dist[v] and v not in settled and u < parent[v]:
+                push(heap, (nd, v))
+            elif nd == dv and u < parent[v]:
                 parent[v] = u
     return settled, parent
+
+
+def induced(adj, nodes) -> dict:
+    """The adjacency map restricted to `nodes`: each node's neighbours in
+    `nodes`, in `adj`'s order, so a Dijkstra over it relaxes the same
+    edges in the same order as one over `adj` that ignores every edge
+    leaving `nodes`."""
+    return {u: {v: w for v, w in adj[u].items() if v in nodes} for u in nodes}
 
 
 # -- parent maps: {node: parent}, the root maps to None ----------------------
@@ -305,11 +315,13 @@ class ShortestPathTree:
         graph. The tree may keep other dead edges its owner has not heard
         of yet; it never adopts one, as it reads only the alive adjacency.
 
-        Every lost node is seeded with its least (distance, id) attachment
-        to a kept node, then Dijkstra runs inside the lost part. Only lost
-        nodes change parent, and no kept node's tree edge can be a lost
-        node's (its parent would be lost, so it would be lost too), so the
-        lost nodes' edges before and after give the whole tree-edge diff.
+        One pass over the lost nodes' alive edges seeds every lost node
+        with its least (distance, id) attachment to a kept node and builds
+        the lost part's induced adjacency; Dijkstra then runs on that map.
+        Only lost nodes change parent, and no kept node's tree edge can be
+        a lost node's (its parent would be lost, so it would be lost too),
+        so the lost nodes' edges before and after give the whole tree-edge
+        diff.
 
         Returns (removed_tree_edges, added_tree_edges). No-op if e is not
         a tree edge.
@@ -318,21 +330,34 @@ class ShortestPathTree:
         if cut is None:
             return [], []
         lost = subtree(g._ever, self.parent, cut)
-        seeds = {}
+        kept_dist, alive = self.dist, g._adj
+        inner, seeds = {}, {}
         for s in lost:
-            best = min(((self.dist[x] + w, x) for x, w in g._adj[s].items()
-                        if x not in lost), default=None)
+            inner[s] = nbrs = {}
+            best = None
+            for x, w in alive[s].items():
+                if x in lost:
+                    nbrs[x] = w
+                    continue
+                key = (kept_dist[x] + w, x)
+                if best is None or key < best:
+                    best = key
             if best is not None:
                 seeds[s] = best
-        dist, parent = dijkstra(g._adj, start=seeds,
-                                skip=lambda u, v: v not in lost)
+        dist, parent = dijkstra(inner, start=seeds)
         if len(dist) != len(lost):
             raise ValueError(f"subtree below {e} cannot be reattached")
-        before = {edge_id(s, self.parent[s]) for s in lost}
+        # a lost node that keeps its parent keeps its edge, which no other
+        # lost node's old or new edge can equal (that would make a cycle)
+        before, after = set(), set()
         for s in lost:
+            old = self.parent[s]
             self.dist[s] = dist[s]
-            self.parent[s] = parent[s]
-        after = {edge_id(s, self.parent[s]) for s in lost}
+            p = parent[s]
+            if p != old:
+                self.parent[s] = p
+                before.add(edge_id(s, old))
+                after.add(edge_id(s, p))
         return sorted(before - after), sorted(after - before)
 
 

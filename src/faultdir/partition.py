@@ -25,7 +25,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from fractions import Fraction
 
-from faultdir.graph import Graph, edge_id, dijkstra
+from faultdir.graph import Graph, edge_id, dijkstra, induced
 
 # Largest denominator of a random shift. `build_partition`'s integer wave
 # keys are exact because every shift's denominator is at most this.
@@ -69,14 +69,15 @@ class Cluster:
 def eccentricities(g: Graph, members: set[int], mode: str) -> dict:
     """Member -> largest distance to another member: induced distances in
     strong mode, whole-graph ones in weak mode (the same distances when
-    the members are every node, so those reuse the graph's cache)."""
+    the members are every node, so those reuse the graph's cache). The
+    induced map is built once and every member's Dijkstra runs on it."""
     if len(members) == 1:
         return {u: 0 for u in members}
-    skip = (lambda u, v: v not in members) \
+    adj = induced(g._adj, members) \
         if mode == "strong" and len(members) < g.n else None
     out = {}
     for u in members:
-        dist = dijkstra(g._adj, u, skip=skip)[0] if skip else g.sssp(u)[0]
+        dist = dijkstra(adj, u)[0] if adj is not None else g.sssp(u)[0]
         if not members <= dist.keys():
             raise ValueError(f"induced subgraph of {sorted(members)} is disconnected")
         out[u] = max(dist[m] for m in members)
@@ -184,15 +185,15 @@ def choose_leader(ecc: dict) -> int:
 def cluster_tree(g: Graph, leader: int, members: set[int], mode: str) -> dict[int, int | None]:
     """Spanning tree reaching all members, rooted at the leader.
 
-    Strong mode: shortest path tree inside the induced subgraph. Weak
+    Strong mode: shortest path tree inside the induced subgraph, by
+    Dijkstra over `graph.induced(g._adj, members)`. Weak
     mode: shortest path tree over the whole graph pruned to the union of
     member root paths (may keep non-member pass-through nodes). The weak
     walk is written out rather than `graph.prune`: its key order follows
     the member set's iteration order, which later output may depend on.
     """
     if mode == "strong":
-        dist, parent = dijkstra(g._adj, leader,
-                                skip=lambda u, v: v not in members)
+        dist, parent = dijkstra(induced(g._adj, members), leader)
         if len(dist) != len(members):
             raise ValueError("induced subgraph disconnected")
         return {u: parent[u] for u in members}

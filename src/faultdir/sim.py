@@ -107,6 +107,11 @@ class CostLedger:
         return out
 
 
+class EventLimitExceeded(RuntimeError):
+    """One settle of `Simulator.run` took more than `event_limit` events:
+    most likely a livelock."""
+
+
 class Message:
     __slots__ = ("id", "kind", "src", "dst", "payload", "size", "bucket",
                  "route", "at", "blocked", "traveled", "lost", "no_reroute")
@@ -294,7 +299,7 @@ class Simulator:
             self.now = t
             self._processed += 1
             if self._processed > limit:
-                raise RuntimeError("event limit exceeded; likely livelock")
+                raise EventLimitExceeded("event limit exceeded; likely livelock")
             fn(data)
 
     def _process_hop(self, msg: Message) -> None:

@@ -559,7 +559,7 @@ def brute_candidates(dir, op):
 # -- the early-stopping Dijkstra that `Simulator._route_from` once ran -------
 
 
-def dijkstra_until(adj, source, targets, skip=None):
+def dijkstra_until(adj, source, targets):
     """`graph.dijkstra` as it was with its `targets` parameter: the same
     loop, stopped once every target has settled, so `dist` holds only the
     nodes settled by then. Returns (dist, parent)."""
@@ -575,8 +575,34 @@ def dijkstra_until(adj, source, targets, skip=None):
         if not remaining:
             break
         for v, w in adj[u].items():
-            if skip is not None and skip(u, v):
-                continue
+            nd = d + w
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd, v))
+            elif nd == dist[v] and v not in settled and u < parent[v]:
+                parent[v] = u
+    return settled, parent
+
+
+def relax_all_dijkstra(adj, source=None, start=None):
+    """`graph.dijkstra`'s loop as it was before it passed over settled
+    neighbours, less its unused edge filter: every edge out of a settled
+    node is relaxed, and a tie moves a parent only while its node is
+    unsettled."""
+    if start is None:
+        dist, parent, heap = {source: 0}, {source: None}, [(0, source)]
+    else:
+        dist = {x: d for x, (d, _) in start.items()}
+        parent = {x: p for x, (_, p) in start.items()}
+        heap = sorted((d, x) for x, d in dist.items())  # a sorted list is a heap
+    settled = {}
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled[u] = d
+        for v, w in adj[u].items():
             nd = d + w
             if v not in dist or nd < dist[v]:
                 dist[v] = nd

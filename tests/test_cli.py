@@ -9,9 +9,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from faultdir import cli
 from faultdir.bounds import RECORD_SCHEMA
 from faultdir.cli import _gen_scenario, _graph_spec, console, main
 from faultdir.scenario import Runtime, validate_scenario
+from faultdir.sim import EventLimitExceeded
 
 from golden.corpus import scenario
 
@@ -167,6 +169,28 @@ def test_run_reports_findings_with_nonzero_exit(tmp_path, capsys):
     scen_path.write_text(json.dumps(sc))
     assert main(["run", str(scen_path), "--out-dir",
                  str(tmp_path / "a")]) == 0
+
+
+def test_run_past_the_event_limit_exits_3_in_one_line(tmp_path, monkeypatch,
+                                                      capsys):
+    """A settle that outruns the event limit (a likely livelock) ends
+    `faultdir run` with one stderr line and exit code 3, and writes no
+    artifacts; `main` still raises."""
+    def small_limit(sc):
+        rt = Runtime(sc)
+        rt.sim.event_limit = 20
+        return rt
+
+    monkeypatch.setattr(cli, "Runtime", small_limit)
+    scen_path = tmp_path / "scen.json"
+    scen_path.write_text(json.dumps(scenario("grid-fail")))
+    argv = ["run", str(scen_path), "--out-dir", str(tmp_path / "a")]
+    assert console(argv) == 3
+    assert capsys.readouterr().err == \
+        "faultdir run: event limit exceeded; likely livelock\n"
+    assert not (tmp_path / "a").exists()
+    with pytest.raises(EventLimitExceeded):
+        main(argv)
 
 
 def test_partition_stats_output(capsys):

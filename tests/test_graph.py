@@ -9,17 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from faultdir import graph as graph_module
 from faultdir.graph import (
-    Graph, build_spt, child_endpoint, dijkstra, edge_id, grid_graph, load_graph,
-    parse_weight, path_graph, prune, random_graph, reroot, ring_graph, root_path,
-    subtree,
+    Graph, build_spt, child_endpoint, dijkstra, edge_id, grid_graph, induced,
+    load_graph, parse_weight, path_graph, prune, random_graph, reroot,
+    ring_graph, root_path, subtree,
 )
 from faultdir.partition import eccentricities
 from oracles import (brute_diameter, brute_neighborhood, check_spt,
                      children_subtree, contains_tree_edge, dijkstra_until,
                      dump_graph, fw_all_pairs, heap_repair, induced_adj,
-                     neighborhood, path_to_root, prune_fixpoint, reroot_walk,
-                     split_leader, tree_child_endpoint, tree_edges,
-                     with_weights)
+                     neighborhood, path_to_root, prune_fixpoint,
+                     relax_all_dijkstra, reroot_walk, split_leader,
+                     tree_child_endpoint, tree_edges, with_weights)
 
 
 def test_load_unit_path():
@@ -253,7 +253,7 @@ def test_generators_connected():
         assert 1 <= g.weight(e) <= 4
 
 
-# -- the edge filter against Dijkstra over a filtered copy -------------------
+# -- restricted adjacency maps ------------------------------------------------
 
 FILTER_GRAPHS = st.one_of(
     st.builds(ring_graph, st.integers(3, 12),
@@ -261,18 +261,6 @@ FILTER_GRAPHS = st.one_of(
     st.builds(random_graph, st.integers(2, 14), st.sampled_from([0.2, 0.4, 0.7]),
               st.integers(0, 10_000)),
 )
-
-
-@settings(max_examples=80, deadline=None)
-@given(g=FILTER_GRAPHS, data=st.data())
-def test_dijkstra_skip_equals_filtered_copy(g, data):
-    edges = g.alive_edges()
-    hidden = set(data.draw(st.lists(st.sampled_from(edges), max_size=len(edges))))
-    src = data.draw(st.sampled_from(g.nodes()))
-    copy = {u: {v: w for v, w in g.neighbors(u).items()
-                if edge_id(u, v) not in hidden} for u in g.nodes()}
-    want = dijkstra(copy, src)
-    assert dijkstra(g._adj, src, skip=lambda u, v: edge_id(u, v) in hidden) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -283,11 +271,13 @@ def test_full_run_root_paths_equal_early_stop_paths(g, data):
     root path settles before dst, so both runs give dst the same path."""
     edges = g.alive_edges()
     hidden = set(data.draw(st.lists(st.sampled_from(edges), max_size=len(edges))))
-    for skip in (None, lambda u, v: edge_id(u, v) in hidden):
+    filtered = {u: {v: w for v, w in g.neighbors(u).items()
+                    if edge_id(u, v) not in hidden} for u in g.nodes()}
+    for adj in (g._adj, filtered):
         for src in g.nodes():
-            dist, parent = dijkstra(g._adj, src, skip=skip)
+            dist, parent = dijkstra(adj, src)
             for dst in g.nodes():
-                near, near_parent = dijkstra_until(g._adj, src, {dst}, skip=skip)
+                near, near_parent = dijkstra_until(adj, src, {dst})
                 assert (dst in dist) == (dst in near)
                 if dst in near:
                     assert dist[dst] == near[dst]
@@ -296,11 +286,16 @@ def test_full_run_root_paths_equal_early_stop_paths(g, data):
 
 @settings(max_examples=80, deadline=None)
 @given(g=FILTER_GRAPHS, data=st.data())
-def test_dijkstra_skip_equals_induced_copy(g, data):
+def test_induced_equals_induced_copy(g, data):
+    """`induced` keeps each member's neighbours in the graph's order, so
+    Dijkstra relaxes the same edges in the same order over both maps."""
     members = set(data.draw(st.lists(st.sampled_from(g.nodes()), min_size=1)))
     src = data.draw(st.sampled_from(sorted(members)))
-    assert dijkstra(g._adj, src, skip=lambda u, v: v not in members) == \
-        dijkstra(induced_adj(g, members), src)
+    adj, want = induced(g._adj, members), induced_adj(g, members)
+    assert adj == want
+    assert all(list(adj[u].items()) == list(want[u].items()) for u in members)
+    got, expect = dijkstra(adj, src), dijkstra(want, src)
+    assert got == expect and list(got[0]) == list(expect[0])
 
 
 # -- settle order: a full Dijkstra map lists an r-ball as its prefix --------
@@ -336,6 +331,31 @@ def test_full_dijkstra_maps_are_settle_ordered_r_balls(g, data):
         if not g.alive_edges():
             break
         g.kill_edge(data.draw(st.sampled_from(g.alive_edges())))
+
+
+@st.composite
+def seed_maps(draw, adj):
+    """A `start=` map over some of adj's nodes, with tied distances and
+    parents that may lie outside adj, as `repair`'s seeds do."""
+    nodes = draw(st.lists(st.sampled_from(sorted(adj)), min_size=1, unique=True))
+    return {x: (draw(st.sampled_from([0, 1, 2, 3, Fraction(3, 2), Fraction(5, 2)])),
+                draw(st.integers(-3, 40))) for x in nodes}
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=SETTLE_GRAPHS, data=st.data())
+def test_lean_loop_matches_the_relax_all_loop(g, data):
+    """Passing over settled neighbours moves no distance, no parent and no
+    settle order, from one source or from seeds, over the whole graph or
+    a restricted map."""
+    members = set(data.draw(st.lists(st.sampled_from(g.nodes()), min_size=1)))
+    for adj in (g._adj, induced(g._adj, members)):
+        runs = [{"source": u} for u in adj]
+        runs += [{"start": data.draw(seed_maps(adj))} for _ in range(3)]
+        for kw in runs:
+            got, want = dijkstra(adj, **kw), relax_all_dijkstra(adj, **kw)
+            assert got == want
+            assert list(got[0]) == list(want[0])
 
 
 # -- SPT repair against the heap loop it replaced ---------------------------
