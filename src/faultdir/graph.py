@@ -163,13 +163,27 @@ class Graph:
     def sssp(self, source: int) -> tuple[dict[int, object], dict[int, int | None]]:
         """Single-source distances and parents on the alive graph, cached
         until the next mutation. Parent ties go to the smaller node id;
-        the distances iterate in settle order (see `dijkstra`)."""
+        the distances iterate in settle order (see `dijkstra`). Only this
+        method and `adopt_trees` fill the cache; its maps are shared with
+        `ShortestPathTree`s both ways (see there): callers only read them."""
         hit = self._sssp_cache.get(source)
         if hit is not None:
             return hit
         dist, parent = dijkstra(self._adj, source)
         self._sssp_cache[source] = (dist, parent)
         return dist, parent
+
+    def adopt_trees(self, trees: dict) -> None:
+        """Cache each tree as its root's `sssp` where none is cached. The
+        caller vouches that each tree equals `dijkstra(_adj, root)`. The
+        parent map is shared; the distances are copied in settle order,
+        (distance, id), as r-balls are read as prefixes of them. The next
+        mutation clears these entries like any other."""
+        cache = self._sssp_cache
+        for root, t in trees.items():
+            if root not in cache:
+                order = sorted((d, x) for x, d in t.dist.items())
+                cache[root] = ({x: d for d, x in order}, t.parent)
 
     def distance(self, u: int, v: int):
         dist, _ = self.sssp(u)
@@ -298,11 +312,14 @@ class ShortestPathTree:
     reports exactly which tree edges were dropped and added, so that the
     owner can tell those edges' endpoints.
 
-    A tree from `build_spt` holds the graph's cached maps, not copies. Only
-    `repair` writes them, and only for a dead tree edge, which was alive at
-    build: its `Graph.kill_edge` has already dropped them from the cache.
-    It writes them in place, so a repaired tree's `dist` is no longer in
-    settle order: no reader may take a tree's map as ordered.
+    The maps are shared with the graph's `sssp` cache both ways: a tree
+    from `build_spt` holds the cached maps, not copies, and
+    `Graph.adopt_trees` caches an exact tree's parent map (with its
+    distances copied in settle order). Only `repair` writes a tree's maps,
+    and only for a dead tree edge, which was alive when the maps were
+    cached: its `Graph.kill_edge` has already cleared the cache. It writes
+    them in place, so a repaired tree's `dist` is no longer in settle
+    order: no reader may take a tree's map as ordered.
     """
 
     def __init__(self, root: int, dist: dict, parent: dict):

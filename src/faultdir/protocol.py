@@ -100,7 +100,7 @@ class OpState:
         self.read_t = None
         self.walk_min_built_f = None
         self.owner_at_issue = None
-        self.dist_at_issue = None
+        self.dist_at_issue = None  # set by the driver (`Runtime.run`)
         self.flags: list[str] = []
         # move only: levels actually acked, so link payloads never rely on
         # beliefs that moved underneath us
@@ -281,7 +281,6 @@ class Directory:
             self._reject(op, "lookup_before_publish", node=u)
             return op
         op.owner_at_issue = self.current_owner()
-        op.dist_at_issue = self.sim.g.distance(u, op.owner_at_issue)
         if -1 in self.nodes[u].levels:
             # issuer already on the owner chain at level -1: local read or wait
             self._walk_arrived_at_owner(op, u)
@@ -300,7 +299,6 @@ class Directory:
             self._reject(op, "concurrent_move_same_node", node=v)
             return op
         op.owner_at_issue = self.current_owner()
-        op.dist_at_issue = self.sim.g.distance(v, op.owner_at_issue)
         if -1 in ns.levels and ns.has_token:
             # already the owner: nothing to do
             op.discovery_level = -1

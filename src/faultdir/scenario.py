@@ -191,12 +191,15 @@ class Runtime:
                            "lookup": self.dir.start_lookup,
                            "move": self.dir.start_move}[do]
                 op = starter(ev["node"])
+                if op.owner_at_issue is not None:
+                    op.dist_at_issue = self._alive_dist(ev["node"],
+                                                        op.owner_at_issue)
                 if do in ("publish", "move") and op.phase != "rejected":
                     # distance between consecutive request sources on the
                     # graph alive at issue (starting an op kills no edge);
                     # the competitive baseline
                     if self._last_source is not None:
-                        self._source_dist[op.id] = self.g.distance(
+                        self._source_dist[op.id] = self._alive_dist(
                             self._last_source, ev["node"])
                     self._last_source = ev["node"]
                 if ev.get("fail_during") is not None:
@@ -212,12 +215,25 @@ class Runtime:
                     "f": self.dir.failure_count}
         return self.record()
 
+    def _alive_dist(self, u: int, v: int):
+        """Distance from u to v on the alive graph, read off u's tree.
+
+        The driver calls it only on a settled system: right after a starter
+        returns (starting an op sends messages but kills no edge), after a
+        publish settles, and in `record()`. `_settle` raises unless the
+        system is quiescent, so every `spt_notify` and cluster notice has
+        been delivered and each tree has heard of every dead edge it held;
+        repair then leaves it the least-id shortest path tree of the alive
+        graph, equal to `dijkstra(g._adj, u)` in `dist` and in `parent`
+        (`tests/test_tree_premise.py` checks this after every settle)."""
+        return self.sim.trees[u].dist[v]
+
     def _chain_length(self):
         """Sum of alive-graph distances along the current directory path."""
         chain = self.dir.path_view()
         total = 0
         for (_, a), (_, b) in zip(chain, chain[1:]):
-            total += self.g.distance(a, b)
+            total += self._alive_dist(a, b)
         return total
 
     def record(self) -> dict:
@@ -263,8 +279,17 @@ class Runtime:
             intervals.append({"version": iv["version"], "holder": iv["holder"],
                               "t_from": q(iv["t_from"]),
                               "t_to": q(iv.get("t_to"))})
-        post = verify_partition(self.hier, post_failure=True) \
-            if self.engine.failures else self.hier.pre_check
+        if self.engine.failures:
+            # the trees are exact once the system has settled (see
+            # `_alive_dist`): the report reads them rather than running a
+            # Dijkstra per node
+            if not self.dir.quiescent():
+                raise RuntimeError("record() needs a settled system: its "
+                                   "trees may not have heard every failure")
+            self.g.adopt_trees(self.sim.trees)
+            post = verify_partition(self.hier, post_failure=True)
+        else:
+            post = self.hier.pre_check
         d_alive = 0
         for t in self.sim.trees.values():
             d_alive = max(d_alive, max(t.dist.values()))
@@ -313,15 +338,18 @@ class Runtime:
                 up_level, up_node = chain[idx + 1]
                 up_f = self.dir.nodes[up_node].levels[up_level].built_f
                 pair_f = max(st.built_f, up_f)
-                g_then = epochs.get(pair_f)
-                if g_then is None:
-                    g_then = build_graph(self.sc["graph"])
-                    for frec in self.engine.failures[:pair_f]:
-                        g_then.kill_edge(tuple(frec["edge"]))
-                    epochs[pair_f] = g_then
+                now = then = self._alive_dist(node, up_node)
+                if pair_f < len(self.engine.failures):
+                    g_then = epochs.get(pair_f)
+                    if g_then is None:
+                        g_then = build_graph(self.sc["graph"])
+                        for frec in self.engine.failures[:pair_f]:
+                            g_then.kill_edge(tuple(frec["edge"]))
+                        epochs[pair_f] = g_then
+                    then = g_then.distance(node, up_node)
                 row["pair_f"] = pair_f
-                row["dist_next"] = q(g_then.distance(node, up_node))
-                row["dist_next_now"] = q(self.g.distance(node, up_node))
+                row["dist_next"] = q(then)
+                row["dist_next_now"] = q(now)
             out.append(row)
         return out
 

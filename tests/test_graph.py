@@ -148,9 +148,18 @@ def test_spt_shares_the_cached_sssp_until_a_repair():
     for t in trees.values():
         t.repair(g, edge_id(0, 1))
     assert trees[0].dist[1] == 3
+    # the other way: the cache adopts the repaired trees, their distances
+    # back in settle order (tree 0's map is out of it) and parents shared
+    assert list(trees[0].dist) != list(dijkstra(g._adj, 0)[0])
+    g.adopt_trees(trees)
     for x, t in trees.items():
-        assert g.sssp(x) == dijkstra(g._adj, x)
+        dist, parent = g.sssp(x)
+        fresh_dist, fresh_parent = dijkstra(g._adj, x)
+        assert list(dist.items()) == list(fresh_dist.items())
+        assert parent is t.parent and parent == fresh_parent
         check_spt(g, t)
+    g.kill_edge((4, 5))
+    assert g._sssp_cache == {}
     g2 = Graph()
     g2.add_edge(0, 1, 1)
     g2.add_node(2)
