@@ -88,7 +88,6 @@ class OpState:
         self.outstanding = None
         self.contacted: dict[int, set[int]] = {}
         self.stale_of: dict[int, dict[int, int]] = {}
-        self.ball = None  # (level, *grouped ball) while searching
         self.pending_add = None
         self.acks_needed: set = set()
         self.discovery_level = None
@@ -124,6 +123,8 @@ class Directory:
         self.findings: list[dict] = []
         self.failure_count = 0
         self.engine = None  # set by the FailureEngine `Runtime` always builds
+        # u -> level -> u's grouped search ball (see `_ball`)
+        self._balls: dict[int, dict[int, tuple]] = {}
         for kind in ("pub_set", "ack", "search", "search_reply", "move_add",
                      "move_ack", "set_up", "down_fix", "del_walk", "lookup_walk",
                      "lookup_reply", "walk_fail", "token", "reg_sc", "unreg_sc"):
@@ -313,11 +314,20 @@ class Directory:
     # -- upward search machinery ---------------------------------------------
 
     def _ball(self, u: int, i: int):
-        """u's r_i-ball on its tree, grouped by believed leader: the nodes
-        whose leader u does not know, in id order, and (leader, xs, far,
-        near) per known leader, in leader order, with xs in id order, `far`
-        when the leader sits beyond the farthest a cluster's current
-        leader can be from u, and `near` the least distance of an x."""
+        """u's r_i-ball on its tree, grouped by believed leader, as
+        (unknown, order, far): the nodes whose leader u does not know, in
+        id order; the groups whose leader can be a cluster's current
+        leader, as (near, leader, xs) sorted, with `near` the least
+        distance of an x; and the groups whose leader sits beyond the
+        farthest a current leader can be from u, as (leader, xs) in leader
+        order. Every xs is in id order. Built on first ask and held in
+        `_balls` until `reevaluate(u)` drops u's entries: the ball reads
+        only u's tree and beliefs, whose writers call it, and the radius
+        and sigma, which are fixed after `measure()`."""
+        balls = self._balls.setdefault(u, {})
+        got = balls.get(i)
+        if got is not None:
+            return got
         r = self.hier.radius(i)
         reach = r + 2 * self.hier.sigma * r
         dist = self.sim.trees[u].dist
@@ -329,49 +339,57 @@ class Directory:
                 unknown.append(x)
             else:
                 groups.setdefault(led, []).append(x)
-        return (tuple(unknown),
-                tuple((led, tuple(xs), dist[led] > reach,
-                       min(dist[x] for x in xs))
-                      for led, xs in sorted(groups.items())))
+        order, far = [], []
+        for led, xs in sorted(groups.items()):
+            if dist[led] > reach:
+                far.append((led, tuple(xs)))
+            else:
+                order.append((min(dist[x] for x in xs), led, tuple(xs)))
+        order.sort()
+        got = balls[i] = (tuple(unknown), tuple(order), tuple(far))
+        return got
 
     def _candidates(self, op: OpState):
-        """(sort_key, leader, witnesses) not yet contacted at op.level, plus
-        the set of witnesses the op is currently waiting on. The grouped
-        ball (see `_ball`) is held in `op.ball` for the op's current level;
-        `reevaluate` drops it when u's knowledge changes, and `_close`
-        when the op closes.
-        The op's stale reports and contacted leaders are applied per call.
-        Witnesses are the ball's tuples, or new lists where stale reports
-        thinned a group; only a thinned group's least distance is
-        recomputed."""
+        """(near, leader, witnesses) not yet contacted at op.level, sorted,
+        plus the set of witnesses the op is currently waiting on, read off
+        the held ball (see `_ball`) with the op's stale reports and
+        contacted leaders applied. Without stale reports the answer is the
+        ball's `order` filtered, already sorted: each group's leader is
+        unique, so the sort never compares witnesses, and filtering a
+        sorted list equals sorting the filtered one. A stale report thins
+        its group into a new list whose least distance is recomputed, and
+        only then is the answer sorted again."""
         u = op.issuer
         i = op.level
-        if op.ball is None or op.ball[0] != i:
-            op.ball = (i, *self._ball(u, i))
-        _, unknown, groups = op.ball
-        dist = self.sim.trees[u].dist
+        unknown, order, far = self._ball(u, i)
         contacted = op.contacted.setdefault(i, set())
         stale_of = op.stale_of.setdefault(i, {})
         waits: set[int] = set(unknown)
-        ready = []
-        for led, xs, far, near in groups:
-            if stale_of:
-                # the leader said these left its cluster; wait for news
-                kept = [x for x in xs if stale_of.get(x) != led]
-                if len(kept) < len(xs):
-                    waits.update(x for x in xs if stale_of.get(x) == led)
-                    if not kept:
-                        continue
-                    xs = kept
-                    near = min(dist[x] for x in xs)
-            if led in contacted:
-                continue
-            if far:
+        for led, xs in far:
+            if led not in contacted:
                 # too far to be this cluster's current leader; wait for news
                 waits.update(xs)
-                continue
-            ready.append(((near, led), led, xs))
-        ready.sort()
+            elif stale_of:
+                waits.update(x for x in xs if stale_of.get(x) == led)
+        if not stale_of:
+            return [c for c in order if c[1] not in contacted], waits
+        dist = self.sim.trees[u].dist
+        ready = []
+        thinned = False
+        for c in order:
+            _, led, xs = c
+            # the leader said these left its cluster; wait for news
+            kept = [x for x in xs if stale_of.get(x) != led]
+            if len(kept) < len(xs):
+                waits.update(x for x in xs if stale_of.get(x) == led)
+                if not kept:
+                    continue
+                thinned = True
+                c = (min(dist[x] for x in kept), led, kept)
+            if led not in contacted:
+                ready.append(c)
+        if thinned:
+            ready.sort()
         return ready, waits
 
     def _advance(self, op: OpState) -> None:
@@ -800,7 +818,6 @@ class Directory:
         """Close the op as "done" or "rejected" and drop its search state."""
         op.phase = phase
         self.open.pop(op.id)
-        op.ball = None
         op.contacted.clear()
         op.stale_of.clear()
 
@@ -823,14 +840,13 @@ class Directory:
 
     def reevaluate(self, u: int) -> None:
         """Something u knows changed (belief refresh or tree repair): drop
-        the search balls of u's open ops and poke its parked searches, in
-        op-id order. The two writers, `refresh_belief` and
-        `FailureEngine._repair_tree`, call this right after their write."""
+        u's held search balls and poke its parked searches, in op-id order.
+        The two writers, `refresh_belief` and `FailureEngine._repair_tree`,
+        call this right after their write."""
+        self._balls.pop(u, None)
         for _, op in sorted(self.open.items()):
-            if op.issuer == u:
-                op.ball = None
-                if op.phase == "up":
-                    self._advance(op)
+            if op.issuer == u and op.phase == "up":
+                self._advance(op)
 
     def re_register(self, y: int, fid: int) -> None:
         """After a layer extension the shortcut level clamp moves; every

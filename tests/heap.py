@@ -5,13 +5,16 @@ stdlib `tracemalloc`, then prints the traced heap that stays allocated
 after `Runtime()` returns, the peak while building, and the five source
 lines holding the most of it. With `--ops N` it then runs a publish and N
 generated lookups and moves (half each, no failures, generator seed 0),
-prints the heap again, and the part of it still held by search balls
-(the allocations made in `Directory._ball`), which only open ops keep.
+prints the heap again, and the search balls `Directory._balls` holds: its
+entries (one per node and level asked since the node's knowledge last
+changed) and the memory allocated in `Directory._ball` that is still
+held. With `--fill` it then builds every node's ball at every level and
+prints the memo again: the most it can hold without news.
 The module is named so that pytest does not collect it.
 
     PYTHONPATH=src python tests/heap.py grid:32x32 weak
     PYTHONPATH=src python tests/heap.py grid:12x12 strong
-    PYTHONPATH=src python tests/heap.py grid:32x32 weak --ops 200
+    PYTHONPATH=src python tests/heap.py grid:32x32 weak --ops 200 --fill
 
 The graph spec is the one `faultdir gen --graph` takes; rho is 2 and the
 partition seed 0. Tracing makes the build and the run several times slower.
@@ -38,6 +41,8 @@ def main(argv: list[str]) -> int:
     ap.add_argument("mode", nargs="?", choices=("strong", "weak"), default="weak")
     ap.add_argument("--ops", type=int, default=0,
                     help="then run N generated lookups and moves")
+    ap.add_argument("--fill", action="store_true",
+                    help="then build every node's ball at every level")
     args = ap.parse_args(argv)
     sc = _gen_scenario(args.graph, args.mode, 2, 0, ops=args.ops, failures=0,
                        horizon=2000) if args.ops else \
@@ -50,15 +55,29 @@ def main(argv: list[str]) -> int:
     if args.ops:
         tracemalloc.reset_peak()
         rt.run()
-        lines, start = inspect.getsourcelines(Directory._ball)
-        ball = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(
-            True, inspect.getsourcefile(Directory), lineno)
-            for lineno in range(start, start + len(lines))]).statistics("filename")
         print(f"after {args.ops} ops: heap {report()}")
-        print(f"  search balls of open ops: {sum(s.size for s in ball) / MB:.2f}"
-              f" MB in {sum(s.count for s in ball)} blocks")
+        print(balls(rt))
+    if args.fill:
+        for u in rt.g.nodes():
+            for i in range(rt.hier.top + 1):
+                rt.dir._ball(u, i)
+        print(f"filled: {balls(rt)}")
     tracemalloc.stop()
     return 0
+
+
+def balls(rt) -> str:
+    """The held search balls: entries, and the traced memory allocated in
+    `Directory._ball` that is still held."""
+    lines, start = inspect.getsourcelines(Directory._ball)
+    held = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(
+        True, inspect.getsourcefile(Directory), lineno)
+        for lineno in range(start, start + len(lines))]).statistics("filename")
+    entries = sum(len(levels) for levels in rt.dir._balls.values())
+    return (f"  held search balls: {entries} entries for "
+            f"{len(rt.dir._balls)} nodes, "
+            f"{sum(s.size for s in held) / MB:.2f} MB in "
+            f"{sum(s.count for s in held)} blocks")
 
 
 def report() -> str:

@@ -522,8 +522,9 @@ def two_pass_pre_check(hier):
 
 
 def brute_candidates(dir, op):
-    """Reference `Directory._candidates`: (sort_key, leader, witnesses) not
-    yet contacted at op.level, plus the set of witnesses the op is
+    """Reference `Directory._candidates`: (near, leader, witnesses) not
+    yet contacted at op.level, sorted by (near, leader), with `near` the
+    least distance of a witness, plus the set of witnesses the op is
     currently waiting on, with u's r-ball filtered, sorted and grouped by
     believed leader afresh on every call."""
     u = op.issuer
@@ -550,9 +551,9 @@ def brute_candidates(dir, op):
             # too far to be this cluster's current leader; wait for news
             waits.update(groups[led])
             continue
-        key = (min(tree.dist[x] for x in groups[led]), led)
-        ready.append((key, led, sorted(groups[led])))
-    ready.sort()
+        near = min(tree.dist[x] for x in groups[led])
+        ready.append((near, led, sorted(groups[led])))
+    ready.sort(key=lambda c: c[:2])
     return ready, waits
 
 
