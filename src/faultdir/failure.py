@@ -157,9 +157,9 @@ class FailureEngine:
             if child is not None:
                 self._spt_notify(b if child == a else a, w, e, fid)
         # log reconciliation across the surviving network recovers messages
-        # that died on the edge
-        dist_a, _ = self.g.sssp(a)
-        d_alive = dist_a[b]
+        # that died on the edge; earlier failures have settled and a has just
+        # repaired its tree for e, so the tree holds the alive distance
+        d_alive = self.sim.trees[a].dist[b]
         rec["d_alive"] = str(d_alive)
         had_traffic = bool(lost) or e in self.sim.used_edges
         if had_traffic:

@@ -49,8 +49,7 @@ class LevelState:
 
 
 class NodeState:
-    def __init__(self, nid: int):
-        self.id = nid
+    def __init__(self):
         # the levels where this node is on the path
         self.levels: dict[int, LevelState] = {}
         # shortcut registry held at this node: (target, target_level)
@@ -113,7 +112,7 @@ class Directory:
         self.sim = sim
         self.hier = hier
         self.ldir = ldir
-        self.nodes = {u: NodeState(u) for u in sim.g.nodes()}
+        self.nodes = {u: NodeState() for u in sim.g.nodes()}
         self.ops: dict[str, OpState] = {}
         self.open: dict[str, OpState] = {}  # in issue order
         self._op_seq = 0
@@ -485,7 +484,7 @@ class Directory:
         if old_down is None:
             self.finding("splice_without_down", op=op_id, node=y, level=level)
         else:
-            self._del_walk(y, old_down, op_id, level - 1, new_owner, st.built_f)
+            self._del_walk(y, old_down, op_id, level - 1, new_owner)
 
     def _on_search_reply(self, msg):
         p = msg.payload
@@ -728,10 +727,10 @@ class Directory:
 
     # -- deletion walker ---------------------------------------------------------
 
-    def _del_walk(self, src, dst, op_id, expect_level, new_owner, min_f):
+    def _del_walk(self, src, dst, op_id, expect_level, new_owner):
         self._send("del_walk", src, dst,
                    {"op": op_id, "expect_level": expect_level,
-                    "new_owner": new_owner, "min_built_f": min_f},
+                    "new_owner": new_owner},
                    "const", f"op:{op_id}:walk")
 
     def _on_del_walk(self, msg):
@@ -740,8 +739,7 @@ class Directory:
         y = msg.dst
         ns = self.nodes[y]
         p = msg.payload
-        op_id, level = p["op"], p["expect_level"]
-        new_owner, min_f = p["new_owner"], p["min_built_f"]
+        op_id, level, new_owner = p["op"], p["expect_level"], p["new_owner"]
         st = ns.levels.get(level)
         if st is not None:
             nxt = st.down
@@ -749,16 +747,16 @@ class Directory:
             if level == -1:
                 self._owner_end_transfer(y, p)
             else:
-                self._del_walk(y, nxt, op_id, level - 1, new_owner, min_f)
+                self._del_walk(y, nxt, op_id, level - 1, new_owner)
             return
         if ns.token_forward is not None and level == -1:
             self.finding("del_walk_forwarded", op=op_id, node=y)
-            self._del_walk(y, ns.token_forward, op_id, -1, new_owner, min_f)
+            self._del_walk(y, ns.token_forward, op_id, -1, new_owner)
             return
         hint = ns.hints.get(level)
         if hint is not None:
             self.finding("del_walk_hint_redirect", op=op_id, node=y, level=level)
-            self._del_walk(y, hint[0], op_id, hint[1], new_owner, min_f)
+            self._del_walk(y, hint[0], op_id, hint[1], new_owner)
             return
         self.finding("del_walk_stranded", op=op_id, node=y, level=level)
 

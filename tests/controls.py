@@ -30,6 +30,13 @@ def base_record(name: str) -> dict:
                          {"t": 1200, "do": "lookup", "node": 9},
                          {"t": 2500, "do": "move", "node": 7},
                          {"t": 4000, "do": "lookup", "node": 0}]}
+    elif name == "during":
+        # the edge dies while the lookup searches: a transient request
+        sc = {"name": "ctl-during", "mode": "strong", "rho": 2, "seed": 5,
+              "graph": {"kind": "ring", "n": 12},
+              "events": [{"t": 0, "do": "publish", "node": 3},
+                         {"t": 1200, "do": "lookup", "node": 9,
+                          "fail_during": [3, 4], "fail_delay": 2}]}
     elif name == "weak":
         sc = {"name": "ctl-weak", "mode": "weak", "rho": 2, "seed": 27,
               "graph": {"kind": "edges", "edges": WEAK_EDGES},
@@ -103,16 +110,14 @@ def _d_linearization(rec):
     _first_op(rec, "look", phase="done")["version"] = 999
 
 
-def _d_search_level(rec):
-    op = _first_op(rec, "look", phase="done", transient=False,
-                   stale_walk=False)
+def _d_search_level(rec, **conds):
+    op = _first_op(rec, "look", phase="done", **conds)
     _scale_rows(rec, lambda b: b.startswith(f"op:{op['id']}:L")
                 and b.endswith(":query"))
 
 
-def _d_lookup_total(rec):
-    op = _first_op(rec, "look", phase="done", transient=False,
-                   stale_walk=False)
+def _d_lookup_total(rec, **conds):
+    op = _first_op(rec, "look", phase="done", **conds)
     _scale_rows(rec, lambda b: b.startswith(f"op:{op['id']}")
                 and not b.endswith(":reply"))
 
@@ -120,8 +125,7 @@ def _d_lookup_total(rec):
 def _d_lookup_ratio(rec):
     for op in rec["ops"]:
         if (op["kind"] == "look" and op["phase"] == "done"
-                and not op["transient"] and not op["stale_walk"]
-                and op["f_at_issue"] == 0
+                and op["f_at_complete"] == 0
                 and (op["discovery_level"] or 0) >= 1):
             op["dist_at_issue"] = "1/1000"
             return
@@ -222,6 +226,15 @@ CONTROLS = [
     ("sc-update-shape", "fail", _d_sc_update),
     ("preprocess-volume", "fail", _d_preprocess_volume),
     ("preprocess-distance", "fail", _d_preprocess_dist),
+]
+
+# requests that walked pre-failure links or saw a failure land are checked
+# at the failures they saw: (what, formula id, base record, mutation)
+COUPLED_CONTROLS = [
+    ("stale-walk", "search-level", "fail",
+     functools.partial(_d_search_level, stale_walk=True)),
+    ("transient", "lookup-total", "during",
+     functools.partial(_d_lookup_total, transient=True)),
 ]
 
 # formula id -> text the failing line's detail must contain

@@ -8,17 +8,19 @@ import pytest
 from faultdir.bounds import LedgerView, check_bounds
 from faultdir.scenario import Runtime
 
-from controls import CONTROL_DETAILS, CONTROLS, base_record, doctored
+from controls import (
+    CONTROL_DETAILS, CONTROLS, COUPLED_CONTROLS, base_record, doctored)
 
 
-@pytest.mark.parametrize("name", ["clean", "fail", "weak"])
+@pytest.mark.parametrize("name", ["clean", "fail", "during", "weak"])
 def test_reference_records_pass_all_checks(name):
     rep = check_bounds(base_record(name))
     assert rep.ok, [(l.formula, l.detail) for l in rep.failed()]
 
 
-@pytest.mark.parametrize("formula,base,doctor",
-                         CONTROLS, ids=[c[0] for c in CONTROLS])
+@pytest.mark.parametrize(
+    "formula,base,doctor", CONTROLS + [c[1:] for c in COUPLED_CONTROLS],
+    ids=[c[0] for c in CONTROLS] + [f"{c[1]}-{c[0]}" for c in COUPLED_CONTROLS])
 def test_each_checker_rejects_its_planted_violation(formula, base, doctor):
     rec = doctored(base, doctor)
     rep = check_bounds(rec)

@@ -461,8 +461,10 @@ def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
     top, nf = record["top"], len(record["failures"])
     level_msg = f" is not a level in [-1, {top}]"
     f_msg = f" is not a failure count in [0, {nf}]"
-    cases += [garbled("ops", look, "f_at_issue", "x", ".f_at_issue" + f_msg),
-              garbled("ops", look, "f_at_issue", True, ".f_at_issue" + f_msg),
+    cases += [garbled("ops", look, "f_at_complete", "x",
+                      ".f_at_complete" + f_msg + " or null"),
+              garbled("ops", look, "f_at_complete", True,
+                      ".f_at_complete" + f_msg + " or null"),
               garbled("ops", look, "discovery_level", "x",
                       ".discovery_level" + level_msg + " or null"),
               garbled("ops", look, "dist_at_issue", "x",
@@ -473,11 +475,11 @@ def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
                       ".t_issue is not an exact number"),
               garbled("ops", look, "t_issue", None,
                       ".t_issue is not an exact number"),
-              garbled("ops", look, "transient", 0,
-                      ".transient is not a JSON boolean"),
               garbled("ops", look, "id", 7, ".id is not a JSON string"),
               garbled("ops", look, "t_complete", None,
                       " is done with a null t_complete"),
+              garbled("ops", look, "f_at_complete", None,
+                      " is done with a null f_at_complete"),
               garbled("ledger", 0, "cost", "x", ".cost is not an exact number"),
               garbled("ledger", 0, "messages", "x",
                       ".messages is not a JSON integer"),
@@ -518,7 +520,8 @@ def test_check_rejects_wrong_typed_containers_in_one_line(tmp_path, capsys):
                      "failures[0].stats.sc_update[0].clamp" + level_msg),
               nested(("path", 0, "level"), top + 1, "path[0].level" + level_msg),
               nested(("publish", "top"), 10 ** 6, "publish.top" + level_msg),
-              garbled("ops", look, "f_at_issue", 10 ** 6, ".f_at_issue" + f_msg),
+              garbled("ops", look, "f_at_complete", 10 ** 6,
+                      ".f_at_complete" + f_msg + " or null"),
               garbled("ops", look, "f_at_complete", -1,
                       ".f_at_complete" + f_msg + " or null"),
               nested(("path", 0, "pair_f"), 10 ** 6, "path[0].pair_f" + f_msg + " or null"),

@@ -200,7 +200,7 @@ def test_move_add_onto_path_node_splices_and_walks_old_segment():
     walk, ack = pending(rt.sim)
     assert (walk.kind, walk.dst) == ("del_walk", old_down)
     assert walk.payload == {"op": "move9", "expect_level": 0,
-                            "new_owner": mover, "min_built_f": 3}
+                            "new_owner": mover}
     assert (ack.kind, ack.dst, ack.payload["spliced"]) == \
         ("move_ack", mover, True)
 
@@ -262,7 +262,7 @@ def overtake(rt, y, op_id, new_owner):
     """A later mover's delete walk reaches y's level -1 state."""
     rt.dir._on_del_walk(Message("del_walk", rt.hier.root, y,
                                 {"op": op_id, "expect_level": -1,
-                                 "new_owner": new_owner, "min_built_f": 0}))
+                                 "new_owner": new_owner}))
 
 
 def test_overtaken_mover_passes_the_token_on_with_the_parked_op():
@@ -373,8 +373,7 @@ def write_message(kind, chain, mover):
                      "added_by": mover},
         "set_up": {"level": 1, "up": up},
         "down_fix": {"at_level": 1, "new_node": mover, "stamp": 10 ** 6},
-        "del_walk": {"op": "move9", "expect_level": 1, "new_owner": mover,
-                     "min_built_f": 0},
+        "del_walk": {"op": "move9", "expect_level": 1, "new_owner": mover},
     }[kind]
     return Message(kind, mover, y, payload)
 

@@ -1,7 +1,8 @@
-"""The premise `Runtime._alive_dist` and `Runtime.record()` rest on: once
-the system has settled, every node's repaired tree is the least-id
-shortest path tree of the alive graph, so the runtime reads alive
-distances off the trees rather than running Dijkstra again."""
+"""The premise `Runtime._alive_dist`, `Runtime.record()` and
+`FailureEngine.fail_edge` rest on: once the system has settled, every
+node's repaired tree is the least-id shortest path tree of the alive graph,
+so the runtime reads alive distances off the trees rather than running
+Dijkstra again."""
 
 import pytest
 
@@ -31,9 +32,21 @@ def test_every_tree_is_exact_after_every_settle(name):
             dist, parent = dijkstra(rt.g._adj, x)
             assert t.dist == dist and t.parent == parent, (context, x)
 
-    rt._settle = checked_settle
+    fail_edge, failed = rt.engine.fail_edge, []
+
+    def checked_fail_edge(e):
+        # mid-settle too, a's tree gives `fail_edge` the alive distance:
+        # earlier failures have settled, and a has just repaired its tree
+        rec = fail_edge(e)
+        a, b = e
+        assert rec["d_alive"] == str(dijkstra(rt.g._adj, a)[0][b]), e
+        failed.append(e)
+        return rec
+
+    rt._settle, rt.engine.fail_edge = checked_settle, checked_fail_edge
     record = rt.run()
     assert record["failures"] and len(settled) == len(rt.sc["events"])
+    assert len(failed) == len(record["failures"])
     # record() left the trees in the graph's cache, in settle order
     for x in rt.g.nodes():
         dist, parent = rt.g.sssp(x)
