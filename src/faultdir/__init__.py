@@ -6,13 +6,12 @@ machinery for edge failures and a cost-accounting harness that checks
 the scheme's performance bounds as explicit-constant inequalities.
 """
 
-from faultdir.graph import Graph, ShortestPathTree, load_graph, build_spt
+from faultdir.graph import Graph, ShortestPathTree, build_spt
 from faultdir.partition import Hierarchy, build_hierarchy, verify_partition
 
 __all__ = [
     "Graph",
     "ShortestPathTree",
-    "load_graph",
     "build_spt",
     "Hierarchy",
     "build_hierarchy",

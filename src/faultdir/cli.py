@@ -64,6 +64,20 @@ def _share(text: str) -> float:
     return x
 
 
+def _at_least(low: int):
+    """A type for an integer of at least `low`, such as `gen --rho` (2)."""
+    def parse(text: str) -> int:
+        try:
+            x = int(text)
+        except ValueError:
+            x = None
+        if x is None or x < low:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer >= {low}")
+        return x
+    return parse
+
+
 LEDGER_COLUMNS = ("bucket", "messages", "cost", "const", "logn", "nlogn")
 
 
@@ -243,10 +257,10 @@ def main(argv=None) -> int:
     p_gen = sub.add_parser("gen", help="generate a seeded scenario")
     p_gen.add_argument("--graph", type=_graph_spec, default="ring:12")
     p_gen.add_argument("--mode", choices=("strong", "weak"), default="strong")
-    p_gen.add_argument("--rho", type=int, default=2)
+    p_gen.add_argument("--rho", type=_at_least(2), default=2)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--ops", type=int, default=8)
-    p_gen.add_argument("--failures", type=int, default=1)
+    p_gen.add_argument("--ops", type=_at_least(0), default=8)
+    p_gen.add_argument("--failures", type=_at_least(0), default=1)
     p_gen.add_argument("--horizon", type=int, default=5000)
     p_gen.add_argument("--moves", type=_share, default=0.5,
                        help="share of the ops that are moves")
@@ -257,7 +271,7 @@ def main(argv=None) -> int:
     p_ps = sub.add_parser("partition-stats", help="dump the hierarchy")
     p_ps.add_argument("--graph", type=_graph_spec, default="ring:12")
     p_ps.add_argument("--mode", choices=("strong", "weak"), default="strong")
-    p_ps.add_argument("--rho", type=int, default=2)
+    p_ps.add_argument("--rho", type=_at_least(2), default=2)
     p_ps.add_argument("--seed", type=int, default=0)
     p_ps.set_defaults(fn=cmd_partition_stats)
 

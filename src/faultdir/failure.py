@@ -770,49 +770,47 @@ class FailureEngine:
         self.hier.add_cluster(c_top)
         entries_v1 = [(j, root) for j in range(h_old, h_new)] + [(h_new, root)]
         entries_v2 = [(j, v) for j in range(h_old, h_new)] + [(h_new, root)]
-        ns_root = self.dir.nodes[root]
-        st_old = ns_root.levels.get(h_old)
-        if st_old is None:
-            raise RuntimeError("root lost its top path state")
-        adder = st_old.added_by
-        old_down = st_old.down
         # the root is authoritative for its own part right away
         self._broadcast_cluster(c1_first, fid, entries_v1,
                                 fan_r=self.hier.radius(h_new), extension=True)
-        spec = {"ext": True, "level": h_old, "target": v, "via": None,
-                "bcast": None, "fid": fid, "bands": list(range(h_old, h_new)),
-                "top_level": h_new, "bcast_bands": band_c2_ids,
-                "entries": entries_v2}
-        if adder in V1 or adder == root:
-            self._extend_locally(root, spec, old_down, adder)
-        else:
-            self.queue_txn(root, spec)
+        self.queue_txn(root, {
+            "ext": True, "level": h_old, "target": v, "via": None,
+            "bcast": None, "fid": fid, "bands": list(range(h_old, h_new)),
+            "top_level": h_new, "bcast_bands": band_c2_ids,
+            "entries": entries_v2})
 
     def _extend_locally(self, y, spec, down, added_by):
         """Keep the path under y: y takes every new band and the new top
         itself, and tells the detached part's leader to announce its
         clusters."""
-        fid = spec["fid"]
         self._link_bands(y, spec["bands"], down, y, added_by)
         self.dir.link(y, spec["top_level"], None, y, added_by)
-        self.dir.re_register(y, fid)
+        self.dir.re_register(y, spec["fid"])
+        self._ext_verdict(y, spec)
+
+    def _ext_verdict(self, y, spec):
+        """Tell the detached part's leader to announce its band clusters."""
+        fid = spec["fid"]
         self.dir._send("ext_verdict", y, spec["target"],
                        {"bands": spec["bcast_bands"], "level": spec["level"],
-                       "entries": spec["entries"], "fid": fid}, "logn",
+                        "entries": spec["entries"], "fid": fid}, "logn",
                        f"repair:path_update:f{fid}")
 
     def _init_extension_txn(self, y, spec):
-        ns = self.dir.nodes[y]
-        st = ns.levels.get(spec["level"])
+        """The one place that decides how the path enters the new levels
+        (queued, so a locked root first finishes its own transaction)."""
+        st = self.dir.nodes[y].levels.get(spec["level"])
         if st is None:
-            raise RuntimeError("extension lost the top path state")
+            if self.dir.token_value is not None:
+                raise RuntimeError("extension lost the top path state")
+            # nothing published: no path to carry, only bands to announce
+            self._ext_verdict(y, spec)
+            return
         band = self.hier.levels[spec["level"]][spec["bcast_bands"][0]]
         if st.added_by in band.members:
             # the adder is in the detached part: hand the top over to it
             self._start_txn(y, spec, None, st.down, st.added_by)
         else:
-            # a move re-anchored the path under the root while the extension
-            # was queued; install the band states locally instead
             self._extend_locally(y, spec, st.down, st.added_by)
 
     def _on_ext_verdict(self, msg):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from fractions import Fraction
 from numbers import Rational
 
 EdgeId = tuple[int, int]
@@ -26,26 +25,6 @@ EdgeId = tuple[int, int]
 def edge_id(u: int, v: int) -> EdgeId:
     """Canonical undirected edge key (smaller endpoint first)."""
     return (u, v) if u < v else (v, u)
-
-
-def parse_weight(text: str):
-    """Parse an edge weight. Accepts ints, 'p/q' fractions and decimals.
-
-    Decimals go through Fraction's exact decimal parsing, so '1.5'
-    becomes 3/2 with no binary rounding.
-    """
-    text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        w = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad weight {text!r}") from exc
-    if w.denominator == 1:
-        return int(w)
-    return w
 
 
 class Graph:
@@ -387,37 +366,7 @@ def build_spt(g: Graph, root: int) -> ShortestPathTree:
     return ShortestPathTree(root, dist, parent)
 
 
-# -- parsing and generators ------------------------------------------------
-
-
-def load_graph(text: str) -> Graph:
-    """Parse an edge list: one 'u v w' triple per line, '#' comments.
-
-    Rejects self-loops, duplicate edges, weights below 1 and disconnected
-    inputs.
-    """
-    g = Graph()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'u v w', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad node id in {raw!r}") from exc
-        w = parse_weight(parts[2])
-        try:
-            g.add_edge(u, v, w)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-    if g.n == 0:
-        raise ValueError("empty graph")
-    if not g.is_connected():
-        raise ValueError("graph is disconnected")
-    return g
+# -- generators --------------------------------------------------------------
 
 
 def ring_graph(n: int, weights=None) -> Graph:

@@ -118,6 +118,8 @@ def validate_scenario(sc: dict) -> None:
             if type(node) is not int or node not in nodes:
                 raise ValueError(f"event {k}: node {node} not in graph")
             if do == "publish":
+                if published:
+                    raise ValueError(f"event {k}: a second publish")
                 published = True
             elif not published:
                 raise ValueError(f"event {k}: {do} before any publish")

@@ -10,7 +10,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from faultdir.graph import edge_id, load_graph
+from faultdir.graph import Graph, edge_id
 from faultdir.partition import _check_tree, _rational_exp_shift, eccentricities
 
 INF = None
@@ -185,17 +185,17 @@ def induced_connected(g, members):
     return seen == set(members)
 
 
-def dump_graph(g):
-    """The alive edges as 'u v w' lines, the format `load_graph` reads."""
-    lines = [f"{u} {v} {g.weight((u, v))}" for u, v in g.alive_edges()]
-    return "\n".join(lines) + "\n"
+def graph_of(*edges):
+    """A graph with these (u, v, w) edges, added in order."""
+    g = Graph()
+    for u, v, w in edges:
+        g.add_edge(u, v, w)
+    return g
 
 
 def with_weights(g, weights):
-    """A graph with g's alive edges and the given weight texts, in edge
-    order, read back by `load_graph`."""
-    return load_graph("".join(f"{u} {v} {w}\n"
-                              for (u, v), w in zip(g.alive_edges(), weights)))
+    """A graph with g's alive edges, in edge order, and these weights."""
+    return graph_of(*((u, v, w) for (u, v), w in zip(g.alive_edges(), weights)))
 
 
 def brute_weak_assign(g, starts):

@@ -99,3 +99,41 @@ def test_move_baseline_uses_distances_at_issue_time():
     assert all(o["dist_prev_source"] is not None for o in moves)
     # publisher at 2, movers 9,14,3,8 on a 16-ring: hop distances 7,5,5,5
     assert [Fraction(o["dist_prev_source"]) for o in moves] == [7, 5, 5, 5]
+
+
+def publish_line(events):
+    sc = {"name": "pub", "mode": "strong", "rho": 2, "seed": 0,
+          "graph": {"kind": "grid", "rows": 3, "cols": 4}, "events": events}
+    rec = Runtime(sc).run()
+    return rec, next(l for l in check_bounds(rec).lines
+                     if l.formula == "publish-length")
+
+
+def test_publish_bound_doubles_after_failures():
+    publish = {"t": 100, "do": "publish", "node": 2}
+    quiet_rec, quiet = publish_line([publish])
+    rec, line = publish_line([{"t": 0, "do": "fail", "edge": [1, 5]},
+                              publish])
+    # the failure leaves the stack as it was, so only the factor differs
+    assert rec["failures"][0]["extension"] is None
+    assert rec["publish"]["top"] == quiet_rec["publish"]["top"]
+    assert Fraction(line.bound) == 2 * Fraction(quiet.bound)
+    assert line.passed and quiet.passed
+    assert line.detail.endswith("(doubled, 1 failures before publish)")
+    assert "doubled" not in quiet.detail
+
+
+def test_owner_moving_itself_leaves_a_zero_move_baseline():
+    sc = {"name": "self", "mode": "strong", "rho": 2, "seed": 0,
+          "graph": {"kind": "ring", "n": 8},
+          "events": [{"t": 0, "do": "publish", "node": 2},
+                     {"t": 100, "do": "move", "node": 2}]}
+    rec = Runtime(sc).run()
+    move = rec["ops"][1]
+    # the owner is already at level -1: the move completes at issue
+    assert (move["kind"], move["phase"]) == ("move", "done")
+    assert move["discovery_level"] == -1
+    assert Fraction(move["dist_prev_source"]) == 0
+    line = next(l for l in check_bounds(rec).lines if l.formula == "move-ratio")
+    assert line.passed and line.bound == "-"
+    assert line.detail == "1 relocations but zero baseline, skipped"

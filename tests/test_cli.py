@@ -223,6 +223,8 @@ def delayed(delay):
 BAD_SCENARIOS = {
     "before any publish": (scen({"t": 0, "do": "lookup", "node": 1}),
                            "event 0: lookup before any publish"),
+    "second publish": (scen(PUBLISH, dict(PUBLISH, t=1, node=3)),
+                       "event 1: a second publish"),
     "missing or already down": (scen(PUBLISH, {"t": 1, "do": "fail",
                                                "edge": [0, 5]}),
                                 "event 1: edge [0, 5] missing or already down"),
@@ -680,3 +682,20 @@ def test_gen_refuses_a_move_share_outside_0_1(share, capsys):
     err = capsys.readouterr().err
     assert f"argument --moves: {share!r} is not a number in [0, 1]" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,low", [
+    (["partition-stats", "--rho", "1"], 2), (["gen", "--rho", "1"], 2),
+    (["gen", "--rho", "x"], 2), (["gen", "--ops", "-2"], 0),
+    (["gen", "--failures", "-1"], 0)],
+    ids=["ps-rho", "gen-rho", "gen-rho-text", "gen-ops", "gen-failures"])
+def test_cli_refuses_an_out_of_range_integer(argv, low, tmp_path, capsys):
+    # refused at parse time: no traceback, and gen writes no scenario file
+    out = tmp_path / "scen.json"
+    with pytest.raises(SystemExit) as exc:
+        console(argv + (["--out", str(out)] if argv[0] == "gen" else []))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(
+        f"error: argument {argv[1]}: {argv[2]!r} is not an integer >= {low}")
+    assert "Traceback" not in err and not out.exists()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from faultdir import failure as failure_module
 from faultdir.bounds import check_bounds
-from faultdir.cli import _gen_scenario
+from faultdir.cli import _gen_scenario, _graph_spec
 from faultdir.failure import FailureEngine
 from faultdir.graph import build_spt, edge_id, subtree
 from faultdir.partition import Cluster, verify_partition
@@ -568,3 +568,84 @@ def test_a_split_notice_repairs_its_receivers_tree(mode):
                      {"t": 100, "do": "fail", "edge": [5, 6]}]}
     report = check_bounds(Runtime(sc).run())
     assert [line.detail for line in report.failed()] == []
+
+
+# -- failures before the publish -------------------------------------------
+
+def failing_formulas(rec):
+    return sorted({line.formula for line in check_bounds(rec).failed()})
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_an_extension_before_the_publish_only_announces(mode):
+    """With nothing published the root has no top path state to carry into
+    the new levels: the detached part announces its bands, and the later
+    publish writes its path over the extended stack."""
+    rt = fresh({"kind": "ring", "n": 5}, mode=mode,
+               events=[{"t": 0, "do": "fail", "edge": [1, 2]},
+                       {"t": 100, "do": "publish", "node": 0}])
+    ext = rt.engine.failures[0]["extension"]
+    assert ext is not None and rt.hier.top == ext["to"]
+    rec = rt.record()
+    assert [op["phase"] for op in rec["ops"]] == ["done"]
+    assert rec["findings"] == [] and failing_formulas(rec) == []
+    assert rec["publish"]["top"] == ext["to"]
+    assert ext["to"] in rt.dir.nodes[rt.hier.root].levels
+
+
+PRE_PUBLISH_GRAPHS = [f"ring:{n}" for n in range(3, 13)] + [
+    "grid:3x3", "grid:3x4", "random:8:0.4:2", "random:10:0.35:1"]
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_every_single_failure_before_the_publish_runs(mode):
+    """Every failure that keeps the graph connected, before the publish,
+    then a lookup and a move: no run raises, every op is done, and every
+    run checks clean but the ring:12 cut of (1, 2), which refreshes
+    147 > 144 = n^2 peers (ROADMAP item 17)."""
+    failing = {}
+    for spec in PRE_PUBLISH_GRAPHS:
+        graph = _graph_spec(spec)
+        n = build_graph(graph).n
+        for e in killable_edges(graph):
+            rec = fresh(graph, mode=mode, events=[
+                {"t": 0, "do": "fail", "edge": list(e)},
+                {"t": 100, "do": "publish", "node": 0},
+                {"t": 200, "do": "lookup", "node": n // 2},
+                {"t": 300, "do": "move", "node": n - 1}]).record()
+            assert rec["findings"] == [], (spec, e)
+            assert all(op["phase"] == "done" for op in rec["ops"]), (spec, e)
+            bad = failing_formulas(rec)
+            if bad:
+                failing[spec, e] = bad
+    assert failing == {("ring:12", (1, 2)): ["preprocess-volume"]}
+
+
+# Valid runs that fail `recluster-distance` today (ROADMAP item 23): an
+# extension band cluster's broadcast travels farther than sigma * r_level.
+RECLUSTER_DISTANCE_DEFECTS = {
+    "random10-weak": ({"kind": "random", "n": 10, "p": 0.35, "seed": 1},
+                      "weak", 3, 1, [], [[1, 5], [4, 6], [2, 9], [0, 1]],
+                      "FAILED f3 cluster 45 bcast: 12 > 10"),
+    "grid3x4-strong": ({"kind": "grid", "rows": 3, "cols": 4}, "strong", 2,
+                       4, [[2, 6]], [[5, 9], [4, 5], [5, 6], [4, 8]],
+                       "FAILED f4 cluster 43 bcast: 6 > 5"),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="recluster-distance fails on extension bands")
+@pytest.mark.parametrize("case", sorted(RECLUSTER_DISTANCE_DEFECTS))
+def test_extension_bands_keep_their_broadcast_distance(case):
+    graph, mode, seed, publisher, before, after, what = \
+        RECLUSTER_DISTANCE_DEFECTS[case]
+    events = [{"t": 100 * k, "do": "fail", "edge": e}
+              for k, e in enumerate(before)]
+    events.append({"t": 50 + 100 * len(before), "do": "publish",
+                   "node": publisher})
+    events += [{"t": 100 * (len(before) + 1 + k), "do": "fail", "edge": e}
+               for k, e in enumerate(after)]
+    report = check_bounds(fresh(graph, mode=mode, seed=seed,
+                                events=events).record())
+    line = next(l for l in report.lines if l.formula == "recluster-distance")
+    assert line.passed, f"today: {what}"

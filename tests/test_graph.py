@@ -1,4 +1,4 @@
-"""Graph core: parsing, distances, repairable shortest path trees."""
+"""Graph core: construction, distances, repairable shortest path trees."""
 
 import random
 from fractions import Fraction
@@ -10,61 +10,38 @@ from hypothesis import given, settings, strategies as st
 from faultdir import graph as graph_module
 from faultdir.graph import (
     Graph, build_spt, child_endpoint, dijkstra, edge_id, grid_graph, induced,
-    load_graph, parse_weight, path_graph, prune, random_graph, reroot,
+    path_graph, prune, random_graph, reroot,
     ring_graph, root_path, subtree,
 )
 from faultdir.partition import eccentricities
 from oracles import (brute_diameter, brute_neighborhood, check_spt,
                      children_subtree, contains_tree_edge, dijkstra_until,
-                     dump_graph, fw_all_pairs, heap_repair, induced_adj,
+                     fw_all_pairs, graph_of, heap_repair, induced_adj,
                      neighborhood, path_to_root, prune_fixpoint,
                      relax_all_dijkstra, reroot_walk, split_leader,
                      tree_child_endpoint, tree_edges, with_weights)
 
 
-def test_load_unit_path():
-    g = load_graph("0 1 1\n1 2 1\n")
-    assert g.n == 3
-    assert brute_diameter(g) == 2
-
-
-def test_load_comments_and_fractions():
-    g = load_graph("# a triangle\n0 1 3/2\n1 2 1.5\n0 2 1\n")
-    assert g.weight((0, 1)) == Fraction(3, 2)
+def test_fraction_weights_stay_exact():
+    assert brute_diameter(graph_of((0, 1, 1), (1, 2, 1))) == 2
+    g = graph_of((0, 1, Fraction(3, 2)), (1, 2, Fraction(3, 2)), (0, 2, 1))
     assert g.weight((1, 2)) == Fraction(3, 2)
     assert g.distance(0, 1) == Fraction(3, 2)
+    assert brute_diameter(g) == Fraction(3, 2)
 
 
-@pytest.mark.parametrize("text,msg", [
-    ("0 0 1\n", "self-loop"),
-    ("0 1 0\n", "below 1"),
-    ("0 1 1\n0 1 2\n", "duplicate"),
-    ("0 1\n", "expected"),
-    ("0 1 1\n2 3 1\n", "disconnected"),
-    ("", "empty"),
-    ("0 1 x\n", "bad weight"),
-])
-def test_load_rejects(text, msg):
+@pytest.mark.parametrize("u,v,w,msg", [
+    (0, 0, 1, "self-loop"), (1, 2, 0, "below 1"), (1, 0, 2, "duplicate"),
+], ids=["self-loop", "below-1", "duplicate"])
+def test_add_edge_rejects(u, v, w, msg):
+    g = graph_of((0, 1, 1))
     with pytest.raises(ValueError, match=msg):
-        load_graph(text)
-
-
-def test_parse_weight_exact_decimal():
-    assert parse_weight("1.5") == Fraction(3, 2)
-    assert parse_weight("7/2") == Fraction(7, 2)
-    assert parse_weight("3") == 3 and isinstance(parse_weight("3"), int)
-
-
-def test_dump_roundtrip():
-    g = ring_graph(5, weights=[1, 2, 3, 4, 5])
-    g2 = load_graph(dump_graph(g))
-    assert g2.alive_edges() == g.alive_edges()
-    assert all(g2.weight(e) == g.weight(e) for e in g.alive_edges())
+        g.add_edge(u, v, w)
 
 
 def test_triangle_diameter_and_deletion():
     # heavy chord: the 10-edge is never used until the light path dies
-    g = load_graph("0 1 1\n1 2 1\n0 2 10\n")
+    g = graph_of((0, 1, 1), (1, 2, 1), (0, 2, 10))
     assert g.distance(0, 0) == 0
     assert brute_diameter(g) == 2
     g.kill_edge((0, 1))
@@ -188,7 +165,7 @@ def test_repair_noop_for_non_tree_edge():
 
 def test_repair_frozen_example():
     # path 0-1-2 plus chord 0-2 of weight 3; cutting 1-2 moves 2 under 0
-    g = load_graph("0 1 1\n1 2 1\n0 2 3\n")
+    g = graph_of((0, 1, 1), (1, 2, 1), (0, 2, 3))
     t = build_spt(g, 0)
     assert t.parent[2] == 1
     g.kill_edge((1, 2))
@@ -233,7 +210,7 @@ def test_repair_with_partial_knowledge_converges():
     # The root only repairs for dead edges it was told about. A tree edge
     # it has not heard of stays in the tree (a repair never adopts a dead
     # edge); the later repair for that edge must land on the true tree.
-    g = load_graph("0 1 1\n1 2 1\n2 3 1\n0 3 5\n1 3 2\n")
+    g = graph_of((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 5), (1, 3, 2))
     t = build_spt(g, 0)
     assert t.parent[3] == 1  # the 1-3 / 2-3 tie goes to the smaller id
     g.kill_edge((2, 3))
@@ -315,7 +292,8 @@ SETTLE_GRAPHS = st.one_of(
     st.builds(with_weights,
               st.builds(random_graph, st.integers(2, 12),
                         st.sampled_from([0.3, 0.6]), st.integers(0, 10_000)),
-              st.lists(st.sampled_from(["1", "3/2", "5/2", "4/3"]),
+              st.lists(st.sampled_from([1, Fraction(3, 2), Fraction(5, 2),
+                                        Fraction(4, 3)]),
                        min_size=66, max_size=66)),
 )
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from faultdir.cli import _gen_scenario
-from faultdir.graph import (grid_graph, load_graph, path_graph, random_graph,
-                            ring_graph, root_path)
+from faultdir.graph import (grid_graph, path_graph, random_graph, ring_graph,
+                            root_path)
 from faultdir.partition import (
     SHIFT_DENOMINATOR, Hierarchy, _grow_waves, _wave_starts, build_hierarchy,
     build_partition, choose_leader, cluster_tree, eccentricities,
@@ -20,7 +20,7 @@ from golden.corpus import GOLDEN, scenario as golden_scenario
 from oracles import (brute_center, brute_cluster_diameter, brute_diameter,
                      brute_intersection_count, brute_weak_assign,
                      brute_weak_partition, cluster_of, clusters_intersecting,
-                     fw_all_pairs, neighborhood_clusters,
+                     fw_all_pairs, graph_of, neighborhood_clusters,
                      nested_preprocess_leaders, two_pass_pre_check,
                      with_weights)
 
@@ -44,7 +44,7 @@ def test_grid_partition_verifies(mode):
 
 
 def test_two_node_hierarchy():
-    g = load_graph("0 1 1\n")
+    g = graph_of((0, 1, 1))
     hier = build_hierarchy(g, rho=2, mode="strong", seed=0)
     assert hier.base_top == 0
     assert sorted(hier.all_levels()) == [-1, 0]
@@ -148,7 +148,7 @@ def test_neighborhood_clusters_matches_oracle():
 
 
 def test_preprocess_tables_and_costs():
-    g = load_graph("0 1 1\n")
+    g = graph_of((0, 1, 1))
     hier = build_hierarchy(g, rho=2, mode="weak", seed=0)
     ldir, setup = preprocess_leaders(hier)
     lead = cluster_of(hier, 0, 0).leader
@@ -333,7 +333,7 @@ def test_shortcut_constants_exact():
 
 
 def test_build_hierarchy_rejects_tiny():
-    g = load_graph("0 1 1\n")
+    g = graph_of((0, 1, 1))
     with pytest.raises(ValueError):
         build_hierarchy(g, rho=1, mode="strong", seed=0)
     from faultdir.graph import Graph
@@ -450,7 +450,7 @@ def test_int_keys_split_near_ties_and_keep_exact_ties():
     tied = {0: 5 + hi, 1: Fraction(0), 2: 5 + hi}
     assert int_key_assign(g, tied) == rational_assign(g, tied) == {0: 0, 1: 0, 2: 2}
     # weights 3/2: node 1's own start is 1/(q q') either side of 0's wave
-    h = load_graph("0 1 3/2\n1 2 3/2\n")
+    h = graph_of((0, 1, Fraction(3, 2)), (1, 2, Fraction(3, 2)))
     near = {0: 7 + hi, 1: Fraction(11, 2) + lo, 2: Fraction(0)}
     assert int_key_assign(h, near) == rational_assign(h, near) == {0: 0, 1: 0, 2: 0}
     near = {0: Fraction(15, 2) + lo, 1: 6 + hi, 2: Fraction(0)}
@@ -462,7 +462,8 @@ def test_int_keys_split_near_ties_and_keep_exact_ties():
            with_weights,
            st.builds(random_graph, st.integers(2, 12), st.sampled_from([0.3, 0.6]),
                      st.integers(0, 10_000)),
-           st.lists(st.sampled_from(["1", "3/2", "5/2", "4/3"]),
+           st.lists(st.sampled_from([1, Fraction(3, 2), Fraction(5, 2),
+                                     Fraction(4, 3)]),
                     min_size=66, max_size=66))),
        data=st.data())
 def test_int_wave_keys_equal_rational_argmin_near_ties(g, data):
