@@ -22,9 +22,16 @@ from oracles import (brute_diameter, brute_neighborhood, check_spt,
                      tree_child_endpoint, tree_edges, with_weights)
 
 
-def test_fraction_weights_stay_exact():
-    assert brute_diameter(graph_of((0, 1, 1), (1, 2, 1))) == 2
+def test_load_unit_path():
+    g = graph_of((0, 1, 1), (1, 2, 1))
+    assert g.n == 3
+    assert brute_diameter(g) == 2
+
+
+def test_load_comments_and_fractions():
+    # the graph is built edge by edge; fractional weights stay exact
     g = graph_of((0, 1, Fraction(3, 2)), (1, 2, Fraction(3, 2)), (0, 2, 1))
+    assert g.weight((0, 1)) == Fraction(3, 2)
     assert g.weight((1, 2)) == Fraction(3, 2)
     assert g.distance(0, 1) == Fraction(3, 2)
     assert brute_diameter(g) == Fraction(3, 2)
