@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 
 from faultdir.partition import sigma_and_overlap
 from faultdir.sim import BucketIndex
@@ -19,13 +20,16 @@ def _num(x):
 
 
 class LedgerView:
-    """Prefix sums over serialized cost ledger rows."""
+    """Prefix sums over serialized cost ledger rows. A whole cost is kept
+    as an int, which is cheaper to parse and add than a Fraction; the sums
+    start at Fraction(0), so they come out as Fractions either way."""
 
     def __init__(self, rows: list[dict]):
-        self.rows: dict[str, tuple[int, Fraction]] = {}
+        self.rows: dict[str, tuple[int, int | Fraction]] = {}
         self._index = BucketIndex()
         for r in rows:
-            bucket, m, c = r["bucket"], r["messages"], _num(r["cost"])
+            bucket, m, c = r["bucket"], r["messages"], r["cost"]
+            c = int(c) if type(c) is int or c.isdecimal() else Fraction(c)
             if bucket in self.rows:
                 m0, c0 = self.rows[bucket]
                 m, c = m0 + m, c0 + c
@@ -276,6 +280,22 @@ def validate_record(record) -> None:
         rooted |= trail
 
 
+def _per_level_and_f(bound):
+    """Memoise a `_Rec` bound per (level, f): a record asks for the same
+    few pairs once per checked op."""
+    name = bound.__name__
+
+    @wraps(bound)
+    def memo(self, level: int, f_seen: int) -> Fraction:
+        key = (name, level, f_seen)
+        value = self._bounds.get(key)
+        if value is None:
+            value = self._bounds[key] = bound(self, level, f_seen)
+        return value
+
+    return memo
+
+
 class _Rec:
     """Parsed view of one run record."""
 
@@ -292,6 +312,7 @@ class _Rec:
         self.radii = {int(k): _num(v) for k, v in record["radii"].items()}
         self.f_total = len(record["failures"])
         self.led = LedgerView(record["ledger"])
+        self._bounds: dict[tuple, Fraction] = {}  # see `_per_level_and_f`
 
     def radius(self, i: int) -> Fraction:
         # only the pair bound of a top path row with a dist_next asks past the top
@@ -306,6 +327,7 @@ class _Rec:
         return (f + 1) * self.overlap
 
     # per-level search cost, one-way probe fan-out
+    @_per_level_and_f
     def search_bound(self, j: int, f_seen: int) -> Fraction:
         r = self.radius(j)
         if f_seen == 0:
@@ -313,11 +335,13 @@ class _Rec:
         return self.i_eff(f_seen) * (1 + 2 * self.sigma) * r
 
     # distance between adjacent path nodes at levels j and j-1
+    @_per_level_and_f
     def pair_bound(self, j: int, f_seen: int) -> Fraction:
         lo, hi = self.radius(j - 1), self.radius(j)
         s = self.sigma if f_seen == 0 else 2 * self.sigma
         return s * (lo + hi) + hi
 
+    @_per_level_and_f
     def lookup_bound(self, level: int, f_seen: int) -> Fraction:
         """End-to-end request cost at discovery level ``level``: probes out
         and back per level, one intra-cluster jump, then the walk down."""

@@ -5,9 +5,12 @@ comparison made by the simulator is exact and runs are reproducible.
 An edge is alive iff it is in `_adj`; `_ever` keeps every edge ever
 added, as message logs, repairs and trees may still name dead edges.
 
-This module holds the one Dijkstra (`dijkstra`, with optional seeds),
-`induced`, which restricts an adjacency map to a node set for it, and
-every operation on a parent map `{node: parent}`,
+This module holds the one Dijkstra (`dijkstra`, with optional seeds)
+plus its unit-weight case (`bfs`, a level-by-level walk that returns
+exactly what `dijkstra` returns when every weight is the int 1), and one
+chooser between them, `Graph.settle`. It also holds `induced`, which
+restricts an adjacency map to a node set for either, and every operation
+on a parent map `{node: parent}`,
 the form all trees take here (shortest path trees, cluster trees):
 `subtree` (a walk down `_ever` that reads only the nodes it returns),
 `root_path`, `child_endpoint`, `reroot` and `prune`.
@@ -36,6 +39,8 @@ class Graph:
         self._ever: dict[int, dict[int, object]] = {}
         self._version = 0
         self._sssp_cache: dict[int, tuple[dict, dict]] = {}
+        # True while every weight ever added is the int 1 (see `settle`)
+        self.unit = True
 
     # -- construction ----------------------------------------------------
 
@@ -46,8 +51,9 @@ class Graph:
     def add_edge(self, u: int, v: int, w) -> None:
         if u == v:
             raise ValueError(f"self-loop at node {u}")
-        if not isinstance(w, Rational):
-            # distances must stay exact: a float weight would round them
+        if isinstance(w, bool) or not isinstance(w, Rational):
+            # distances must stay exact: a float weight would round them;
+            # a bool (JSON's true) is an int to Python but no weight
             raise ValueError(f"edge weight {w!r} on edge {u}-{v} is not "
                              "an int or a fraction")
         if w < 1:
@@ -57,6 +63,8 @@ class Graph:
         for a, b in ((u, v), (v, u)):
             self._ever.setdefault(a, {})[b] = w
             self._adj.setdefault(a, {})[b] = w
+        if not (type(w) is int and w == 1):
+            self.unit = False
         self._bump()
 
     def _bump(self):
@@ -148,9 +156,15 @@ class Graph:
         hit = self._sssp_cache.get(source)
         if hit is not None:
             return hit
-        dist, parent = dijkstra(self._adj, source)
+        dist, parent = self.settle(self._adj, source)
         self._sssp_cache[source] = (dist, parent)
         return dist, parent
+
+    def settle(self, adj, source: int) -> tuple[dict, dict]:
+        """`dijkstra(adj, source)` for an adjacency map of this graph (all
+        of it, or `induced` from it): by `bfs` while every weight is the
+        int 1, where the two agree exactly, else by `dijkstra`."""
+        return bfs(adj, source) if self.unit else dijkstra(adj, source)
 
     def adopt_trees(self, trees: dict) -> None:
         """Cache each tree as its root's `sssp` where none is cached. The
@@ -212,6 +226,40 @@ def dijkstra(adj, source=None, start=None):
             elif nd == dv and u < parent[v]:
                 parent[v] = u
     return settled, parent
+
+
+def bfs(adj, source):
+    """`dijkstra(adj, source)` on an adjacency map whose every weight is
+    the int 1: the same `dist` and `parent`, in the same key order.
+
+    The walk settles one level (all nodes at one distance) at a time,
+    sorted by id, and gives a node the parent that first reaches it. Why
+    this is what `dijkstra` returns: with unit weights, `dijkstra` settles
+    every node at distance d before any at d + 1, and within a level in
+    id order, which is the order `dist` gets here. A node at distance
+    d + 1 is first reached, in `dijkstra` as here, by the first settled
+    node of level d next to it, so its distance is final at once and no
+    later tie can win, as every other optimal predecessor settles later
+    and so has a larger id; that first node is the least-id optimal
+    predecessor `dijkstra` keeps. Both walk the settled nodes in the same
+    order and each one's neighbours in `adj`'s order, so they first reach
+    the nodes, and so insert the `parent` keys, in the same order. The
+    distances are ints, as `dijkstra` sums int weights from 0.
+    """
+    dist, parent = {source: 0}, {source: None}
+    level, d = [source], 0
+    while level:
+        d += 1
+        reached = []
+        for u in level:
+            for v in adj[u]:
+                if v not in parent:
+                    parent[v] = u
+                    reached.append(v)
+        reached.sort()
+        dist.update(dict.fromkeys(reached, d))
+        level = reached
+    return dist, parent
 
 
 def induced(adj, nodes) -> dict:

@@ -25,7 +25,10 @@ from bisect import bisect_right
 from itertools import accumulate
 from fractions import Fraction
 
-from faultdir.graph import Graph, edge_id, dijkstra, induced
+from faultdir.graph import Graph, edge_id, induced
+# bound but not called here: perfbench/tracing.py patches `dijkstra` in
+# every module that imports it, and tests/test_bench_hooks.py holds it
+from faultdir.graph import dijkstra  # noqa: F401
 
 # Largest denominator of a random shift. `build_partition`'s integer wave
 # keys are exact because every shift's denominator is at most this.
@@ -70,17 +73,17 @@ def eccentricities(g: Graph, members: set[int], mode: str) -> dict:
     """Member -> largest distance to another member: induced distances in
     strong mode, whole-graph ones in weak mode (the same distances when
     the members are every node, so those reuse the graph's cache). The
-    induced map is built once and every member's Dijkstra runs on it."""
+    induced map is built once and every member's `Graph.settle` runs on it."""
     if len(members) == 1:
         return {u: 0 for u in members}
     adj = induced(g._adj, members) \
         if mode == "strong" and len(members) < g.n else None
     out = {}
     for u in members:
-        dist = dijkstra(adj, u)[0] if adj is not None else g.sssp(u)[0]
+        dist = g.settle(adj, u)[0] if adj is not None else g.sssp(u)[0]
         if not members <= dist.keys():
             raise ValueError(f"induced subgraph of {sorted(members)} is disconnected")
-        out[u] = max(dist[m] for m in members)
+        out[u] = max(map(dist.__getitem__, members))
     return out
 
 
@@ -94,7 +97,33 @@ def _rational_exp_shift(rng: random.Random, rate: float, cap: float) -> Fraction
             continue
         val = -math.log(u) / rate
         if val < cap:
-            return Fraction(val).limit_denominator(SHIFT_DENOMINATOR)
+            return _limit_denominator(*val.as_integer_ratio())
+
+
+def _limit_denominator(n: int, d: int) -> Fraction:
+    """`Fraction(n, d).limit_denominator(SHIFT_DENOMINATOR)` for coprime
+    n >= 0 and d > 0 (a float's `as_integer_ratio()`), in ints: the
+    stdlib's continued-fraction loop, then its choice between the last
+    convergent p1/q1 and the semiconvergent pk/qk, the closer one to n/d
+    with p1/q1 on a tie. Both are in lowest terms, so the Fraction built
+    from the chosen pair is the stdlib's."""
+    if d <= SHIFT_DENOMINATOR:
+        return Fraction(n, d)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    a, b = n, d
+    while True:
+        t = a // b
+        q2 = q0 + t * q1
+        if q2 > SHIFT_DENOMINATOR:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + t * p1, q2
+        a, b = b, a - t * b
+    k = (SHIFT_DENOMINATOR - q0) // q1
+    pk, qk = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |pk/qk - n/d|, both sides times d * q1 * qk
+    if abs(p1 * d - n * q1) * qk <= abs(pk * d - n * qk) * q1:
+        return Fraction(p1, q1)
+    return Fraction(pk, qk)
 
 
 def build_partition(g: Graph, r, mode: str, rng: random.Random) -> list[tuple[int, set[int]]]:
@@ -186,14 +215,14 @@ def cluster_tree(g: Graph, leader: int, members: set[int], mode: str) -> dict[in
     """Spanning tree reaching all members, rooted at the leader.
 
     Strong mode: shortest path tree inside the induced subgraph, by
-    Dijkstra over `graph.induced(g._adj, members)`. Weak
+    `Graph.settle` over `graph.induced(g._adj, members)`. Weak
     mode: shortest path tree over the whole graph pruned to the union of
     member root paths (may keep non-member pass-through nodes). The weak
     walk is written out rather than `graph.prune`: its key order follows
     the member set's iteration order, which later output may depend on.
     """
     if mode == "strong":
-        dist, parent = dijkstra(induced(g._adj, members), leader)
+        dist, parent = g.settle(induced(g._adj, members), leader)
         if len(dist) != len(members):
             raise ValueError("induced subgraph disconnected")
         return {u: parent[u] for u in members}
@@ -269,16 +298,21 @@ class Hierarchy:
     def overlap_at(self, v: int, i: int) -> int:
         """How many level-i clusters meet N(v, r_i) on the alive graph.
         Counts distinct owners of the neighborhood's nodes, so it relies
-        on `assign` matching the cluster members (a valid partition). The
+        on `assign` naming only level i's clusters, each for its members
+        (a valid partition; `verify_partition` checks it). The
         neighborhood is the prefix of v's settle-ordered distance map up
-        to the first node beyond r_i."""
+        to the first node beyond r_i, and the count stops once it has seen
+        every cluster of the level."""
         r = self.radius(i)
         assign = self.assign
+        cap = len(self.levels[i])
         owners = set()
         for x, d in self.g.sssp(v)[0].items():
             if d > r:
                 break
             owners.add(assign[(i, x)])
+            if len(owners) == cap:
+                break
         return len(owners)
 
     # -- measured parameters ----------------------------------------------
@@ -376,14 +410,17 @@ def verify_partition(hier: Hierarchy, post_failure: bool = False) -> dict:
     clusters an r-ball meets; 'ok' is False if any check failed.
 
     Always checked: each level's clusters cover the nodes disjointly,
-    leaders lie in their clusters, trees are valid and, in strong mode,
-    clusters are connected (their induced eccentricities raise if not).
+    `assign` maps each member to its cluster (the premise of
+    `overlap_at`), leaders lie in their clusters, trees are valid and, in
+    strong mode, clusters are connected (their induced eccentricities
+    raise if not).
     After failures the diameters below the top must also stay within
     2 * sigma * r (the top's radius no longer tracks the grown diameter).
     Nothing bounds the overlap, and before failures nothing bounds a
     diameter: sigma and the overlap are build-time maxima (`measure`).
     """
     g = hier.g
+    assign = hier.assign
     report = {"levels": [], "ok": True, "problems": []}
 
     def problem(msg):
@@ -402,6 +439,9 @@ def verify_partition(hier: Hierarchy, post_failure: bool = False) -> dict:
             if c.members & seen:
                 problem(f"level {i}: overlapping members in cluster {c.id}")
             seen |= c.members
+            if any(assign.get((i, m)) != c.id for m in c.members):
+                problem(f"level {i}: assign does not map cluster {c.id}'s "
+                        "members to it")
             if c.leader not in c.members:
                 problem(f"level {i}: leader {c.leader} outside cluster {c.id}")
             try:
@@ -415,9 +455,11 @@ def verify_partition(hier: Hierarchy, post_failure: bool = False) -> dict:
             _check_tree(hier, c, problem)
         if seen != nodes:
             problem(f"level {i}: clusters do not cover all nodes")
-        # one cluster covering every node is the only owner `assign` names
-        overlap = 1 if len(clusters) == 1 and seen == nodes else \
-            max(hier.overlap_at(u, i) for u in g.nodes())
+        overlap = 0
+        for u in g.nodes():  # no r-ball meets more than every cluster
+            overlap = max(overlap, hier.overlap_at(u, i))
+            if overlap == len(clusters):
+                break
         report["levels"].append({
             "level": i, "r": str(r), "clusters": len(clusters),
             "max_diameter": str(max_diam), "max_overlap": overlap,

@@ -243,6 +243,10 @@ BAD_SCENARIOS = {
                                              "edges": [[1, 2, 1], [0, 1]]}),
                         "graph.edges[1] is not [u, v, weight] with integer "
                         "u and v"),
+    "weight a boolean": (scen(PUBLISH, graph={"kind": "grid", "rows": 3,
+                                              "cols": 3, "weight": True}),
+                         "edge weight True on edge 0-1 is not an int or a "
+                         "fraction"),
     "ring weights short": (scen(PUBLISH, graph={"kind": "ring", "n": 8,
                                                 "weights": [1, 2]}),
                            "ring of 8 nodes needs 8 weights, not 2"),

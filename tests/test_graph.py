@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from faultdir import graph as graph_module
 from faultdir.graph import (
-    Graph, build_spt, child_endpoint, dijkstra, edge_id, grid_graph, induced,
+    Graph, bfs, build_spt, child_endpoint, dijkstra, edge_id, grid_graph, induced,
     path_graph, prune, random_graph, reroot,
     ring_graph, root_path, subtree,
 )
@@ -39,11 +39,26 @@ def test_load_comments_and_fractions():
 
 @pytest.mark.parametrize("u,v,w,msg", [
     (0, 0, 1, "self-loop"), (1, 2, 0, "below 1"), (1, 0, 2, "duplicate"),
-], ids=["self-loop", "below-1", "duplicate"])
+    # JSON's true is an int to Python; it must not pass as weight 1
+    (1, 2, True, "not an int or a fraction"),
+], ids=["self-loop", "below-1", "duplicate", "boolean"])
 def test_add_edge_rejects(u, v, w, msg):
     g = graph_of((0, 1, 1))
     with pytest.raises(ValueError, match=msg):
         g.add_edge(u, v, w)
+
+
+@pytest.mark.parametrize("w", [Fraction(1), 2, Fraction(3, 2)],
+                         ids=["Fraction(1)", "2", "3/2"])
+def test_unit_is_false_after_a_weight_other_than_int_one(w):
+    g = graph_of((0, 1, 1), (1, 2, 1))
+    assert g.unit
+    g.add_edge(2, 3, w)
+    assert not g.unit
+    # a later unit edge does not bring the flag back
+    g.add_edge(3, 4, 1)
+    assert not g.unit
+    assert g.settle(g._adj, 0) == dijkstra(g._adj, 0)
 
 
 def test_triangle_diameter_and_deletion():
@@ -322,6 +337,58 @@ def test_full_dijkstra_maps_are_settle_ordered_r_balls(g, data):
         prefix = dict(takewhile(lambda xd: xd[1] <= r, g.sssp(u)[0].items()))
         assert prefix == brute_neighborhood(g, u, r)
         # the maps after a failure, the graph possibly disconnected
+        if not g.alive_edges():
+            break
+        g.kill_edge(data.draw(st.sampled_from(g.alive_edges())))
+
+
+# -- the unit-weight kernel against the one Dijkstra ------------------------
+
+
+@st.composite
+def unit_graphs(draw):
+    """A graph of unit edges drawn at random over 1-14 nodes, connected or
+    not, with the edges added in a drawn order."""
+    n = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph()
+    for u in range(n):
+        g.add_node(u)
+    for u, v in edges:
+        a, b = draw(st.permutations([u, v]))
+        g.add_edge(a, b, 1)
+    return g
+
+
+UNIT_GRAPHS = st.one_of(
+    unit_graphs(),
+    st.builds(grid_graph, st.integers(1, 5), st.integers(2, 5)),
+    st.builds(ring_graph, st.integers(3, 12)),
+    st.builds(random_graph, st.integers(2, 14), st.sampled_from([0.2, 0.4, 0.7]),
+              st.integers(0, 10_000), st.just(1), st.just(1)),
+)
+
+
+def same_in_key_order(got, want):
+    return got == want and all(list(a.items()) == list(b.items())
+                               for a, b in zip(got, want))
+
+
+@settings(max_examples=120, deadline=None)
+@given(g=UNIT_GRAPHS, data=st.data())
+def test_bfs_equals_dijkstra_on_unit_graphs(g, data):
+    """Both maps equal Dijkstra's item for item, in key order, from every
+    source over the whole graph and over induced node sets (often
+    disconnected), before and after a failure."""
+    assert g.unit
+    for _ in range(2):
+        members = set(data.draw(st.lists(st.sampled_from(g.nodes()), min_size=1)))
+        for adj in (g._adj, induced(g._adj, members)):
+            for src in adj:
+                want = dijkstra(adj, src)
+                assert same_in_key_order(bfs(adj, src), want)
+                assert same_in_key_order(g.settle(adj, src), want)
         if not g.alive_edges():
             break
         g.kill_edge(data.draw(st.sampled_from(g.alive_edges())))

@@ -11,7 +11,8 @@ from faultdir.cli import _gen_scenario
 from faultdir.graph import (grid_graph, path_graph, random_graph, ring_graph,
                             root_path)
 from faultdir.partition import (
-    SHIFT_DENOMINATOR, Hierarchy, _grow_waves, _wave_starts, build_hierarchy,
+    SHIFT_DENOMINATOR, Hierarchy, _grow_waves, _limit_denominator,
+    _wave_starts, build_hierarchy,
     build_partition, choose_leader, cluster_tree, eccentricities,
     preprocess_leaders, verify_partition,
 )
@@ -542,3 +543,62 @@ def test_verify_reports_a_disconnected_strong_cluster():
     assert not report["ok"]
     assert f"level 1: cluster {cut.id} induced subgraph disconnected" \
         in report["problems"]
+
+
+# -- exact set-up shortcuts --------------------------------------------------
+
+
+@settings(max_examples=2000, deadline=None)
+@given(val=st.one_of(
+    st.floats(min_value=0, max_value=64, allow_nan=False),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+    # denominators at or below the limit come back unchanged
+    st.builds(lambda k, e: k / 2 ** e, st.integers(0, 1 << 40), st.integers(0, 30)),
+    # ties: m + 2^-31 lies halfway between m and m + 2^-30, as m + 1 - 2^-31
+    # does between m + 1 - 2^-30 and m + 1; the stdlib keeps the convergent
+    st.builds(lambda m, up: m + 1 - 2 ** -31 if up else m + 2 ** -31,
+              st.integers(0, 1 << 20), st.booleans()),
+))
+def test_shift_kernel_equals_limit_denominator(val):
+    got = _limit_denominator(*val.as_integer_ratio())
+    want = Fraction(val).limit_denominator(SHIFT_DENOMINATOR)
+    assert got == want and got.denominator == want.denominator
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=st.sampled_from([
+    {"kind": "grid", "rows": 4, "cols": 4}, {"kind": "grid", "rows": 3, "cols": 5},
+    {"kind": "ring", "n": 10}, {"kind": "random", "n": 12, "p": 0.3, "seed": 1},
+    {"kind": "random", "n": 14, "p": 0.25, "seed": 7}]),
+       mode=st.sampled_from(["weak", "strong"]), seed=st.integers(0, 10_000))
+def test_post_failure_overlap_equals_oracle(spec, mode, seed):
+    """The capped scan reports, after failures and their splits, the most
+    clusters any r-ball meets, as both oracles count them."""
+    sc = _gen_scenario(graph_spec=spec, mode=mode, rho=2, seed=seed, ops=6,
+                       failures=4, horizon=2000)
+    rt = Runtime(sc)
+    rt.run()
+    hier, g = rt.hier, rt.hier.g
+    report = verify_partition(hier, post_failure=True)
+    for row in report["levels"]:
+        i = row["level"]
+        want = max(len(clusters_intersecting(hier, u, i)) for u in g.nodes())
+        assert row["max_overlap"] == want
+        assert want == max(brute_intersection_count(g, hier, u, i)
+                           for u in g.nodes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=GRAPHS, mode=st.sampled_from(["weak", "strong"]), data=st.data())
+def test_verify_reports_a_doctored_assign_entry(g, mode, data):
+    hier = build_hierarchy(g, rho=2, mode=mode, seed=0)
+    assert verify_partition(hier)["problems"] == []
+    i = data.draw(st.sampled_from(hier.all_levels()))
+    x = data.draw(st.sampled_from(g.nodes()))
+    own = cluster_of(hier, i, x)
+    other = data.draw(st.sampled_from(
+        [cid for level in hier.levels.values() for cid in level if cid != own.id]
+        + [hier._next_cid]))
+    hier.assign[(i, x)] = other
+    assert verify_partition(hier)["problems"] == [
+        f"level {i}: assign does not map cluster {own.id}'s members to it"]
