@@ -592,12 +592,13 @@ class FailureEngine:
         self.dir._send("txn_install", y, first, payload, "logn",
                        f"repair:path_update:f{fid}")
 
-    def _on_txn_install(self, msg):
+    def _on_txn_install(self, msg, replay=False):
         p = msg.payload
         at_target = msg.dst == p["target"]
         # a grant held for this very transaction must not block its install;
-        # a parked install is counted when `drain_deferred` replays it
-        if at_target and self.dir._parked(msg, txn=p["txn"]):
+        # a parked install is counted when it is replayed
+        if at_target and not replay and self.dir._parked(msg, txn=p["txn"]):
+            self._unjam(msg.dst)
             return
         self._stat_path(p["fid"], msg.traveled)
         if not at_target:
@@ -628,6 +629,21 @@ class FailureEngine:
             self._announce_bands(p["bands"][0], p["bcast_bands"], p["entries"],
                                  fid)
         self.maybe_fix_adder(w, p["level"])
+
+    def _unjam(self, w):
+        """Replay an install parked at w when w is locked only by grants
+        whose own installs are parked here too. A grant goes only with its
+        transaction's repoint, sent once its install has run, and
+        `drain_deferred` waits for w to be unlocked, so these installs
+        would otherwise wait on each other for ever. Each grant's repoint
+        comes back to w and calls `_maintenance`, which replays the next."""
+        ns = self.dir.nodes[w]
+        if ns.busy_txn is not None or not ns.grants:
+            return
+        parked = [m for m in ns.deferred if m.kind == "txn_install"]
+        if set(ns.grants) <= {m.payload["txn"] for m in parked}:
+            ns.deferred.remove(parked[0])
+            self._on_txn_install(parked[0], replay=True)
 
     def _apply_band_install(self, w, p):
         for level, leader in p["entries"]:
@@ -691,6 +707,7 @@ class FailureEngine:
         while ns.queued_locks and ns.busy_txn is None:
             self._grant(z, ns.queued_locks.pop(0).payload)
         self.dir.drain_deferred(z)
+        self._unjam(z)
         if not ns.locked():
             self.try_init(z)
 

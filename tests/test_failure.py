@@ -621,6 +621,24 @@ def test_every_single_failure_before_the_publish_runs(mode):
     assert failing == {("ring:12", (1, 2)): ["preprocess-volume"]}
 
 
+@pytest.mark.parametrize("spec, mode, seed", [
+    # node 2 is the install target of two updates and holds a grant for each
+    ({"kind": "ring", "n": 10}, "weak", 603),
+    # node 5's install waits behind its own transaction's grant
+    ({"kind": "grid", "rows": 4, "cols": 4}, "weak", 28),
+    ({"kind": "grid", "rows": 4, "cols": 4}, "strong", 28)])
+def test_installs_parked_behind_their_own_grants_complete(spec, mode, seed):
+    """An install parked at a node locked only by grants whose installs
+    are parked there too is replayed, so the run settles and checks
+    clean."""
+    sc = _gen_scenario(graph_spec=spec, mode=mode, rho=2, seed=seed, ops=6,
+                       failures=4, horizon=2000)
+    rec = Runtime(sc).run()
+    assert rec["findings"] == []
+    assert all(op["phase"] == "done" for op in rec["ops"])
+    assert failing_formulas(rec) == []
+
+
 # Valid runs that fail `recluster-distance` today (ROADMAP item 23): an
 # extension band cluster's broadcast travels farther than sigma * r_level.
 RECLUSTER_DISTANCE_DEFECTS = {
